@@ -1,17 +1,23 @@
 """Upper-hull kernel for one sieve segment.
 
 Computes the upper convex hull of the points (P[i], R[i]) within a single
-segment, retaining points popped for exact slope equality as tie
+segment, with the points lying exactly on a hull edge kept as tie
 annotations.  Extreme points of a union are extreme points of the parts,
 so feeding only each segment's hull vertices (plus their tie lists) into
 the global stack reproduces the full streaming hull exactly; the module
-tests pin that equivalence against per-point pushes.
+tests pin that equivalence against the batch oracle.
 
-All comparisons are exact int64 cross products.  Safe because segment
-spans are capped at 2^26, so |delta pi| * |delta p| < 2^25 * 2^26 = 2^51.
+The kernel is quickhull (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996),
+vectorized over each edge's candidates.  Every orientation test is an
+int64 cross product of deltas from the edge's left end, never of absolute
+coordinates.  That is exact because segment spans are capped at 2^26
+integers, so |delta pi| * |delta p| < 2^25 * 2^26 = 2^51.
 
-The kernel is compiled with numba when available and falls back to the
-same function in pure Python otherwise.
+Vertices are the strictly convex points.  The ties of a vertex b with hull
+predecessor a are the points strictly between a and b that lie exactly on
+the chord a -> b, in increasing order; the first vertex has none.  This is
+the tie rule of the streaming stack (``HullState.push``), which pops a
+point on an equal slope into the new point's tie list.
 """
 
 from __future__ import annotations
@@ -19,56 +25,45 @@ from __future__ import annotations
 import numpy as np
 
 
-def _segment_hull_impl(P, R):  # pragma: no cover - exercised via wrappers
-    n = P.shape[0]
-    stack = np.empty(n, np.int64)  # indices into P of current hull vertices
-    tie_lo = np.empty(n, np.int64)  # per-slot range into tie_buf
-    tie_hi = np.empty(n, np.int64)
-    tie_buf = np.empty(n, np.int64)  # indices of collinear (tied) points
-    top = -1
-    tie_top = 0
-    for i in range(n):
-        merged_lo = -1
-        merged_hi = -1
-        while top >= 1:
-            u = stack[top - 1]
-            v = stack[top]
-            lhs = (R[v] - R[u]) * (P[i] - P[v])
-            rhs = (R[i] - R[v]) * (P[v] - P[u])
-            if lhs > rhs:
-                break
-            if lhs == rhs:
-                # v sits exactly on the chord u -> i: keep it, and its own
-                # tie range, as ties of i.  An equal pop is always the last
-                # pop of a push (stack slopes are strictly decreasing), so
-                # v's tie range ends exactly at tie_top and stays contiguous
-                # after appending v itself.
-                tie_buf[tie_top] = v
-                tie_top += 1
-                merged_lo = tie_lo[top]
-                merged_hi = tie_top
-                top -= 1
-            else:
-                # v strictly below the chord: discard it and its ties.
-                tie_top = tie_lo[top]
-                top -= 1
-        top += 1
-        stack[top] = i
-        if merged_lo >= 0:
-            tie_lo[top] = merged_lo
-            tie_hi[top] = merged_hi
-        else:
-            tie_lo[top] = tie_top
-            tie_hi[top] = tie_top
-    m = top + 1
-    return stack[:m].copy(), tie_lo[:m].copy(), tie_hi[:m].copy(), tie_buf[:tie_top].copy()
+def segment_hull(P: np.ndarray, R: np.ndarray):
+    """Upper hull of the points (P[i], R[i]), P strictly increasing, n >= 1.
 
-
-segment_hull_py = _segment_hull_impl
-
-try:  # pragma: no cover - import-time branch
-    from numba import njit
-
-    segment_hull = njit(cache=True)(_segment_hull_impl)
-except ImportError:  # pragma: no cover
-    segment_hull = _segment_hull_impl
+    P and R are int64 arrays.  Returns ``(idx, tie_lo, tie_hi, tie_buf)``:
+    the indices of the hull vertices in increasing order, and for vertex j
+    the indices of its ties, ``tie_buf[tie_lo[j]:tie_hi[j]]``, in increasing
+    order.
+    """
+    n = len(P)
+    verts = [0]
+    tie_hi = [0]
+    ties = []
+    # Edges still to resolve, as (left, right, candidate indices strictly
+    # between them, increasing).  Popping the left half first emits the
+    # final edges, and so the vertices, from left to right.
+    work = [(0, n - 1, np.arange(1, n - 1))] if n > 1 else []
+    while work:
+        a, b, cand = work.pop()
+        if len(cand):
+            pa = P[a]
+            ra = R[a]
+            cross = (R[cand] - ra) * (P[b] - pa) - (P[cand] - pa) * (R[b] - ra)
+            m = int(cross.argmax())
+            if cross[m] > 0:
+                # argmax returns the leftmost of equally distant points, which
+                # is a vertex; the others on its line are ties or vertices of
+                # the right half.  Points on or below the chord a -> b lie
+                # strictly below the two new edges, so they are dropped.
+                c = cand[m]
+                keep = cand[cross > 0]
+                k = int(keep.searchsorted(c))
+                work.append((c, b, keep[k + 1 :]))
+                work.append((a, c, keep[:k]))
+                continue
+            cand = cand[cross == 0]
+            ties.append(cand)
+        verts.append(b)
+        tie_hi.append(tie_hi[-1] + len(cand))
+    tie_hi = np.array(tie_hi, dtype=np.int64)
+    tie_lo = np.concatenate(([0], tie_hi[:-1]))
+    tie_buf = np.concatenate(ties) if ties else np.empty(0, dtype=np.int64)
+    return np.array(verts, dtype=np.int64), tie_lo, tie_hi, tie_buf

@@ -192,17 +192,24 @@ class HullState:
         self.sum_inv.add(1.0 / v.p)
         self.sum_invlog.add(1.0 / math.log(v.p))
 
+    def merge_segment(self, primes, pis) -> None:
+        """Push one non-empty segment (aligned int64 arrays) through its hull.
+
+        Only the segment-hull vertices are pushed, each with its ties as
+        pre-ties; no confirmation is attempted.
+        """
+        idx, tie_lo, tie_hi, tie_buf = segment_hull(primes, pis)
+        tie_ps = primes[tie_buf].tolist()
+        for p, pi, lo, hi in zip(
+            primes[idx].tolist(), pis[idx].tolist(), tie_lo.tolist(), tie_hi.tolist()
+        ):
+            self.push(p, pi, tie_ps[lo:hi])
+        self.pi_at_last = int(pis[-1])
+
     def consume_block(self, primes, pis, high: int) -> None:
         """Merge one sieved segment (aligned arrays) and advance the frontier."""
         if len(primes):
-            idx, tie_lo, tie_hi, tie_buf = segment_hull(primes, pis)
-            plist = primes.tolist()
-            rlist = pis.tolist()
-            tie_list = tie_buf.tolist()
-            for j, s in enumerate(idx.tolist()):
-                ties = [plist[t] for t in tie_list[tie_lo[j] : tie_hi[j]]]
-                self.push(plist[s], rlist[s], ties)
-            self.pi_at_last = rlist[-1]
+            self.merge_segment(primes, pis)
         self.last_processed = high
         self.confirm_through(high)
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,11 @@ from primehull.hull_engine import (
     HullState,
     compute_extremal,
     push_point,
+    segment_hull,
     slope_compare,
     try_confirm,
 )
-from primehull.prime_stream import PrimePoint
+from primehull.prime_stream import MAX_SEGMENT_SIZE, PrimePoint
 
 
 def P(p, pi):
@@ -217,12 +219,114 @@ def synthetic_points(draw):
     return pts
 
 
-@given(synthetic_points())
+def oracle_hull(pts):
+    """(p, pi, ties) of every vertex of the batch Fraction oracle."""
+    return [(v.p, int(v.y), v.ties) for v in batch_upper_hull([(p, Fraction(r)) for p, r in pts])]
+
+
+def kernel_hull(pts):
+    """(p, pi, ties) of every vertex segment_hull returns for one segment."""
+    P = np.array([p for p, _ in pts], dtype=np.int64)
+    R = np.array([r for _, r in pts], dtype=np.int64)
+    idx, tie_lo, tie_hi, tie_buf = segment_hull(P, R)
+    return [
+        (int(P[i]), int(R[i]), [int(P[t]) for t in tie_buf[lo:hi]])
+        for i, lo, hi in zip(idx, tie_lo, tie_hi)
+    ]
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(5, 3)],
+        [(5, 3), (7, 4)],
+        [(x, 2 * x + 1) for x in range(1, 12)],  # all collinear
+        [(1, 0), (2, 0), (3, 0), (4, 1), (5, 1), (6, 1), (8, 1), (9, 2)],  # flat runs
+        [(x, 0) for x in range(1, 7)],  # one flat run
+        # (2, 3) and (4, 3) tie for the maximum height over the chord
+        # (0, 0) -> (6, 0); (3, 3) lies between them on the same line.
+        [(0, 0), (1, 1), (2, 3), (3, 3), (4, 3), (5, 2), (6, 0)],
+        # (2, 4) and (5, 7) tie for the maximum distance above the chord
+        # (0, 0) -> (8, 8) on a line of slope 1 that also carries (3, 5).
+        [(0, 0), (1, 2), (2, 4), (3, 5), (4, 5), (5, 7), (6, 7), (7, 7), (8, 8)],
+    ],
+)
+def test_segment_hull_matches_oracle(pts):
+    assert kernel_hull(pts) == oracle_hull(pts)
+
+
+def test_segment_hull_matches_oracle_on_random_tie_heavy_clouds():
+    rng = random.Random(20261017)
+    for _ in range(300):
+        n = rng.randrange(1, 400)
+        x, y, pts = 0, 0, []
+        for _ in range(n):
+            x += rng.randint(1, 4)
+            y += rng.randint(0, 2)
+            pts.append((x, y))
+        assert kernel_hull(pts) == oracle_hull(pts)
+
+
+def test_segment_hull_int64_exact_at_full_span():
+    # Absolute coordinates near 1e12 and 4e10 overflow int64 when multiplied
+    # (about 2^75); anchor-relative deltas stay below 2^26 * 2^25 = 2^51.
+    # A wrapped int64 sum of products can still come out right, so overflow
+    # of a scalar product is made an error; the exact ties and near-ties
+    # below make float64 products of absolute coordinates give a hull that
+    # differs.
+    rng = random.Random(7)
+    span = 2 * MAX_SEGMENT_SIZE
+    # A concave chain of lattice steps (a, b) with slopes b/a falling from
+    # just under 1/2, so pi rises by nearly 2^25 over the span; each step is
+    # repeated so that the inner lattice points are exact ties.
+    x = y = 0
+    corners = [(0, 0)]
+    lattice = []
+    for i in range(200):
+        a = rng.randrange(100_000, 200_000)
+        b = a * (400 - i) // 801
+        r = min(rng.randint(1, 15), (span - 2 - x) // a)
+        if r == 0:
+            break
+        lattice += [(x + j * a, y + j * b) for j in range(1, r)]
+        x, y = x + r * a, y + r * b
+        corners.append((x, y))
+    corners.append((span - 1, y + 1))
+    # Points on or just below the chain: floor(chain) is an exact tie where
+    # the chain hits the lattice and a near-tie elsewhere.
+    below = []
+    for d in rng.sample(range(1, span - 1), 1500):
+        (x0, y0), (x1, y1) = next((u, v) for u, v in zip(corners, corners[1:]) if d < v[0])
+        below.append((d, y0 + (d - x0) * (y1 - y0) // (x1 - x0) - rng.choice([0, 0, 1, 5])))
+    cloud = dict(below)
+    cloud.update(corners + lattice)
+    base_p, base_r = 10**12 - span, 4 * 10**10
+    pts = [(base_p + d, base_r + r) for d, r in sorted(cloud.items())]
+    assert pts[-1][0] - pts[0][0] == span - 1
+    assert 0.9 * MAX_SEGMENT_SIZE < pts[-1][1] - pts[0][1] < MAX_SEGMENT_SIZE
+    assert max(r for _, r in pts) - min(r for _, r in pts) < MAX_SEGMENT_SIZE
+    want = oracle_hull(pts)
+    assert len(want) > 20 and sum(len(t) for _, _, t in want) > 100
+    with np.errstate(over="raise"):
+        assert kernel_hull(pts) == want
+
+
+@given(synthetic_points(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_streaming_hull_matches_fraction_oracle(pts):
+def test_streaming_hull_matches_fraction_oracle(pts, data):
+    oracle = oracle_hull(pts)
     s = HullState()
     for p, pi in pts:
         s.push(p, pi)
-    oracle = batch_upper_hull([(p, Fraction(pi)) for p, pi in pts])
-    assert [(v.p, v.pi) for v in s.stack] == [(v.p, int(v.y)) for v in oracle]
-    assert [v.ties for v in s.stack] == [v.ties for v in oracle]
+    assert [(v.p, v.pi, v.ties) for v in s.stack] == oracle
+    # The same cloud cut into segments, each merged through its segment hull
+    # as compute_extremal does, minus the confirmation sweep, whose analytic
+    # bounds hold for prime points only.
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(pts) - 1))))
+    P = np.array([p for p, _ in pts], dtype=np.int64)
+    R = np.array([r for _, r in pts], dtype=np.int64)
+    seg = HullState()
+    for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
+        seg.merge_segment(P[lo:hi], R[lo:hi])
+    assert [(v.p, v.pi, v.ties) for v in seg.stack] == oracle
+    assert seg.pi_at_last == pts[-1][1]
