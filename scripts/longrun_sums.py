@@ -8,8 +8,9 @@ overnight job, so it lives here as a checkpointed driver instead of a test:
     python3 scripts/longrun_sums.py --limit 3.7*10^11 --checkpoint sums.ck \
         --chunk 10^9
 
-Interrupt freely; rerunning with the same checkpoint resumes exactly
-(compensated-sum state round-trips bit for bit).
+Interrupt freely; rerunning with the same checkpoint resumes exactly (the
+checkpoint holds the hull state, and the sums are recomputed from its
+confirmed prefix).
 """
 
 import argparse

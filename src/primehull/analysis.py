@@ -138,8 +138,6 @@ class ConjectureSums:
     count: int
     sum_inv: float
     sum_invlog: float
-    inv_state: tuple[str, str]
-    invlog_state: tuple[str, str]
 
 
 def conjecture_sums(records: Sequence[ExtremalRecord]) -> ConjectureSums:
@@ -153,13 +151,7 @@ def conjecture_sums(records: Sequence[ExtremalRecord]) -> ConjectureSums:
         inv.add(1.0 / r.e)
         invlog.add(1.0 / math.log(r.e))
         count += 1
-    return ConjectureSums(
-        count=count,
-        sum_inv=inv.value,
-        sum_invlog=invlog.value,
-        inv_state=inv.state_strings(),
-        invlog_state=invlog.state_strings(),
-    )
+    return ConjectureSums(count=count, sum_inv=inv.value, sum_invlog=invlog.value)
 
 
 def pi_epsilon(x: float, records: Sequence[ExtremalRecord]) -> int:

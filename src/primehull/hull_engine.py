@@ -23,13 +23,11 @@ equal-slope predecessors for reporting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import prime_stream
 from ._seghull import segment_hull
-from .kahan import KahanSum
 from .prime_stream import (
     E_SQUARED,
     PrimePoint,
@@ -71,8 +69,7 @@ def slope_compare(a: PrimePoint, b: PrimePoint, c: PrimePoint) -> int:
     """
     if not (a.p < b.p < c.p):
         raise ValueError(f"points must be strictly increasing in p: {a.p}, {b.p}, {c.p}")
-    lhs = (b.pi - a.pi) * (c.p - b.p)
-    rhs = (c.pi - b.pi) * (b.p - a.p)
+    lhs, rhs = HullState._cross(a, b, c.p, c.pi)
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -94,6 +91,11 @@ class HullVertex:
 class HullState:
     """Mutable hull computation state.
 
+    The hull is over the points (p, y(p)) for the stored (p, pi) pairs; this
+    class has y = pi.  A sequence over another height differs only in its
+    two static hooks, ``_cross`` (the orientation test) and ``_final`` (the
+    finality rule), which a subclass overrides (see ``m_variant``).
+
     Invariants (checked by the test suite, not at runtime):
     * stack slopes strictly decrease left to right;
     * stack[0] is (2, 1) once any input has been consumed;
@@ -105,34 +107,65 @@ class HullState:
     confirmed_len: int = 0
     last_processed: int = 1
     pi_at_last: int = 0
-    sum_inv: KahanSum = field(default_factory=KahanSum)
-    sum_invlog: KahanSum = field(default_factory=KahanSum)
+
+    @staticmethod
+    def _cross(u, v, p: int, pi: int) -> tuple[int, int]:
+        """Cross-product pair (lhs, rhs) for hull vertices u, v and a new point.
+
+        slope(u, v) > slope(v, new) exactly when lhs > rhs, and the two are
+        equal exactly when lhs == rhs.
+        """
+        return (v.pi - u.pi) * (p - v.p), (pi - v.pi) * (v.p - u.p)
+
+    @staticmethod
+    def _final(u: HullVertex, v: HullVertex, x: int, pi_x: int) -> bool:
+        """Whether the edge u -> v is final once every prime <= x is pushed.
+
+        With incoming slope s = dpi/dp, v can never be popped once
+
+            bound_slope_tight(x) < s   and
+            pi_upper_bound_tight(x) < u.pi + s * (x - u.p)
+
+        because then the line through u with slope s dominates the pi upper
+        bound for every z >= x (the bound's slope keeps decreasing), while
+        popping v would require a prime point on or above that line.  The
+        bound's slope is only decreasing for x > e^2.  (3, 2) is final on
+        sight: no later point can reach slope 1 from (2, 1).
+        """
+        if u.p == 2 and v.p == 3:
+            return True
+        if x <= E_SQUARED:
+            return False
+        dpi = v.pi - u.pi
+        dp = v.p - u.p
+        return (
+            bound_slope_tight(x) * dp < dpi
+            and pi_upper_bound_tight(x) < u.pi + dpi * (x - u.p) / dp
+        )
 
     def push(self, p: int, pi: int, pre_ties: Sequence[int] = ()) -> None:
-        """Push one point, popping dominated vertices.
+        """Push one point past the frontier, popping dominated vertices.
 
         ``pre_ties`` carries ties already collected for this point by a
         segment-level hull; they are anchored to the current stack top and
         are dropped if that anchor is popped strictly below the new chord.
         """
+        if p <= self.last_processed:
+            raise ValueError(f"point {p} arrives at or before frontier {self.last_processed}")
         stack = self.stack
-        if stack and p <= stack[-1].p:
-            raise ValueError(f"out of order push: {p} after {stack[-1].p}")
+        cross = self._cross
         ties = list(pre_ties)
         first_pop = True
         while len(stack) >= 2:
-            u = stack[-2]
-            v = stack[-1]
-            lhs = (v.pi - u.pi) * (p - v.p)
-            rhs = (pi - v.pi) * (v.p - u.p)
+            lhs, rhs = cross(stack[-2], stack[-1], p, pi)
             if lhs > rhs:
                 break
             if len(stack) <= self.confirmed_len:
                 raise AssertionError(
-                    f"confirmed vertex {v.p} would be popped by {p}; "
-                    "confirmation bound unsound"
+                    f"confirmed vertex {stack[-1].p} would be popped by {p}; "
+                    "confirmation rule unsound"
                 )
-            stack.pop()
+            v = stack.pop()
             if lhs == rhs:
                 # v lies exactly on the chord to the new point; an equal pop
                 # is necessarily the last pop of this push, so v's tie list
@@ -144,59 +177,39 @@ class HullState:
                 ties = []
             first_pop = False
         stack.append(HullVertex(p, pi, ties))
+        self.last_processed = p
+        self.pi_at_last = pi
 
     def confirm_through(self, x: int) -> int:
-        """Promote the longest provable prefix; returns newly confirmed count.
+        """Move the frontier to x and promote the longest final prefix.
 
-        A vertex v with predecessor u and incoming slope s = dpi/dp can
-        never be popped once, for the fully sieved frontier x:
-
-            bound_slope_tight(x) < s   and
-            pi_upper_bound_tight(x) < u.pi + s * (x - u.p)
-
-        because then the line through u with slope s dominates the pi upper
-        bound for every z >= x (the bound's slope keeps decreasing), while
-        popping v would require a prime point on or above that line.
-        (2,1) and (3,2) are confirmed on sight: no later point can reach
-        slope 1 from (2,1), so neither is ever popped.
+        The caller asserts every point <= x has been pushed.  The first
+        vertex is final on sight, since pops only remove the top of a stack
+        of length >= 2; each later one is final when ``_final`` holds for
+        its incoming edge.  Returns the newly confirmed count.
         """
+        if x < self.last_processed:
+            raise ValueError(
+                f"confirmation frontier {x} behind sieved frontier {self.last_processed}"
+            )
+        self.last_processed = x
         stack = self.stack
-        newly = 0
-        while (
-            self.confirmed_len < min(2, len(stack))
-            and stack[self.confirmed_len].p == (2, 3)[self.confirmed_len]
-        ):
-            self._on_confirm(stack[self.confirmed_len])
-            newly += 1
-        if x <= E_SQUARED:
-            return newly
-        slope_bound = bound_slope_tight(x)
-        pi_bound = pi_upper_bound_tight(x)
-        i = self.confirmed_len
-        while i < len(stack):
-            u = stack[i - 1]
-            v = stack[i]
-            dpi = v.pi - u.pi
-            dp = v.p - u.p
-            if not slope_bound * dp < dpi:
-                break
-            if not pi_bound < u.pi + dpi * (x - u.p) / dp:
-                break
-            self._on_confirm(v)
-            i += 1
-            newly += 1
+        n = self.confirmed_len
+        if n == 0 and stack:
+            n = 1
+        while n < len(stack) and self._final(stack[n - 1], stack[n], x, self.pi_at_last):
+            n += 1
+        newly = n - self.confirmed_len
+        self.confirmed_len = n
         return newly
-
-    def _on_confirm(self, v: HullVertex) -> None:
-        self.confirmed_len += 1
-        self.sum_inv.add(1.0 / v.p)
-        self.sum_invlog.add(1.0 / math.log(v.p))
 
     def merge_segment(self, primes, pis) -> None:
         """Push one non-empty segment (aligned int64 arrays) through its hull.
 
         Only the segment-hull vertices are pushed, each with its ties as
-        pre-ties; no confirmation is attempted.
+        pre-ties; the last point is always one of them.  No confirmation is
+        attempted.  The segment kernel compares slopes of heights pi, so this
+        is for the pi hull only; hulls over other heights push every point.
         """
         idx, tie_lo, tie_hi, tie_buf = segment_hull(primes, pis)
         tie_ps = primes[tie_buf].tolist()
@@ -204,39 +217,12 @@ class HullState:
             primes[idx].tolist(), pis[idx].tolist(), tie_lo.tolist(), tie_hi.tolist()
         ):
             self.push(p, pi, tie_ps[lo:hi])
-        self.pi_at_last = int(pis[-1])
 
     def consume_block(self, primes, pis, high: int) -> None:
         """Merge one sieved segment (aligned arrays) and advance the frontier."""
         if len(primes):
             self.merge_segment(primes, pis)
-        self.last_processed = high
         self.confirm_through(high)
-
-
-def push_point(state: HullState, q: PrimePoint) -> None:
-    """Feed a single prime point into the hull state."""
-    state.push(q.p, q.pi, ())
-    if q.pi > state.pi_at_last:
-        state.pi_at_last = q.pi
-    if q.p > state.last_processed:
-        state.last_processed = q.p
-
-
-def try_confirm(state: HullState, x: int) -> int:
-    """Run the confirmation sweep declaring x as the fully sieved frontier.
-
-    The caller asserts every prime <= x has been pushed; x may not move
-    backwards or fall below the last pushed prime.
-    """
-    if x < state.last_processed:
-        raise ValueError(
-            f"confirmation frontier {x} behind sieved frontier {state.last_processed}"
-        )
-    if state.stack and x < state.stack[-1].p:
-        raise ValueError(f"confirmation frontier {x} behind last pushed prime")
-    state.last_processed = x
-    return state.confirm_through(x)
 
 
 @dataclass
@@ -250,7 +236,6 @@ def compute_extremal(
     limit: int,
     segment_size: int = prime_stream.DEFAULT_SEGMENT_SIZE,
     state: Optional[HullState] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> ComputeResult:
     """Stream primes up to ``limit`` and return confirmed extremal records.
 
@@ -276,9 +261,6 @@ def compute_extremal(
         )
         for primes, pis, high in prime_stream.iter_prime_blocks(cfg):
             state.consume_block(primes, pis, high)
-            if progress is not None:
-                progress(high, state.pi_at_last)
-        state.last_processed = limit
         state.confirm_through(limit)
     records = records_from_state(state)
     return ComputeResult(

@@ -1,4 +1,4 @@
-"""Compensated (Kahan) float summation with exact-state serialization."""
+"""Compensated (Kahan) float summation."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 @dataclass
 class KahanSum:
-    """Running compensated sum.
-
-    The (total, compensation) pair is the whole state: serializing both via
-    ``repr`` (shortest round-trip decimal strings) and restoring them
-    reproduces the accumulator bit for bit, so checkpointed sums resume
-    exactly.
-    """
+    """Running compensated sum; (total, compensation) is the whole state."""
 
     total: float = 0.0
     compensation: float = 0.0
@@ -27,10 +21,3 @@ class KahanSum:
     @property
     def value(self) -> float:
         return self.total
-
-    def state_strings(self) -> tuple[str, str]:
-        return repr(self.total), repr(self.compensation)
-
-    @classmethod
-    def from_state_strings(cls, total: str, compensation: str) -> "KahanSum":
-        return cls(float(total), float(compensation))

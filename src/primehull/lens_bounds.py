@@ -294,6 +294,15 @@ def _bisect(f, lo: float, hi: float, iters: int = 120) -> float:
     return 0.5 * (lo + hi)
 
 
+def _window_holds(prob: CubicProblem, alpha: float) -> bool:
+    """solve_theta's window inequalities; working_threshold searches them too."""
+    a2_ = alpha * alpha
+    return (
+        prob.v2 * a2_ + prob.v1 * alpha + prob.v0 < 2.0 * a2_
+        and prob.v2 * a2_ - prob.v1 * alpha + prob.v0 < 2.0 * a2_
+    )
+
+
 def solve_theta(x: float, alpha: float = 1.0) -> ThetaRoots:
     """Roots of the reduced cubic inside [-alpha, alpha], alpha in (0, 1].
 
@@ -311,13 +320,10 @@ def solve_theta(x: float, alpha: float = 1.0) -> ThetaRoots:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     prob = cubic_coeffs(x)
-    a2_ = alpha * alpha
-    plus_side = prob.v2 * a2_ + prob.v1 * alpha + prob.v0
-    minus_side = prob.v2 * a2_ - prob.v1 * alpha + prob.v0
-    if not (plus_side < 2.0 * a2_ and minus_side < 2.0 * a2_):
+    if not _window_holds(prob, alpha):
         raise ThetaPreconditionError(
             f"x={x} too small for alpha={alpha}: window inequalities fail "
-            f"({plus_side:.6g}, {minus_side:.6g} vs {2*a2_:.6g})"
+            f"(v2, v1, v0 = {prob.v2:.6g}, {prob.v1:.6g}, {prob.v0:.6g})"
         )
     g = prob.reduced_value
     theta_plus = _bisect(g, 0.0, alpha)
@@ -420,12 +426,7 @@ def working_threshold(alpha: float = 1.0) -> float:
     """
 
     def ok(x: float) -> bool:
-        prob = cubic_coeffs(x)
-        a2_ = alpha * alpha
-        return (
-            prob.v2 * a2_ + prob.v1 * alpha + prob.v0 < 2.0 * a2_
-            and prob.v2 * a2_ - prob.v1 * alpha + prob.v0 < 2.0 * a2_
-        )
+        return _window_holds(cubic_coeffs(x), alpha)
 
     lo = 1e6
     if ok(lo):

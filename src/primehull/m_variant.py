@@ -24,11 +24,11 @@ where segment boundaries fall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .hull_engine import EQUAL, GREATER, LESS
+from .hull_engine import HullState, HullVertex
 from .prime_stream import LimitTooLargeError, SieveConfig, iter_prime_blocks
 
 M_MAX_LIMIT = 10**9
@@ -54,90 +54,35 @@ def m_slope_compare(a: MPoint, b: MPoint, c: MPoint) -> int:
     """
     if not a.p < b.p < c.p:
         raise ValueError(f"points must be strictly ordered, got {a.p}, {b.p}, {c.p}")
-    lhs = (b.p * a.pi - a.p * b.pi) * c.pi * (c.p - b.p)
-    rhs = (c.p * b.pi - b.p * c.pi) * a.pi * (b.p - a.p)
-    if lhs < rhs:
-        return LESS
-    if lhs > rhs:
-        return GREATER
-    return EQUAL
+    lhs, rhs = MHullState._cross(a, b, c.p, c.pi)
+    return (lhs > rhs) - (lhs < rhs)
 
 
-@dataclass
-class MVertex:
-    p: int
-    pi: int
-    ties: list[int] = field(default_factory=list)
+class MHullState(HullState):
+    """The hull engine over the heights p/pi(p): only its two hooks differ."""
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.pi)
+    @staticmethod
+    def _cross(u, v, p: int, pi: int) -> tuple[int, int]:
+        """slope(u, v) vs slope(v, new) of the heights p/pi, denominators cleared.
 
+        Both sides are multiplied by the positive
+        u.pi * v.pi * pi * (v.p - u.p) * (p - v.p).
+        """
+        return (
+            (v.p * u.pi - u.p * v.pi) * pi * (p - v.p),
+            (p * v.pi - v.p * pi) * u.pi * (v.p - u.p),
+        )
 
-@dataclass
-class MHullState:
-    stack: list[MVertex] = field(default_factory=list)
-    confirmed_len: int = 0
-    last_processed: int = 1
-    pi_at_last: int = 0
-
-    def push(self, p: int, pi: int) -> None:
-        if p <= self.last_processed:
-            raise ValueError(f"point {p} arrives at or before frontier {self.last_processed}")
-        ties: list[int] = []
-        first_pop = True
-        while len(self.stack) >= 2:
-            cmp = m_slope_compare(
-                MPoint(self.stack[-2].p, self.stack[-2].pi),
-                MPoint(self.stack[-1].p, self.stack[-1].pi),
-                MPoint(p, pi),
-            )
-            if cmp == GREATER:
-                break
-            if len(self.stack) <= self.confirmed_len:
-                raise AssertionError(
-                    f"confirmed vertex {self.stack[-1].p} would be popped by {p}; "
-                    "confirmation rule violated"
-                )
-            popped = self.stack.pop()
-            if cmp == EQUAL:
-                ties = popped.ties + [popped.p] + ties
-            else:
-                if first_pop:
-                    ties = []
-            first_pop = False
-        self.stack.append(MVertex(p=p, pi=pi, ties=ties))
-        self.last_processed = p
-        self.pi_at_last = pi
-
-    def confirm_through(self, x: int) -> None:
-        """Advance the confirmed prefix using the frontier x (primes <= x done)."""
-        if x < self.last_processed:
-            raise ValueError(f"frontier {x} behind last processed {self.last_processed}")
-        self.last_processed = x
-        pi_x = self.pi_at_last
-        if pi_x == 0:
-            return
-        if self.confirmed_len == 0 and self.stack and self.stack[0].p == 2:
-            # The leftmost point is a permanent hull anchor: pops only ever
-            # remove the top of a stack of length >= 2.
-            self.confirmed_len = 1
-        while self.confirmed_len < len(self.stack) and self.confirmed_len >= 1:
-            u = self.stack[self.confirmed_len - 1]
-            v = self.stack[self.confirmed_len]
-            s_num = v.p * u.pi - u.p * v.pi
-            dp = v.p - u.p
-            s_den = u.pi * v.pi * dp
-            if not s_num > 0:
-                break
-            if not s_num * pi_x >= s_den:
-                break
-            # ell(x) > x/pi(x), cleared of denominators (all positive):
-            lhs = v.p * s_den * pi_x + s_num * (x - v.p) * v.pi * pi_x
-            rhs = x * v.pi * s_den
-            if not lhs > rhs:
-                break
-            self.confirmed_len += 1
+    @staticmethod
+    def _final(u: HullVertex, v: HullVertex, x: int, pi_x: int) -> bool:
+        """The module docstring's three conditions, cleared of denominators."""
+        s_num = v.p * u.pi - u.p * v.pi
+        s_den = u.pi * v.pi * (v.p - u.p)
+        if not (s_num > 0 and s_num * pi_x >= s_den):
+            return False
+        # ell(x) > x/pi(x), cleared of denominators (all positive):
+        lhs = v.p * s_den * pi_x + s_num * (x - v.p) * v.pi * pi_x
+        return lhs > x * v.pi * s_den
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Checkpointing and table export.
 
-Checkpoints are single self-describing UTF-8 JSON documents.  Compensated
-sums are stored as repr() decimal strings (exact float round-trip), and a
-sha256 over the canonical serialization of every other field detects
-truncation or editing.  Reload and continue is bit-exact versus an
-uninterrupted run: confirmation decisions depend only on the frontier, and
-the compensated sums are always accumulated in index order.
+Checkpoints are single self-describing UTF-8 JSON documents holding the
+hull stack, the confirmed count and the frontier, with a sha256 over the
+canonical serialization of every other field to detect truncation or
+editing.  Reload and continue is bit-exact versus an uninterrupted run:
+confirmation decisions depend only on the frontier, and the running sums
+are recomputed from the confirmed prefix, which is never popped.
 
 CSV export schema (stable, regression-pinned):
 
@@ -28,10 +28,14 @@ from typing import Optional, Sequence, Union
 
 from .analysis import CONFIRMED, PROVISIONAL, ExtremalRecord
 from .hull_engine import ExactSlope, HullState, HullVertex
-from .kahan import KahanSum
 from .m_variant import MRecord
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Version 1 also stored the running sums, which are derived data; they are
+# ignored on load.
+_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
+# The JSON export's schema version, independent of the checkpoint format.
+_EXPORT_VERSION = 1
 
 CSV_HEADER = "k,e_k,pi_e,delta_num,delta_den,lens_len,ratio_next,sum_inv,sum_invlog,ties"
 M_CSV_HEADER = "k,m_k,pi_m,value,ties,status"
@@ -85,8 +89,6 @@ def save_checkpoint(state: HullState, path: Union[str, os.PathLike], config_echo
         "pi_at_limit": state.pi_at_last,
         "provisional_stack": [[v.p, v.pi, list(v.ties)] for v in state.stack],
         "confirmed_count": state.confirmed_len,
-        "sum_inv_state": list(state.sum_inv.state_strings()),
-        "sum_invlog_state": list(state.sum_invlog.state_strings()),
         "config_echo": dict(config_echo or {}),
     }
     payload["integrity"] = hashlib.sha256(_canonical_json(payload)).hexdigest()
@@ -109,9 +111,10 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     if stored != actual:
         raise CorruptCheckpointError("checkpoint corrupt: integrity checksum mismatch")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise CheckpointVersionError(
-            f"checkpoint format version {version} not supported (expected {CHECKPOINT_VERSION})"
+            f"checkpoint format version {version} not supported "
+            f"(expected one of {_READABLE_VERSIONS})"
         )
     try:
         stack = [
@@ -123,8 +126,6 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
             confirmed_len=int(payload["confirmed_count"]),
             last_processed=int(payload["limit_processed"]),
             pi_at_last=int(payload["pi_at_limit"]),
-            sum_inv=KahanSum.from_state_strings(*payload["sum_inv_state"]),
-            sum_invlog=KahanSum.from_state_strings(*payload["sum_invlog_state"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint corrupt: bad field ({exc})") from exc
@@ -193,7 +194,7 @@ def export_json(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike]
     rows = [r for r in records if include_provisional or r.status == CONFIRMED]
     payload = {
         "meta": {
-            "format_version": CHECKPOINT_VERSION,
+            "format_version": _EXPORT_VERSION,
             "record_count": len(rows),
             "confirmed_count": sum(1 for r in rows if r.status == CONFIRMED),
         },

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -93,11 +93,6 @@ def base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-class StreamSummary(NamedTuple):
-    last_processed: int
-    pi_at_last: int
-
-
 def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield (primes, pi_values, segment_high) per segment, in order.
 
@@ -145,21 +140,6 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         count += len(primes)
         yield primes, pis, min(hi + 1, limit)
         lo = hi + 2
-
-
-def stream_primes(
-    cfg: SieveConfig, consumer: Callable[[PrimePoint], None]
-) -> StreamSummary:
-    """Drive ``consumer`` with every (p, pi(p)) for primes in the range."""
-    last = cfg.start - 1
-    count = cfg.start_pi
-    for primes, pis, high in iter_prime_blocks(cfg):
-        for p, r in zip(primes.tolist(), pis.tolist()):
-            consumer(PrimePoint(p, r))
-        if len(pis):
-            count = int(pis[-1])
-        last = high
-    return StreamSummary(last_processed=max(last, cfg.limit), pi_at_last=count)
 
 
 def pi_upper_bound(x: float) -> float:

@@ -62,8 +62,9 @@ def test_status_partition(run_1e6):
 
 def test_running_sums_match_state(run_1e6):
     recs = records_from_state(run_1e6.state)
-    assert recs[-1].sum_inv == run_1e6.state.sum_inv.value
-    assert recs[-1].sum_invlog == run_1e6.state.sum_invlog.value
+    for k in range(1, len(recs) + 1):
+        sums = conjecture_sums(recs[:k])
+        assert (recs[k - 1].sum_inv, recs[k - 1].sum_invlog) == (sums.sum_inv, sums.sum_invlog)
 
 
 def test_conjecture_sums_against_oracle(run_1e8):

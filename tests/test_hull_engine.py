@@ -15,11 +15,11 @@ from primehull.hull_engine import (
     ExactSlope,
     HullState,
     compute_extremal,
-    push_point,
     segment_hull,
     slope_compare,
-    try_confirm,
 )
+from primehull.analysis import records_from_state
+from primehull.m_variant import MHullState
 from primehull.prime_stream import MAX_SEGMENT_SIZE, PrimePoint
 
 
@@ -105,7 +105,7 @@ def test_confirm_at_200():
     s = HullState()
     for p, pi in prime_points(200):
         s.push(p, pi)
-    try_confirm(s, 200)
+    s.confirm_through(200)
     confirmed = [v.p for v in s.stack[: s.confirmed_len]]
     assert confirmed == [2, 3, 7, 19, 47, 73, 113]
     assert [v.p for v in s.stack[s.confirmed_len :]] == [199]
@@ -118,7 +118,7 @@ def test_confirm_at_10_reaches_first_vertex():
     s = HullState()
     for p, pi in [(2, 1), (3, 2), (5, 3), (7, 4)]:
         s.push(p, pi)
-    try_confirm(s, 10)
+    s.confirm_through(10)
     assert [v.p for v in s.stack[: s.confirmed_len]] == [2, 3, 7]
 
 
@@ -184,16 +184,20 @@ def test_resume_equals_straight_run():
         (v.p, v.pi, v.ties) for v in straight.state.stack
     ]
     assert r2.state.confirmed_len == straight.state.confirmed_len
-    assert r2.state.sum_inv.value == straight.state.sum_inv.value
-    assert r2.state.sum_invlog.value == straight.state.sum_invlog.value
+    sums = [(r.sum_inv, r.sum_invlog) for r in records_from_state(r2.state)]
+    assert sums == [(r.sum_inv, r.sum_invlog) for r in records_from_state(straight.state)]
 
 
-def test_push_point_and_frontier_guard():
+def test_push_and_frontier_guard():
     s = HullState()
-    push_point(s, P(2, 1))
-    push_point(s, P(3, 2))
+    s.push(2, 1)
+    s.push(3, 2)
+    assert (s.last_processed, s.pi_at_last) == (3, 2)
     with pytest.raises(ValueError):
-        try_confirm(s, 2)  # frontier behind the last pushed prime
+        s.confirm_through(2)  # frontier behind the last pushed prime
+    assert s.confirm_through(4) == 2
+    with pytest.raises(ValueError):
+        s.push(4, 2)  # at or before the confirmed frontier
 
 
 def test_compute_rejects_shrinking_limit():
@@ -330,3 +334,11 @@ def test_streaming_hull_matches_fraction_oracle(pts, data):
         seg.merge_segment(P[lo:hi], R[lo:hi])
     assert [(v.p, v.pi, v.ties) for v in seg.stack] == oracle
     assert seg.pi_at_last == pts[-1][1]
+    # The same engine over the heights p/pi, against Fraction heights.
+    m = MHullState()
+    for p, pi in pts:
+        m.push(p, pi)
+    m_oracle = batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])
+    assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == [
+        (v.p, v.y, v.ties) for v in m_oracle
+    ]
