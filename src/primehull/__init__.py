@@ -6,101 +6,26 @@ exact incremental hull, proves vertices final against explicit pi upper
 bounds, and ships the analytic window machinery for the tangent-crossing
 asymptotics, statistics over the resulting sequence, and an exact-rational
 variant driven by x/pi(x).
+
+Only the names below are re-exported; everything else is imported from its
+submodule.
 """
 
-from .analysis import (
-    ConjectureSums,
-    EnvelopeReport,
-    ExtremalRecord,
-    TwinPair,
-    check_concave,
-    conjecture_sums,
-    exponent_estimate,
-    find_twins,
-    lens_table,
-    pi_epsilon,
-    records_from_state,
-    verify_envelope,
-)
-from .hull_engine import (
-    ComputeResult,
-    ExactSlope,
-    HullState,
-    HullVertex,
-    compute_extremal,
-    slope_compare,
-)
-from .lens_bounds import (
-    cubic_coeffs,
-    derivatives,
-    li,
-    li_between,
-    solve_h_exact,
-    solve_theta,
-    theta_extreme_roots,
-)
-from .m_variant import MPoint, compare_sequences, compute_m_extremal, m_slope_compare
-from .persistence import (
-    export,
-    export_csv,
-    export_json,
-    fmt12,
-    load_checkpoint,
-    parse_export,
-    save_checkpoint,
-)
-from .prime_stream import (
-    LimitTooLargeError,
-    PrimePoint,
-    SieveConfig,
-    iter_prime_blocks,
-    pi_upper_bound,
-    bound_slope,
-)
-
-__version__ = "0.1.0"
+from .analysis import find_twins, records_from_state
+from .hull_engine import HullState, compute_extremal
+from .m_variant import compute_m_extremal
+from .persistence import export_csv, load_checkpoint, save_checkpoint
+from .prime_stream import SieveConfig, iter_prime_blocks
 
 __all__ = [
-    "ComputeResult",
-    "ConjectureSums",
-    "EnvelopeReport",
-    "ExactSlope",
-    "ExtremalRecord",
     "HullState",
-    "HullVertex",
-    "LimitTooLargeError",
-    "MPoint",
-    "PrimePoint",
     "SieveConfig",
-    "TwinPair",
-    "bound_slope",
-    "check_concave",
-    "compare_sequences",
     "compute_extremal",
     "compute_m_extremal",
-    "conjecture_sums",
-    "cubic_coeffs",
-    "derivatives",
-    "exponent_estimate",
-    "export",
     "export_csv",
-    "export_json",
     "find_twins",
-    "fmt12",
     "iter_prime_blocks",
-    "lens_table",
-    "li",
-    "li_between",
     "load_checkpoint",
-    "m_slope_compare",
-    "parse_export",
-    "pi_epsilon",
-    "pi_upper_bound",
     "records_from_state",
     "save_checkpoint",
-    "slope_compare",
-    "solve_h_exact",
-    "solve_theta",
-    "theta_extreme_roots",
-    "verify_envelope",
 ]

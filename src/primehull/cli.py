@@ -78,31 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        limit = parse_limit(args.limit)
-        segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else parse_limit(args.segment_size)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    limit = parse_limit(args.limit)
+    segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else parse_limit(args.segment_size)
     state = None
     if args.resume:
         if not args.checkpoint:
-            print("error: --resume requires --checkpoint", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            state, _echo = persistence.load_checkpoint(args.checkpoint)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECKPOINT
-    try:
-        result = compute_extremal(limit, segment_size=segment_size, state=state)
-    except LimitTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    state = result.state
+            raise ValueError("--resume requires --checkpoint")
+        state, _echo = persistence.load_checkpoint(args.checkpoint)
+    state = compute_extremal(limit, segment_size=segment_size, state=state).state
     if args.checkpoint:
         persistence.save_checkpoint(
             state, args.checkpoint, config_echo={"limit": limit, "segment_size": segment_size}
@@ -123,11 +106,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        records = persistence.parse_export(args.infile)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    records = persistence.parse_export(args.infile)
     confirmed = [r for r in records if r.status == analysis.CONFIRMED]
     print(f"{len(records)} records ({len(confirmed)} confirmed)")
     if args.sums:
@@ -150,15 +129,8 @@ def _cmd_analyze(args) -> int:
         if not any_ties:
             print("no ties")
     if args.envelope_limit is not None:
-        try:
-            limit = parse_limit(args.envelope_limit)
-            report = analysis.verify_envelope(limit)
-        except LimitTooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RANGE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        limit = parse_limit(args.envelope_limit)
+        report = analysis.verify_envelope(limit)
         print(
             f"envelope up to {limit}: {len(report.violations)} violations, "
             f"max |pi - Li|/(sqrt(p) ln p) = {fmt12(report.max_ratio)} "
@@ -199,17 +171,11 @@ def _lens_row(x: float, alpha: float) -> str:
 
 
 def _cmd_lensbounds(args) -> int:
-    try:
-        grid = [float(parse_limit(part)) for part in args.x_grid.split(",") if part]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = [float(parse_limit(part)) for part in args.x_grid.split(",") if part]
     if not grid:
-        print("error: empty x grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("empty x grid")
     if not 0.0 < args.alpha <= 1.0:
-        print(f"error: alpha must be in (0, 1], got {args.alpha}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"alpha must be in (0, 1], got {args.alpha}")
     lines = [_LENS_COLUMNS] + [_lens_row(x, args.alpha) for x in grid]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -222,21 +188,9 @@ def _cmd_lensbounds(args) -> int:
 
 
 def _cmd_mvariant(args) -> int:
-    try:
-        limit = parse_limit(args.limit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = compute_m_extremal(limit)
-    except LimitTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    records = result.records
-    confirmed = sum(1 for r in records if r.status == "confirmed")
+    limit = parse_limit(args.limit)
+    records = compute_m_extremal(limit).records
+    confirmed = sum(1 for r in records if r.status == analysis.CONFIRMED)
     if args.out:
         persistence.export_m_csv(records, args.out)
         print(f"wrote {args.out}")
@@ -246,22 +200,34 @@ def _cmd_mvariant(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "compute": _cmd_compute,
+    "analyze": _cmd_analyze,
+    "lensbounds": _cmd_lensbounds,
+    "mvariant": _cmd_mvariant,
+}
+
+# First match wins: LimitTooLargeError is a ValueError.
+_EXIT_CODES = (
+    (CheckpointError, EXIT_CHECKPOINT),
+    (LimitTooLargeError, EXIT_RANGE),
+    (ValueError, EXIT_USAGE),
+    (OverflowError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "compute":
-        return _cmd_compute(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "lensbounds":
-        return _cmd_lensbounds(args)
-    if args.command == "mvariant":
-        return _cmd_mvariant(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    try:
+        return _COMMANDS[args.command](args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

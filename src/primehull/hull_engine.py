@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import prime_stream
 from ._seghull import segment_hull
 from .prime_stream import (
+    DEFAULT_SEGMENT_SIZE,
     E_SQUARED,
-    PrimePoint,
     SieveConfig,
     bound_slope_tight,
+    iter_prime_blocks,
     pi_upper_bound_tight,
 )
 
@@ -61,18 +61,6 @@ class ExactSlope:
         return self.dpi / self.dp
 
 
-def slope_compare(a: PrimePoint, b: PrimePoint, c: PrimePoint) -> int:
-    """Exact ordering of slope(a,b) versus slope(b,c) for a.p < b.p < c.p.
-
-    Returns LESS/EQUAL/GREATER via the cross product
-    (b.pi - a.pi)(c.p - b.p) ? (c.pi - b.pi)(b.p - a.p).
-    """
-    if not (a.p < b.p < c.p):
-        raise ValueError(f"points must be strictly increasing in p: {a.p}, {b.p}, {c.p}")
-    lhs, rhs = HullState._cross(a, b, c.p, c.pi)
-    return (lhs > rhs) - (lhs < rhs)
-
-
 @dataclass
 class HullVertex:
     """A hull stack entry: the point plus primes tied on its incoming edge.
@@ -94,7 +82,8 @@ class HullState:
     The hull is over the points (p, y(p)) for the stored (p, pi) pairs; this
     class has y = pi.  A sequence over another height differs only in its
     two static hooks, ``_cross`` (the orientation test) and ``_final`` (the
-    finality rule), which a subclass overrides (see ``m_variant``).
+    finality rule), and in ``merge_segment``, whose segment kernel is for
+    y = pi; a subclass overrides those three (see ``m_variant``).
 
     Invariants (checked by the test suite, not at runtime):
     * stack slopes strictly decrease left to right;
@@ -116,6 +105,17 @@ class HullState:
         equal exactly when lhs == rhs.
         """
         return (v.pi - u.pi) * (p - v.p), (pi - v.pi) * (v.p - u.p)
+
+    @classmethod
+    def slope_compare(cls, a, b, c) -> int:
+        """Exact ordering of slope(a, b) versus slope(b, c) for a.p < b.p < c.p.
+
+        Slopes are of this hull's heights; returns LESS/EQUAL/GREATER.
+        """
+        if not (a.p < b.p < c.p):
+            raise ValueError(f"points must be strictly increasing in p: {a.p}, {b.p}, {c.p}")
+        lhs, rhs = cls._cross(a, b, c.p, c.pi)
+        return (lhs > rhs) - (lhs < rhs)
 
     @staticmethod
     def _final(u: HullVertex, v: HullVertex, x: int, pi_x: int) -> bool:
@@ -208,8 +208,8 @@ class HullState:
 
         Only the segment-hull vertices are pushed, each with its ties as
         pre-ties; the last point is always one of them.  No confirmation is
-        attempted.  The segment kernel compares slopes of heights pi, so this
-        is for the pi hull only; hulls over other heights push every point.
+        attempted.  The segment kernel compares slopes of heights pi, so a
+        hull over other heights overrides this method.
         """
         idx, tie_lo, tie_hi, tie_buf = segment_hull(primes, pis)
         tie_ps = primes[tie_buf].tolist()
@@ -218,23 +218,43 @@ class HullState:
         ):
             self.push(p, pi, tie_ps[lo:hi])
 
-    def consume_block(self, primes, pis, high: int) -> None:
-        """Merge one sieved segment (aligned arrays) and advance the frontier."""
-        if len(primes):
-            self.merge_segment(primes, pis)
-        self.confirm_through(high)
+    def extend(self, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> None:
+        """Sieve from the frontier to ``limit``, merging and confirming per segment.
+
+        A state extended in steps ends equal to one extended straight to the
+        last limit, which is what makes checkpoint resume exact.
+        """
+        if limit < 2:
+            raise ValueError(f"limit must be >= 2, got {limit}")
+        if limit < self.last_processed:
+            raise ValueError(
+                f"limit {limit} is below the already processed frontier "
+                f"{self.last_processed}"
+            )
+        if limit == self.last_processed:
+            return
+        cfg = SieveConfig(
+            limit=limit,
+            segment_size=segment_size,
+            start=max(2, self.last_processed + 1),
+            start_pi=self.pi_at_last,
+        )
+        for primes, pis, high in iter_prime_blocks(cfg):
+            if len(primes):
+                self.merge_segment(primes, pis)
+            self.confirm_through(high)
+        self.confirm_through(limit)
 
 
 @dataclass
 class ComputeResult:
     state: HullState
     confirmed: list  # list[analysis.ExtremalRecord]
-    provisional_tail: list[HullVertex]
 
 
 def compute_extremal(
     limit: int,
-    segment_size: int = prime_stream.DEFAULT_SEGMENT_SIZE,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
     state: Optional[HullState] = None,
 ) -> ComputeResult:
     """Stream primes up to ``limit`` and return confirmed extremal records.
@@ -246,25 +266,5 @@ def compute_extremal(
 
     if state is None:
         state = HullState()
-    if limit < state.last_processed:
-        raise ValueError(
-            f"limit {limit} is below the already processed frontier "
-            f"{state.last_processed}"
-        )
-    if limit > state.last_processed:
-        start = max(2, state.last_processed + 1)
-        cfg = SieveConfig(
-            limit=limit,
-            segment_size=segment_size,
-            start=start,
-            start_pi=state.pi_at_last,
-        )
-        for primes, pis, high in prime_stream.iter_prime_blocks(cfg):
-            state.consume_block(primes, pis, high)
-        state.confirm_through(limit)
-    records = records_from_state(state)
-    return ComputeResult(
-        state=state,
-        confirmed=records,
-        provisional_tail=state.stack[state.confirmed_len :],
-    )
+    state.extend(limit, segment_size)
+    return ComputeResult(state=state, confirmed=records_from_state(state))

@@ -26,40 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
+from .analysis import CONFIRMED, PROVISIONAL
 from .hull_engine import HullState, HullVertex
-from .prime_stream import LimitTooLargeError, SieveConfig, iter_prime_blocks
+from .prime_stream import DEFAULT_SEGMENT_SIZE, LimitTooLargeError
 
 M_MAX_LIMIT = 10**9
 
-CONFIRMED = "confirmed"
-PROVISIONAL = "provisional"
-
-
-class MPoint(NamedTuple):
-    p: int
-    pi: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.pi)
-
-
-def m_slope_compare(a: MPoint, b: MPoint, c: MPoint) -> int:
-    """Exact ordering of slope(a,b) vs slope(b,c) for M-points.
-
-    slope(a,b) = (b.p*a.pi - a.p*b.pi) / (a.pi * b.pi * (b.p - a.p)); the
-    shared positive factor b.pi cancels from both sides of the comparison.
-    """
-    if not a.p < b.p < c.p:
-        raise ValueError(f"points must be strictly ordered, got {a.p}, {b.p}, {c.p}")
-    lhs, rhs = MHullState._cross(a, b, c.p, c.pi)
-    return (lhs > rhs) - (lhs < rhs)
-
 
 class MHullState(HullState):
-    """The hull engine over the heights p/pi(p): only its two hooks differ."""
+    """The hull engine over the heights p/pi(p): only its hooks differ."""
 
     @staticmethod
     def _cross(u, v, p: int, pi: int) -> tuple[int, int]:
@@ -83,6 +60,11 @@ class MHullState(HullState):
         # ell(x) > x/pi(x), cleared of denominators (all positive):
         lhs = v.p * s_den * pi_x + s_num * (x - v.p) * v.pi * pi_x
         return lhs > x * v.pi * s_den
+
+    def merge_segment(self, primes, pis) -> None:
+        """Push every point of the segment: its kernel is for heights pi."""
+        for p, pi in zip(primes.tolist(), pis.tolist()):
+            self.push(p, pi)
 
 
 @dataclass(frozen=True)
@@ -117,19 +99,14 @@ def records_from_m_state(state: MHullState) -> list[MRecord]:
     return out
 
 
-def compute_m_extremal(limit: int, segment_size: Optional[int] = None) -> MComputeResult:
+def compute_m_extremal(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> MComputeResult:
     """Stream primes to `limit` and build the M hull with exact arithmetic."""
     if limit > M_MAX_LIMIT:
         raise LimitTooLargeError(
             f"M-variant limit {limit} exceeds supported maximum {M_MAX_LIMIT}"
         )
-    kwargs = {} if segment_size is None else {"segment_size": segment_size}
-    cfg = SieveConfig(limit=limit, **kwargs)
     state = MHullState()
-    for primes, pis, high in iter_prime_blocks(cfg):
-        for p, q in zip(primes.tolist(), pis.tolist()):
-            state.push(p, q)
-        state.confirm_through(high)
+    state.extend(limit, segment_size)
     return MComputeResult(records=records_from_m_state(state), state=state)
 
 

@@ -129,8 +129,12 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint corrupt: bad field ({exc})") from exc
-    if not 0 <= state.confirmed_len <= len(state.stack):
+    if not 0 <= state.confirmed_len <= len(stack):
         raise CorruptCheckpointError("checkpoint corrupt: confirmed count out of range")
+    if any(u.p >= v.p or u.pi >= v.pi for u, v in zip(stack, stack[1:])):
+        raise CorruptCheckpointError("checkpoint corrupt: stack not strictly increasing in p and pi")
+    if stack and (state.last_processed < stack[-1].p or state.pi_at_last < stack[-1].pi):
+        raise CorruptCheckpointError("checkpoint corrupt: frontier behind the top vertex")
     return state, payload.get("config_echo", {})
 
 

@@ -16,7 +16,6 @@ from primehull.hull_engine import (
     HullState,
     compute_extremal,
     segment_hull,
-    slope_compare,
 )
 from primehull.analysis import records_from_state
 from primehull.m_variant import MHullState
@@ -28,6 +27,7 @@ def P(p, pi):
 
 
 def test_slope_compare_examples():
+    slope_compare = HullState.slope_compare
     assert slope_compare(P(2, 1), P(3, 2), P(7, 4)) == GREATER  # 1 vs 1/2
     assert slope_compare(P(19, 8), P(23, 9), P(47, 15)) == EQUAL  # both 1/4
     assert slope_compare(P(2, 1), P(5, 3), P(7, 4)) == GREATER  # 2/3 vs 1/2
@@ -38,9 +38,9 @@ def test_slope_compare_examples():
 
 def test_slope_compare_rejects_disorder():
     with pytest.raises(ValueError):
-        slope_compare(P(3, 2), P(2, 1), P(7, 4))
+        HullState.slope_compare(P(3, 2), P(2, 1), P(7, 4))
     with pytest.raises(ValueError):
-        slope_compare(P(2, 1), P(7, 4), P(7, 4))
+        HullState.slope_compare(P(2, 1), P(7, 4), P(7, 4))
 
 
 def test_exact_slope():
@@ -125,7 +125,7 @@ def test_confirm_at_10_reaches_first_vertex():
 def test_confirm_at_100():
     r = compute_extremal(100)
     assert [rec.e for rec in r.confirmed] == [2, 3, 7, 19, 47]
-    assert [v.p for v in r.provisional_tail] == [73, 83, 89, 97]
+    assert [v.p for v in r.state.stack[r.state.confirmed_len :]] == [73, 83, 89, 97]
 
 
 def test_confirmations_monotone_under_extension(run_1e6):
@@ -329,16 +329,21 @@ def test_streaming_hull_matches_fraction_oracle(pts, data):
     cuts = sorted(data.draw(st.sets(st.integers(1, len(pts) - 1))))
     P = np.array([p for p, _ in pts], dtype=np.int64)
     R = np.array([r for _, r in pts], dtype=np.int64)
+    pieces = list(zip([0] + cuts, cuts + [len(pts)]))
     seg = HullState()
-    for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
+    for lo, hi in pieces:
         seg.merge_segment(P[lo:hi], R[lo:hi])
     assert [(v.p, v.pi, v.ties) for v in seg.stack] == oracle
     assert seg.pi_at_last == pts[-1][1]
-    # The same engine over the heights p/pi, against Fraction heights.
+    # The same engine over the heights p/pi, against Fraction heights, both
+    # point by point and through the M state's own merge of the same pieces.
+    m_hull = batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])
+    m_oracle = [(v.p, v.y, v.ties) for v in m_hull]
     m = MHullState()
     for p, pi in pts:
         m.push(p, pi)
-    m_oracle = batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])
-    assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == [
-        (v.p, v.y, v.ties) for v in m_oracle
-    ]
+    assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == m_oracle
+    m_seg = MHullState()
+    for lo, hi in pieces:
+        m_seg.merge_segment(P[lo:hi], R[lo:hi])
+    assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m_seg.stack] == m_oracle

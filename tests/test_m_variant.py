@@ -5,40 +5,36 @@ import pytest
 from oracles import chord_dominates, m_hull_of_primes, prime_points
 from primehull.hull_engine import EQUAL, GREATER, LESS
 from primehull.m_variant import (
-    MPoint,
+    MHullState,
     compare_sequences,
     compute_m_extremal,
     first_divergence,
-    m_slope_compare,
 )
-from primehull.prime_stream import LimitTooLargeError
+from primehull.prime_stream import LimitTooLargeError, PrimePoint as P
+
+m_slope_compare = MHullState.slope_compare
 
 # Batch-oracle hull prefix over primes <= 1e6 (Fraction arithmetic).
 M_FIRST_10 = [2, 29, 37, 41, 59, 97, 149, 223, 347, 557]
 
 
 def test_m_slope_compare_examples():
-    assert m_slope_compare(MPoint(2, 1), MPoint(3, 2), MPoint(5, 3)) == LESS  # -1/2 vs 1/12
-    assert m_slope_compare(MPoint(2, 1), MPoint(13, 6), MPoint(29, 10)) == LESS  # 1/66 vs 11/240
-    assert m_slope_compare(MPoint(2, 1), MPoint(12, 4), MPoint(30, 6)) == LESS  # 1/10 vs 1/9
-    assert m_slope_compare(MPoint(2, 1), MPoint(29, 10), MPoint(37, 12)) == GREATER
+    assert m_slope_compare(P(2, 1), P(3, 2), P(5, 3)) == LESS  # -1/2 vs 1/12
+    assert m_slope_compare(P(2, 1), P(13, 6), P(29, 10)) == LESS  # 1/66 vs 11/240
+    assert m_slope_compare(P(2, 1), P(12, 4), P(30, 6)) == LESS  # 1/10 vs 1/9
+    assert m_slope_compare(P(2, 1), P(29, 10), P(37, 12)) == GREATER
 
 
 def test_m_slope_compare_collinear():
     # values 2, 2, 2 at x = 4, 8, 12: both slopes exactly 0
-    assert m_slope_compare(MPoint(4, 2), MPoint(8, 4), MPoint(12, 6)) == EQUAL
+    assert m_slope_compare(P(4, 2), P(8, 4), P(12, 6)) == EQUAL
     # values 2, 3, 5 at x = 4, 6, 10 (denominator fixed): slopes 1/2, 1/2
-    assert m_slope_compare(MPoint(4, 2), MPoint(6, 2), MPoint(10, 2)) == EQUAL
+    assert m_slope_compare(P(4, 2), P(6, 2), P(10, 2)) == EQUAL
 
 
 def test_m_slope_compare_rejects_disorder():
     with pytest.raises(ValueError):
-        m_slope_compare(MPoint(3, 2), MPoint(2, 1), MPoint(5, 3))
-
-
-def test_mpoint_value_exact():
-    assert MPoint(29, 10).value == Fraction(29, 10)
-    assert MPoint(999983, 78498).value == Fraction(999983, 78498)
+        m_slope_compare(P(3, 2), P(2, 1), P(5, 3))
 
 
 def test_m1_is_2_and_m2_is_29():
@@ -70,10 +66,7 @@ def test_slopes_strictly_decrease():
     res = compute_m_extremal(10**5)
     vs = res.records
     for a, b, c in zip(vs, vs[1:], vs[2:]):
-        assert (
-            m_slope_compare(MPoint(a.p, a.pi), MPoint(b.p, b.pi), MPoint(c.p, c.pi))
-            == GREATER
-        )
+        assert m_slope_compare(a, b, c) == GREATER
 
 
 def test_chord_dominance_1e4():

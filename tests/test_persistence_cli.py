@@ -123,6 +123,28 @@ def test_checkpoint_version_mismatch(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda s: {"provisional_stack": s[:3] + [[s[2][0], s[3][1], s[3][2]]] + s[4:]},
+        lambda s: {"provisional_stack": s[:3] + [[s[3][0], s[2][1], s[3][2]]] + s[4:]},
+        lambda s: {"limit_processed": 50_000},
+        lambda s: {"pi_at_limit": s[-1][1] - 1},
+    ],
+    ids=["p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top"],
+)
+def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
+    # Each edit is resealed, so only a consistency check can catch it; a
+    # resume from the frontier-behind-top file used to pop a confirmed vertex.
+    ck = tmp_path / "ck.json"
+    assert cli.main(["compute", "--limit", "10^5", "--checkpoint", str(ck)]) == 0
+    _rewrite_checkpoint(ck, **corrupt(json.loads(ck.read_text())["provisional_stack"]))
+    with pytest.raises(CorruptCheckpointError):
+        load_checkpoint(ck)
+    assert cli.main(["compute", "--limit", "2*10^5", "--checkpoint", str(ck), "--resume"]) == 3
+    assert "corrupt" in capsys.readouterr().err
+
+
 def test_checkpoint_v1_resumes_byte_identical(tmp_path):
     # Version 1 also stored both running sums as Kahan (total, compensation)
     # repr strings; they are derived data and must be ignored on load.
@@ -244,10 +266,12 @@ def test_parse_limit_forms():
             cli.parse_limit(bad)
 
 
-def test_cli_compute_degenerate(capsys):
+def test_cli_compute_degenerate(tmp_path, capsys):
     assert cli.main(["compute", "--limit", "2"]) == 0
     out = capsys.readouterr().out
     assert "1 confirmed" in out and "e_k=2" in out
+    assert cli.main(["compute", "--limit", "1", "--out", str(tmp_path / "a.csv")]) == 2
+    assert "limit must be >= 2" in capsys.readouterr().err
 
 
 def test_cli_compute_range_cap(capsys):
@@ -325,6 +349,8 @@ def test_cli_lensbounds(tmp_path, capsys):
     assert out[2].endswith("ok")
     assert cli.main(["lensbounds", "--x-grid", "1e12", "--alpha", "1.5"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "oops"]) == 2
+    assert cli.main(["lensbounds", "--x-grid", "1"]) == 2
+    assert cli.main(["lensbounds", "--x-grid", "1e400"]) == 2
     path = tmp_path / "lens.csv"
     assert cli.main(["lensbounds", "--x-grid", "1e12", "--out", str(path)]) == 0
     assert path.read_text().count("\n") == 2
