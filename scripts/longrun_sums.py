@@ -5,7 +5,7 @@ primes. Reaching the headline figures (sum 1/e_k over k <= 2000 near 1.090,
 and sum 1/ln e_k past 100) needs a sieve limit around 3.7e11, which is an
 overnight job, so it lives here as a checkpointed driver instead of a test:
 
-    python3 scripts/longrun_sums.py --limit 3.7*10^11 --checkpoint sums.ck \
+    python3 scripts/longrun_sums.py --limit 37*10^10 --checkpoint sums.ck \
         --chunk 10^9
 
 Interrupt freely; rerunning with the same checkpoint resumes exactly (the
@@ -26,7 +26,7 @@ from primehull.persistence import fmt12, load_checkpoint, save_checkpoint
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--limit", required=True, help="final sieve limit (e.g. 3.7*10^11)")
+    ap.add_argument("--limit", required=True, help="final sieve limit (e.g. 37*10^10)")
     ap.add_argument("--checkpoint", required=True, help="checkpoint path, resumed if present")
     ap.add_argument("--chunk", default="10^9", help="limit increment per checkpoint write")
     args = ap.parse_args()

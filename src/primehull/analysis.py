@@ -2,17 +2,15 @@
 
 Terminology used throughout: for consecutive extremal primes e_k, e_{k+1}
 the half-open interval S_k = [e_k, e_{k+1}) is the k-th lens, delta_k is
-the exact slope of the hull edge over it, alpha_k = 1/delta_k its exact
-reciprocal (the mean prime gap inside the lens), and ratio_next the float
-quotient e_{k+1}/e_k.
+the exact slope of the hull edge over it (1/delta_k is the mean prime gap
+inside the lens), and ratio_next the float quotient e_{k+1}/e_k.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,13 +46,6 @@ class ExtremalRecord:
     status: str
     sum_inv: Optional[float] = None
     sum_invlog: Optional[float] = None
-
-    @property
-    def alpha(self) -> Optional[ExactSlope]:
-        """Exact reciprocal slope dp/dpi (mean gap across the lens)."""
-        if self.delta is None:
-            return None
-        return ExactSlope(self.delta.dp, self.delta.dpi)
 
 
 def records_from_state(state: HullState, include_provisional: bool = False) -> list[ExtremalRecord]:
@@ -99,41 +90,6 @@ def records_from_state(state: HullState, include_provisional: bool = False) -> l
 
 
 @dataclass(frozen=True)
-class LensRow:
-    k: int
-    e: int
-    pi_e: int
-    delta: ExactSlope
-    alpha: ExactSlope
-    lens_len: int
-    ratio_next: float
-    norm_len: float  # lens_len / (sqrt(e) ln^2 e)
-
-
-def lens_table(records: Sequence[ExtremalRecord]) -> list[LensRow]:
-    """Per-lens rows for every record that has a successor."""
-    rows = []
-    for r in records:
-        if r.delta is None:
-            continue
-        rows.append(
-            LensRow(
-                k=r.k,
-                e=r.e,
-                pi_e=r.pi_e,
-                delta=r.delta,
-                alpha=ExactSlope(r.delta.dp, r.delta.dpi),
-                lens_len=r.lens_len,
-                ratio_next=r.ratio_next,
-                norm_len=r.lens_len / (math.sqrt(r.e) * math.log(r.e) ** 2),
-            )
-        )
-    if not rows:
-        raise ValueError("need at least two hull vertices for a lens table")
-    return rows
-
-
-@dataclass(frozen=True)
 class ConjectureSums:
     count: int
     sum_inv: float
@@ -152,34 +108,6 @@ def conjecture_sums(records: Sequence[ExtremalRecord]) -> ConjectureSums:
         invlog.add(1.0 / math.log(r.e))
         count += 1
     return ConjectureSums(count=count, sum_inv=inv.value, sum_invlog=invlog.value)
-
-
-def pi_epsilon(x: float, records: Sequence[ExtremalRecord]) -> int:
-    """Count of confirmed extremal primes <= x (the counting function of E).
-
-    Rejects x beyond the largest confirmed record: the answer there would
-    depend on vertices not yet final.
-    """
-    confirmed = [r.e for r in records if r.status == CONFIRMED]
-    if not confirmed:
-        raise ValueError("no confirmed records")
-    if x < confirmed[0]:
-        raise ValueError(f"x={x} is below e_1=2")
-    if x > confirmed[-1]:
-        raise ValueError(
-            f"x={x} exceeds the largest confirmed extremal prime {confirmed[-1]}"
-        )
-    return bisect_right(confirmed, x)
-
-
-def exponent_estimate(records: Sequence[ExtremalRecord]) -> list[tuple[int, float]]:
-    """(k, ln k / ln e_k) for confirmed records with k >= 2."""
-    out = []
-    for r in records:
-        if r.status != CONFIRMED or r.k < 2:
-            continue
-        out.append((r.k, math.log(r.k) / math.log(r.e)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -203,22 +131,6 @@ def find_twins(records: Sequence[ExtremalRecord]) -> list[TwinPair]:
         if b.pi_e - a.pi_e == 1:
             out.append(TwinPair(k=a.k, e=a.e, e_next=b.e, pi_e=a.pi_e))
     return out
-
-
-def check_concave(points: Sequence[tuple[int, int]]) -> tuple[bool, Optional[int]]:
-    """Whether consecutive slopes of a point chain strictly decrease.
-
-    Returns (True, None) or (False, i) with i the index of the middle point
-    of the first violating triple. Fewer than three points are vacuously
-    concave.
-    """
-    for i in range(1, len(points) - 1):
-        (xa, ya), (xb, yb), (xc, yc) = points[i - 1], points[i], points[i + 1]
-        if xa >= xb or xb >= xc:
-            raise ValueError("points must be strictly increasing in x")
-        if (yb - ya) * (xc - xb) <= (yc - yb) * (xb - xa):
-            return False, i
-    return True, None
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,6 @@ from .prime_stream import (
     pi_upper_bound_tight,
 )
 
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
 
 @dataclass(frozen=True)
 class ExactSlope:
@@ -51,14 +47,6 @@ class ExactSlope:
     def __post_init__(self) -> None:
         if self.dp <= 0:
             raise ValueError("slope denominator must be positive")
-
-    def compare(self, other: "ExactSlope") -> int:
-        lhs = self.dpi * other.dp
-        rhs = other.dpi * self.dp
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __float__(self) -> float:
-        return self.dpi / self.dp
 
 
 @dataclass
@@ -110,7 +98,8 @@ class HullState:
     def slope_compare(cls, a, b, c) -> int:
         """Exact ordering of slope(a, b) versus slope(b, c) for a.p < b.p < c.p.
 
-        Slopes are of this hull's heights; returns LESS/EQUAL/GREATER.
+        Slopes are of this hull's heights; returns -1, 0 or 1 as the first
+        slope is less than, equal to or greater than the second.
         """
         if not (a.p < b.p < c.p):
             raise ValueError(f"points must be strictly increasing in p: {a.p}, {b.p}, {c.p}")

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -150,53 +149,6 @@ def taylor_upper_eps(x: float, h: float) -> float:
     """Degree-3 Taylor polynomial of eps at x; dominates eps(x+h) for x > e^(16/15)."""
     d = derivatives(x)
     return d.eps + h * (d.eps1 + h * (d.eps2 / 2.0 + h * d.eps3 / 6.0))
-
-
-def phi(x: float) -> float:
-    """phi(x) = L(x) - eps(x)."""
-    d = derivatives(x)
-    return li(x) - d.eps
-
-
-def phi_prime(x: float) -> float:
-    """phi'(x) = 1/y - (y+2)/(2 sqrt(x))."""
-    d = derivatives(x)
-    return d.l1 - d.eps1
-
-
-def phi_second(x: float) -> float:
-    """phi''(x) = (y^3 - 4 sqrt(x)) / (4 x sqrt(x) y^2)."""
-    y = math.log(x)
-    sx = math.sqrt(x)
-    return (y**3 - 4.0 * sx) / (4.0 * x * sx * y * y)
-
-
-def phi_and_tangent(x: float, h: float) -> tuple[float, float, float]:
-    """Return (phi(x), phi'(x), l(x,h)) with l the tangent value at x+h."""
-    p = phi(x)
-    dp = phi_prime(x)
-    return p, dp, p + dp * h
-
-
-@lru_cache(maxsize=1)
-def concavity_threshold() -> float:
-    """Largest root of ln^3 x = 4 sqrt(x); phi'' < 0 for all larger x.
-
-    ln^3 x - 4 sqrt(x) is positive on a middle window (roughly [12, 2.2e5])
-    and negative beyond it; the returned upper crossing is where phi turns
-    permanently concave.  Bisection to 1e-10 relative.
-    """
-    f = lambda x: math.log(x) ** 3 - 4.0 * math.sqrt(x)
-    lo, hi = 1e5, 1e6
-    if not (f(lo) > 0 > f(hi)):
-        raise AssertionError("concavity bracket invalid")
-    while hi - lo > 1e-10 * lo:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -395,8 +347,8 @@ def solve_h_exact(x: float, max_expand: int = 64) -> ExactCrossings:
     F is strictly concave in h (its second derivative is L'' + eps'' < 0),
     positive at h=0, and heads to -inf as h grows, so each side has at most
     one crossing.  The negative side requires F to have turned negative by
-    the domain edge x+h = 2; smaller x (including everything below the
-    concavity threshold) is rejected.
+    the domain edge x+h = 2, which first holds near x = 8.03e5; smaller x is
+    rejected.
     """
     f = lambda h: _tangent_gap(x, h)
     hi = x

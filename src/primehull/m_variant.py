@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .analysis import CONFIRMED, PROVISIONAL
 from .hull_engine import HullState, HullVertex
@@ -108,63 +107,3 @@ def compute_m_extremal(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> 
     state = MHullState()
     state.extend(limit, segment_size)
     return MComputeResult(records=records_from_m_state(state), state=state)
-
-
-def _vertex_primes(records: Iterable) -> list[int]:
-    out = []
-    for r in records:
-        p = getattr(r, "e", None)
-        out.append(r.p if p is None else p)
-    return out
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    common: tuple[int, ...]
-    overlap_first: float
-    overlap_second: float
-    window: int
-    ratio_mean_first: Optional[float]
-    ratio_mean_second: Optional[float]
-
-
-def compare_sequences(e_records, m_records) -> ComparisonReport:
-    """Overlap and growth-rate comparison of two extremal sequences.
-
-    Ratio means are arithmetic means of successive vertex ratios over the
-    shared index window; a window shorter than two vertices yields None
-    rather than an error.
-    """
-    first = _vertex_primes(e_records)
-    second = _vertex_primes(m_records)
-    if not first or not second:
-        raise ValueError("both sequences must be non-empty")
-    common = tuple(sorted(set(first) & set(second)))
-    window = min(len(first), len(second))
-
-    def ratio_mean(seq: list[int]) -> Optional[float]:
-        if window < 2:
-            return None
-        ratios = [seq[i + 1] / seq[i] for i in range(window - 1)]
-        return sum(ratios) / len(ratios)
-
-    return ComparisonReport(
-        common=common,
-        overlap_first=len(common) / len(first),
-        overlap_second=len(common) / len(second),
-        window=window,
-        ratio_mean_first=ratio_mean(first),
-        ratio_mean_second=ratio_mean(second),
-    )
-
-
-def first_divergence(e_records, m_records) -> Optional[int]:
-    """1-based index of the first position where the vertex primes differ."""
-    first = _vertex_primes(e_records)
-    second = _vertex_primes(m_records)
-    for i, (a, b) in enumerate(zip(first, second)):
-        if a != b:
-            return i + 1
-    if len(first) != len(second):
-        return min(len(first), len(second)) + 1
-    return None

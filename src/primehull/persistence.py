@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import os
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .analysis import CONFIRMED, PROVISIONAL, ExtremalRecord
@@ -138,45 +137,8 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     return state, payload.get("config_echo", {})
 
 
-def _cell(value, real: bool = False) -> str:
-    if value is None:
-        return ""
-    if real:
-        return fmt12(float(value))
-    return str(value)
-
-
-def _record_row(r: ExtremalRecord, include_status: bool) -> str:
-    cells = [
-        str(r.k),
-        str(r.e),
-        str(r.pi_e),
-        _cell(r.delta.dpi if r.delta else None),
-        _cell(r.delta.dp if r.delta else None),
-        _cell(r.lens_len),
-        _cell(r.ratio_next, real=True),
-        _cell(r.sum_inv, real=True),
-        _cell(r.sum_invlog, real=True),
-        ";".join(str(t) for t in r.ties),
-    ]
-    if include_status:
-        cells.append(r.status)
-    return ",".join(cells)
-
-
-def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
-    if not records:
-        raise ValueError("refusing to export an empty record list")
-    header = CSV_HEADER + (",status" if include_provisional else "")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for r in records:
-            if not include_provisional and r.status != CONFIRMED:
-                continue
-            fh.write(_record_row(r, include_provisional) + "\n")
-
-
 def _record_dict(r: ExtremalRecord) -> dict:
+    """One record in export form; its keys, in order, are the export schema."""
     return {
         "k": r.k,
         "e_k": r.e,
@@ -190,6 +152,29 @@ def _record_dict(r: ExtremalRecord) -> dict:
         "ties": list(r.ties),
         "status": r.status,
     }
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(str(t) for t in value)
+    return str(value)
+
+
+def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
+    if not records:
+        raise ValueError("refusing to export an empty record list")
+    header = CSV_HEADER + (",status" if include_provisional else "")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for r in records:
+            if not include_provisional and r.status != CONFIRMED:
+                continue
+            row = _record_dict(r)
+            if not include_provisional:
+                del row["status"]
+            fh.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
 
 
 def export_json(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
@@ -218,60 +203,74 @@ def export(records: Sequence[ExtremalRecord], fmt: str, path: Union[str, os.Path
         raise ValueError(f"unknown export format {fmt!r}")
 
 
-def _parse_row(cells: list[str], has_status: bool) -> ExtremalRecord:
-    if has_status:
-        *cells, status = cells
-    else:
-        status = CONFIRMED
-    (k, e, pi_e, dnum, dden, lens_len, ratio, sum_inv, sum_invlog, ties) = cells
-    return ExtremalRecord(
-        k=int(k),
-        e=int(e),
-        pi_e=int(pi_e),
-        delta=ExactSlope(int(dnum), int(dden)) if dnum else None,
-        lens_len=int(lens_len) if lens_len else None,
-        ratio_next=float(ratio) if ratio else None,
-        ties=tuple(int(t) for t in ties.split(";")) if ties else (),
-        status=status,
-        sum_inv=float(sum_inv) if sum_inv else None,
-        sum_invlog=float(sum_invlog) if sum_invlog else None,
-    )
+def _int(value) -> int:
+    """An integer field: a JSON int, or a CSV cell of digits."""
+    if type(value) is int or (isinstance(value, str) and value.isdigit()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _optional(value, convert):
+    """An absent value is null in JSON and an empty cell in CSV."""
+    return None if value is None or value == "" else convert(value)
+
+
+def _record_from_dict(d) -> ExtremalRecord:
+    """Decode one record: a JSON object, or a CSV row keyed by its header.
+
+    CSV cells are strings, with ties joined by ";".  A missing key or a
+    value of the wrong type raises ValueError.
+    """
+    try:
+        ties = d["ties"]
+        if isinstance(ties, str):
+            ties = ties.split(";") if ties else []
+        if d["status"] not in (CONFIRMED, PROVISIONAL):
+            raise ValueError(f"unknown record status {d['status']!r}")
+        dnum = _optional(d["delta_num"], _int)
+        return ExtremalRecord(
+            k=_int(d["k"]),
+            e=_int(d["e_k"]),
+            pi_e=_int(d["pi_e"]),
+            delta=None if dnum is None else ExactSlope(dnum, _int(d["delta_den"])),
+            lens_len=_optional(d["lens_len"], _int),
+            ratio_next=_optional(d["ratio_next"], float),
+            ties=tuple(_int(t) for t in ties),
+            status=d["status"],
+            sum_inv=_optional(d["sum_inv"], float),
+            sum_invlog=_optional(d["sum_invlog"], float),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed export record {d!r}: {exc!r}") from exc
 
 
 def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
-    """Read back a CSV or JSON export produced by this module."""
+    """Read back a CSV or JSON export produced by this module.
+
+    Content that does not follow the export schema raises ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if first.lstrip().startswith("{"):
             fh.seek(0)
             payload = json.load(fh)
-            records = []
-            for d in payload["records"]:
-                records.append(
-                    ExtremalRecord(
-                        k=d["k"],
-                        e=d["e_k"],
-                        pi_e=d["pi_e"],
-                        delta=ExactSlope(d["delta_num"], d["delta_den"]) if d["delta_num"] is not None else None,
-                        lens_len=d["lens_len"],
-                        ratio_next=None if d["ratio_next"] is None else float(d["ratio_next"]),
-                        ties=tuple(d["ties"]),
-                        status=d["status"],
-                        sum_inv=None if d["sum_inv"] is None else float(d["sum_inv"]),
-                        sum_invlog=None if d["sum_invlog"] is None else float(d["sum_invlog"]),
-                    )
-                )
-            return records
+            rows = payload.get("records") if isinstance(payload, dict) else None
+            if not isinstance(rows, list):
+                raise ValueError("JSON export has no list of records")
+            return [_record_from_dict(d) for d in rows]
         header = first.rstrip("\n")
         if header not in (CSV_HEADER, CSV_HEADER + ",status"):
             raise ValueError(f"unrecognized export header: {header!r}")
-        has_status = header.endswith(",status")
+        columns = header.split(",")
         records = []
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
-            records.append(_parse_row(line.split(","), has_status))
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise ValueError(f"export row has {len(cells)} cells, expected {len(columns)}: {line!r}")
+            records.append(_record_from_dict({"status": CONFIRMED, **dict(zip(columns, cells))}))
         return records
 
 
@@ -281,13 +280,6 @@ def export_m_csv(records: Sequence[MRecord], path: Union[str, os.PathLike]) -> N
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(M_CSV_HEADER + "\n")
         for r in records:
-            value = Fraction(r.p, r.pi)
-            cells = [
-                str(r.k),
-                str(r.p),
-                str(r.pi),
-                f"{value.numerator}/{value.denominator}",
-                ";".join(str(t) for t in r.ties),
-                r.status,
-            ]
-            fh.write(",".join(cells) + "\n")
+            value = f"{r.value.numerator}/{r.value.denominator}"
+            row = (r.k, r.p, r.pi, value, list(r.ties), r.status)
+            fh.write(",".join(_csv_cell(v) for v in row) + "\n")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -38,11 +38,6 @@ E_SQUARED = math.exp(2.0)
 
 class LimitTooLargeError(ValueError):
     """Requested limit exceeds the supported sieve range."""
-
-
-class PrimePoint(NamedTuple):
-    p: int
-    pi: int
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,22 @@ def chord_dominates(vertices: Sequence[tuple[int, Fraction]], points: Sequence[t
     return True
 
 
+def check_concave(points: Sequence[tuple[int, int]]) -> tuple[bool, Optional[int]]:
+    """Whether consecutive slopes of a point chain strictly decrease.
+
+    Returns (True, None) or (False, i) with i the index of the middle point
+    of the first violating triple. Fewer than three points are vacuously
+    concave.
+    """
+    for i in range(1, len(points) - 1):
+        (xa, ya), (xb, yb), (xc, yc) = points[i - 1], points[i], points[i + 1]
+        if xa >= xb or xb >= xc:
+            raise ValueError("points must be strictly increasing in x")
+        if (yb - ya) * (xc - xb) <= (yc - yb) * (xb - xa):
+            return False, i
+    return True, None
+
+
 def mp_li(x, dps: int = 30):
     """Offset logarithmic integral via mpmath: integral from 2 to x."""
     import mpmath as mp

@@ -15,10 +15,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import record_criterion
-from oracles import hull_of_primes, prime_points
+from oracles import check_concave, hull_of_primes, prime_points
 
 from primehull import analysis, lens_bounds as lb, persistence
-from primehull.analysis import check_concave, conjecture_sums, find_twins, records_from_state, verify_envelope
+from primehull.analysis import conjecture_sums, find_twins, records_from_state, verify_envelope
 from primehull.hull_engine import compute_extremal
 
 # First 28 extremal primes, checked against the brute-force hull oracle.

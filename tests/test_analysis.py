@@ -4,17 +4,12 @@ import random
 
 import pytest
 
-from oracles import mp_li, sieve_primes
-from primehull import analysis
+from oracles import check_concave, mp_li, sieve_primes
 from primehull.analysis import (
     CONFIRMED,
     PROVISIONAL,
-    check_concave,
     conjecture_sums,
-    exponent_estimate,
     find_twins,
-    lens_table,
-    pi_epsilon,
     records_from_state,
     verify_envelope,
 )
@@ -32,8 +27,6 @@ def test_record_edge_fields_are_consistent(run_1e6):
         assert a.delta.dpi == b.pi_e - a.pi_e
         assert a.delta.dp == a.lens_len
         assert a.ratio_next == pytest.approx(b.e / a.e, rel=1e-15)
-        # alpha * delta = 1 exactly as rationals: cross products agree
-        assert a.alpha.dpi * a.delta.dpi == a.alpha.dp * a.delta.dp
     assert recs[-1].delta is None and recs[-1].lens_len is None
     assert recs[-1].ratio_next is None
 
@@ -81,28 +74,6 @@ def test_conjecture_sums_ignore_provisional(run_1e6):
     assert sums.count == run_1e6.state.confirmed_len
 
 
-def test_pi_epsilon_counts(run_1e6):
-    recs = records_from_state(run_1e6.state)
-    es = [r.e for r in recs]
-    assert pi_epsilon(2, recs) == 1
-    assert pi_epsilon(100, recs) == 6  # 2, 3, 7, 19, 47, 73
-    assert pi_epsilon(33647, recs) == 28
-    for x in (7, 8, 46, 47):
-        assert pi_epsilon(x, recs) == bisect.bisect_right(es, x)
-    with pytest.raises(ValueError):
-        pi_epsilon(1, recs)
-    with pytest.raises(ValueError):
-        pi_epsilon(es[-1] + 1, recs)
-
-
-def test_exponent_estimate(run_1e8):
-    recs = records_from_state(run_1e8.state)
-    est = dict(exponent_estimate(recs))
-    assert est[100] == pytest.approx(math.log(100) / math.log(5253173), rel=1e-15)
-    assert est[100] == pytest.approx(0.29760037, rel=1e-7)
-    assert 1 not in est
-
-
 def test_find_twins(run_1e8):
     recs = records_from_state(run_1e8.state)
     twins = find_twins(recs)
@@ -142,23 +113,6 @@ def test_check_concave_validation():
     assert ok
     ok, where = check_concave([(2, 1), (5, 2), (7, 4)])  # 1/3 < 1: violation at 1
     assert not ok and where == 1
-
-
-def test_lens_table(run_1e6):
-    # Confirmed records all have successors (the edge into the provisional
-    # tail counts), so every row appears; the full-stack listing loses one
-    # row for the final vertex.
-    recs = records_from_state(run_1e6.state)
-    rows = lens_table(recs)
-    assert len(rows) == sum(1 for r in recs if r.delta is not None) == len(recs)
-    full = records_from_state(run_1e6.state, include_provisional=True)
-    assert len(lens_table(full)) == len(full) - 1
-    for row, rec in zip(rows, recs):
-        assert row.k == rec.k and row.lens_len == rec.lens_len
-        expect = rec.lens_len / (math.sqrt(rec.e) * math.log(rec.e) ** 2)
-        assert row.norm_len == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ValueError):
-        lens_table(full[-1:])  # the final stack vertex opens no lens
 
 
 def test_envelope_clean_to_1e6():

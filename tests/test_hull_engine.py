@@ -9,31 +9,25 @@ from hypothesis import strategies as st
 
 from oracles import batch_upper_hull, chord_dominates, hull_of_primes, prime_points
 from primehull.hull_engine import (
-    EQUAL,
-    GREATER,
-    LESS,
     ExactSlope,
     HullState,
+    HullVertex as P,
     compute_extremal,
     segment_hull,
 )
 from primehull.analysis import records_from_state
 from primehull.m_variant import MHullState
-from primehull.prime_stream import MAX_SEGMENT_SIZE, PrimePoint
-
-
-def P(p, pi):
-    return PrimePoint(p, pi)
+from primehull.prime_stream import MAX_SEGMENT_SIZE
 
 
 def test_slope_compare_examples():
     slope_compare = HullState.slope_compare
-    assert slope_compare(P(2, 1), P(3, 2), P(7, 4)) == GREATER  # 1 vs 1/2
-    assert slope_compare(P(19, 8), P(23, 9), P(47, 15)) == EQUAL  # both 1/4
-    assert slope_compare(P(2, 1), P(5, 3), P(7, 4)) == GREATER  # 2/3 vs 1/2
-    assert slope_compare(P(2, 1), P(3, 2), P(5, 3)) == GREATER  # 1 vs 1/2
-    assert slope_compare(P(3, 2), P(5, 3), P(7, 4)) == EQUAL  # 1/2 = 1/2
-    assert slope_compare(P(7, 4), P(11, 5), P(13, 6)) == LESS  # 1/4 < 1/2
+    assert slope_compare(P(2, 1), P(3, 2), P(7, 4)) == 1  # 1 vs 1/2
+    assert slope_compare(P(19, 8), P(23, 9), P(47, 15)) == 0  # both 1/4
+    assert slope_compare(P(2, 1), P(5, 3), P(7, 4)) == 1  # 2/3 vs 1/2
+    assert slope_compare(P(2, 1), P(3, 2), P(5, 3)) == 1  # 1 vs 1/2
+    assert slope_compare(P(3, 2), P(5, 3), P(7, 4)) == 0  # 1/2 = 1/2
+    assert slope_compare(P(7, 4), P(11, 5), P(13, 6)) == -1  # 1/4 < 1/2
 
 
 def test_slope_compare_rejects_disorder():
@@ -44,9 +38,6 @@ def test_slope_compare_rejects_disorder():
 
 
 def test_exact_slope():
-    assert ExactSlope(1, 4).compare(ExactSlope(2, 8)) == EQUAL  # unreduced equality
-    assert ExactSlope(1, 3).compare(ExactSlope(1, 4)) == GREATER
-    assert float(ExactSlope(1, 4)) == 0.25
     with pytest.raises(ValueError):
         ExactSlope(1, 0)
     with pytest.raises(ValueError):

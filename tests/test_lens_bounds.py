@@ -44,7 +44,6 @@ WIDTH_RATIO_REF = {
 }
 
 THETA_REF_1E12 = (-0.25738728901422609, 0.33550850843454493)
-CONCAVITY_THRESHOLD_REF = 213351.08233004949
 
 
 def test_li_reference_values():
@@ -229,25 +228,12 @@ def test_sandwich_with_relaxed_roots():
 
 
 def test_solve_h_exact_rejects_small_x():
-    # Below the concavity threshold the tangent gap never turns negative
-    # before the domain edge on the left side.
-    with pytest.raises(ValueError):
-        lb.solve_h_exact(3e5)
-
-
-def test_phi_values():
-    assert lb.phi(1e6) == pytest.approx(78626.503995682064 - 13815.510557964274, rel=1e-12)
-    assert lb.phi_prime(1e6) == pytest.approx(0.064474658371559834, rel=1e-11)
-    p, dp, tangent = lb.phi_and_tangent(1e6, 1000.0)
-    assert tangent == pytest.approx(p + dp * 1000.0, rel=1e-15)
-
-
-def test_phi_second_sign_change():
-    assert lb.phi_second(1e5) > 0
-    assert lb.phi_second(3e5) < 0
-    t = lb.concavity_threshold()
-    assert t == pytest.approx(CONCAVITY_THRESHOLD_REF, rel=1e-9)
-    assert lb.phi_second(t * 0.999) > 0 > lb.phi_second(t * 1.001)
+    # Below x = 8.03e5 the tangent gap is still positive at the domain edge
+    # x + h = 2, so there is no negative-side crossing.
+    for x in (3e5, 8.02e5):
+        with pytest.raises(ValueError):
+            lb.solve_h_exact(x)
+    lb.solve_h_exact(8.04e5)
 
 
 def test_working_threshold():

@@ -1,10 +1,48 @@
+import ast
 import pkgutil
 import re
 from pathlib import Path
 
 import primehull
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench" / "run.py"
+PACKAGE = ROOT / "src" / "primehull"
+
+# Top-level names kept without a caller in the program: acceptance
+# criterion 8 checks solve_theta and solve_h_exact against these reference
+# routines and Taylor majorants.
+REFERENCE_ONLY = {"theta_extreme_roots", "working_threshold", "taylor_upper_l", "taylor_upper_eps"}
+
+
+def _trees(*dirs):
+    return {p: ast.parse(p.read_text()) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
+
+
+def _top_level_names(node):
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _references(tree, skip=None):
+    """Names loaded, attributes read and names imported, outside ``skip``."""
+    refs = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return refs
 
 
 def test_package_exports_exactly_what_the_benchmark_calls():
@@ -14,3 +52,46 @@ def test_package_exports_exactly_what_the_benchmark_calls():
     submodules = {m.name for m in pkgutil.iter_modules(primehull.__path__)}
     assert set(primehull.__all__) == used - submodules - {"__file__"}
     assert all(hasattr(primehull, name) for name in used)
+
+
+def test_every_top_level_definition_is_reached():
+    # Tests do not count as callers: a definition only they use is dead
+    # code, or a reference check that belongs in tests/oracles.py.
+    trees = _trees("src", "scripts", "perfbench")
+    everywhere = {path: _references(tree) for path, tree in trees.items()}
+    defined = set()
+    unreached = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        others = set().union(*(refs for p, refs in everywhere.items() if p != path))
+        for node in tree.body:
+            for name in _top_level_names(node):
+                defined.add(name)
+                if name in REFERENCE_ONLY or (name.startswith("__") and name.endswith("__")):
+                    continue
+                if name not in others | _references(tree, skip=node):
+                    unreached.append(f"{path.name}:{node.lineno} {name}")
+    assert unreached == []
+    assert REFERENCE_ONLY <= defined
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert all(re.search(rf"\b{name}\b", acceptance) for name in REFERENCE_ONLY)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _trees("src", "scripts").items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded | exported:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert unused == []

@@ -1,7 +1,10 @@
+import ast
 import hashlib
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from primehull.persistence import (
     parse_export,
     save_checkpoint,
 )
+
+LONGRUN = Path(__file__).resolve().parents[1] / "scripts" / "longrun_sums.py"
 
 FIRST_ROWS = [
     "1,2,1,1,1,1,1.50000000000,0.500000000000,1.44269504089,",
@@ -266,6 +271,25 @@ def test_parse_limit_forms():
             cli.parse_limit(bad)
 
 
+def test_longrun_script_limits_parse():
+    # The run command in the script's docstring and the examples and defaults
+    # of its --limit/--chunk options must all be spellings parse_limit takes.
+    tree = ast.parse(LONGRUN.read_text())
+    values = re.findall(r"--(?:limit|chunk) (\S+)", ast.get_docstring(tree))
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument":
+            if call.args[0].value not in ("--limit", "--chunk"):
+                continue
+            for kw in call.keywords:
+                if kw.arg == "default":
+                    values.append(kw.value.value)
+                elif kw.arg == "help":
+                    values += re.findall(r"e\.g\. ([^)\s]+)", kw.value.value)
+    assert len(values) == 4
+    for text in values:
+        cli.parse_limit(text)
+
+
 def test_cli_compute_degenerate(tmp_path, capsys):
     assert cli.main(["compute", "--limit", "2"]) == 0
     out = capsys.readouterr().out
@@ -307,6 +331,35 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
 
 def test_cli_analyze_missing_file(capsys):
     assert cli.main(["analyze", "--in", "/nonexistent.csv"]) == 2
+
+
+_GOOD_RECORD = {
+    "k": 1, "e_k": 2, "pi_e": 1, "delta_num": 1, "delta_den": 1, "lens_len": 1,
+    "ratio_next": "1.50000000000", "sum_inv": "0.500000000000",
+    "sum_invlog": "1.44269504089", "ties": [], "status": "confirmed",
+}
+
+_MALFORMED_EXPORTS = {
+    "no-records.json": json.dumps({"meta": {}}),
+    "missing-key.json": json.dumps({"records": [{"k": 1}]}),
+    "records-not-list.json": json.dumps({"records": _GOOD_RECORD}),
+    "record-not-object.json": json.dumps({"records": [5]}),
+    "float-k.json": json.dumps({"records": [{**_GOOD_RECORD, "k": 1.5}]}),
+    "ties-not-list.json": json.dumps({"records": [{**_GOOD_RECORD, "ties": 5}]}),
+    "bad-status.json": json.dumps({"records": [{**_GOOD_RECORD, "status": "maybe"}]}),
+    "short-row.csv": persistence.CSV_HEADER + "\n1,2,1\n",
+    "long-row.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + ",confirmed\n",
+    "bad-cell.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,2,1,", "1,x,1,", 1) + "\n",
+    "bad-ratio.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1.5", "one", 1) + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_EXPORTS))
+def test_cli_analyze_malformed_export(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(_MALFORMED_EXPORTS[name])
+    assert cli.main(["analyze", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_checkpoint_resume_flow(tmp_path, capsys):
