@@ -18,7 +18,7 @@ import os
 import sys
 import time
 
-from primehull.analysis import conjecture_sums, records_from_state
+from primehull.analysis import conjecture_sums
 from primehull.cli import parse_limit
 from primehull.hull_engine import compute_extremal
 from primehull.persistence import fmt12, load_checkpoint, save_checkpoint
@@ -42,10 +42,11 @@ def main() -> int:
     while done < limit:
         target = min(done + chunk, limit)
         t0 = time.perf_counter()
-        state = compute_extremal(target, state=state).state
+        result = compute_extremal(target, state=state)
+        state = result.state
         save_checkpoint(state, args.checkpoint, config_echo={"limit": limit})
         done = state.last_processed
-        confirmed = records_from_state(state)
+        confirmed = result.confirmed
         sums = conjecture_sums(confirmed)
         print(
             f"x={done}  confirmed k={len(confirmed)}  "

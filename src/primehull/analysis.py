@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .hull_engine import ExactSlope, HullState
-from .kahan import KahanSum
 from . import lens_bounds
 from . import prime_stream
 
@@ -31,9 +32,9 @@ class ExtremalRecord:
     next hull vertex and are None for the final vertex of a run.  ``ties``
     lists the primes lying exactly on that edge (strictly between the two
     vertices), i.e. the slope-equal candidates this lens absorbed.
-    ``sum_inv``/``sum_invlog`` are the running compensated sums of 1/e_j
-    and 1/ln e_j over confirmed records up to and including k; provisional
-    records carry None.
+    ``sum_inv``/``sum_invlog`` are the correctly rounded sums of 1/e_j and
+    1/ln e_j over confirmed records up to and including k, the bits
+    ``math.fsum`` gives for that prefix; provisional records carry None.
     """
 
     k: int
@@ -48,19 +49,26 @@ class ExtremalRecord:
     sum_invlog: Optional[float] = None
 
 
+def _prefix_sums(values) -> list[float]:
+    """``math.fsum`` of every prefix of ``values``, in linear time.
+
+    The running sum is exact (a Fraction), so reading it as a float rounds
+    once, correctly, exactly as fsum does.
+    """
+    return [float(total) for total in accumulate(map(Fraction, values))]
+
+
 def records_from_state(state: HullState, include_provisional: bool = False) -> list[ExtremalRecord]:
     """Materialize ExtremalRecords from a hull state's final stack."""
     stack = state.stack
     n = len(stack) if include_provisional else state.confirmed_len
+    confirmed_ps = [v.p for v in stack[: state.confirmed_len]]
+    sums_inv = _prefix_sums(1.0 / p for p in confirmed_ps)
+    sums_invlog = _prefix_sums(1.0 / math.log(p) for p in confirmed_ps)
     records: list[ExtremalRecord] = []
-    inv = KahanSum()
-    invlog = KahanSum()
     for i in range(n):
         v = stack[i]
         confirmed = i < state.confirmed_len
-        if confirmed:
-            inv.add(1.0 / v.p)
-            invlog.add(1.0 / math.log(v.p))
         if i + 1 < len(stack):
             w = stack[i + 1]
             delta = ExactSlope(w.pi - v.pi, w.p - v.p)
@@ -82,8 +90,8 @@ def records_from_state(state: HullState, include_provisional: bool = False) -> l
                 ratio_next=ratio,
                 ties=ties,
                 status=CONFIRMED if confirmed else PROVISIONAL,
-                sum_inv=inv.value if confirmed else None,
-                sum_invlog=invlog.value if confirmed else None,
+                sum_inv=sums_inv[i] if confirmed else None,
+                sum_invlog=sums_invlog[i] if confirmed else None,
             )
         )
     return records
@@ -97,17 +105,13 @@ class ConjectureSums:
 
 
 def conjecture_sums(records: Sequence[ExtremalRecord]) -> ConjectureSums:
-    """Compensated sums of 1/e_k and 1/ln e_k over confirmed records."""
-    inv = KahanSum()
-    invlog = KahanSum()
-    count = 0
-    for r in records:
-        if r.status != CONFIRMED:
-            continue
-        inv.add(1.0 / r.e)
-        invlog.add(1.0 / math.log(r.e))
-        count += 1
-    return ConjectureSums(count=count, sum_inv=inv.value, sum_invlog=invlog.value)
+    """Correctly rounded (math.fsum) sums of 1/e_k and 1/ln e_k over confirmed records."""
+    es = [r.e for r in records if r.status == CONFIRMED]
+    return ConjectureSums(
+        count=len(es),
+        sum_inv=math.fsum(1.0 / e for e in es),
+        sum_invlog=math.fsum(1.0 / math.log(e) for e in es),
+    )
 
 
 @dataclass(frozen=True)
@@ -147,21 +151,22 @@ ENVELOPE_BOUNDARY = 11
 _ENVELOPE_MAX = 10**9
 
 
-def verify_envelope(limit: int, segment_size: int = prime_stream.DEFAULT_SEGMENT_SIZE) -> EnvelopeReport:
+def verify_envelope(limit: int) -> EnvelopeReport:
     """Scan primes p <= limit for |pi(p) - Li(p)| < sqrt(p) ln p.
 
     Li is accumulated incrementally with fixed-order Gauss-Legendre panels
     per prime gap (one panel is already far below the comparison's needs;
     the worst panel, [2,3], is still accurate to ~1e-18 relative).  The
     inequality genuinely fails at p=2, so primes below 11 are reported as
-    boundary flags rather than counted as violations.
+    boundary flags rather than counted as violations.  A limit above 10^9
+    raises LimitTooLargeError.
     """
     if limit > _ENVELOPE_MAX:
-        raise ValueError(f"envelope scan limited to {_ENVELOPE_MAX}, got {limit}")
+        raise prime_stream.LimitTooLargeError(f"envelope scan limited to {_ENVELOPE_MAX}, got {limit}")
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    cfg = prime_stream.SieveConfig(limit=limit, segment_size=segment_size)
-    li_base = KahanSum()  # Li at prev_p
+    cfg = prime_stream.SieveConfig(limit=limit)
+    block_sums: list[float] = []  # fsum of each block's Li increments
     prev_p = 2.0
     violations: list[int] = []
     boundary: list[int] = []
@@ -173,10 +178,11 @@ def verify_envelope(limit: int, segment_size: int = prime_stream.DEFAULT_SEGMENT
             continue
         pf = primes.astype(np.float64)
         lefts = np.concatenate(([prev_p], pf[:-1]))
-        incs = lens_bounds.li_gap_increments(lefts, pf)
+        incs = lens_bounds.li_panels(lefts, pf, lens_bounds.GL12)
         # Li at the j-th prime of the block; longdouble keeps the in-block
         # cumulative rounding far below the envelope comparison's needs.
-        li_vals = (li_base.value + np.cumsum(incs.astype(np.longdouble))).astype(np.float64)
+        li_base = math.fsum(block_sums)  # Li at prev_p
+        li_vals = (li_base + np.cumsum(incs.astype(np.longdouble))).astype(np.float64)
         bounds = np.sqrt(pf) * np.log(pf)
         ratios = np.abs(pis.astype(np.float64) - li_vals) / bounds
         exceed = ratios >= 1.0
@@ -192,7 +198,7 @@ def verify_envelope(limit: int, segment_size: int = prime_stream.DEFAULT_SEGMENT
             if ratios[j] > max_ratio:
                 max_ratio = float(ratios[j])
                 argmax_p = int(primes[j])
-        li_base.add(math.fsum(incs.tolist()))
+        block_sums.append(math.fsum(incs.tolist()))
         prev_p = float(pf[-1])
         checked += len(primes)
     return EnvelopeReport(

@@ -23,18 +23,38 @@ equal-slope predecessors for reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ._seghull import segment_hull
-from .prime_stream import (
-    DEFAULT_SEGMENT_SIZE,
-    E_SQUARED,
-    SieveConfig,
-    bound_slope_tight,
-    iter_prime_blocks,
-    pi_upper_bound_tight,
-)
+from .prime_stream import DEFAULT_SEGMENT_SIZE, SieveConfig, iter_prime_blocks
+
+RS_CONSTANT = 1.25506
+DUSART_CUTOFF = 88789
+E_SQUARED = math.exp(2.0)
+
+
+def pi_bound(x: float) -> tuple[float, float]:
+    """An explicit upper bound on pi(x) and its slope, for x > e^2.
+
+    Below 88789 the bound is 1.25506 x / ln x (Rosser and Schoenfeld 1962),
+    with slope 1.25506 (ln x - 1) / ln^2 x.  From 88789 on it is
+    x/ln x (1 + 1/ln x + 2/ln^2 x + 7.59/ln^3 x) (Dusart 2018), with slope
+    1/ln x + 1.59/ln^4 x - 30.36/ln^5 x.  The slope decreases on each piece
+    for x > e^2 and the switch only jumps downward, which is what
+    ``HullState._final`` needs; smaller x is rejected.
+    """
+    if x <= E_SQUARED:
+        raise ValueError(f"pi_bound requires x > e^2, got {x}")
+    y = math.log(x)
+    if x < DUSART_CUTOFF:
+        return RS_CONSTANT * x / y, RS_CONSTANT * (y - 1.0) / (y * y)
+    y4 = y * y * y * y
+    return (
+        x / y * (1.0 + 1.0 / y + 2.0 / (y * y) + 7.59 / (y * y * y)),
+        1.0 / y + 1.59 / y4 - 30.36 / (y4 * y),
+    )
 
 
 @dataclass(frozen=True)
@@ -110,10 +130,10 @@ class HullState:
     def _final(u: HullVertex, v: HullVertex, x: int, pi_x: int) -> bool:
         """Whether the edge u -> v is final once every prime <= x is pushed.
 
-        With incoming slope s = dpi/dp, v can never be popped once
+        With incoming slope s = dpi/dp and ``(bound, slope) = pi_bound(x)``,
+        v can never be popped once
 
-            bound_slope_tight(x) < s   and
-            pi_upper_bound_tight(x) < u.pi + s * (x - u.p)
+            slope < s   and   bound < u.pi + s * (x - u.p)
 
         because then the line through u with slope s dominates the pi upper
         bound for every z >= x (the bound's slope keeps decreasing), while
@@ -127,10 +147,8 @@ class HullState:
             return False
         dpi = v.pi - u.pi
         dp = v.p - u.p
-        return (
-            bound_slope_tight(x) * dp < dpi
-            and pi_upper_bound_tight(x) < u.pi + dpi * (x - u.p) / dp
-        )
+        bound, slope = pi_bound(x)
+        return slope * dp < dpi and bound < u.pi + dpi * (x - u.p) / dp
 
     def push(self, p: int, pi: int, pre_ties: Sequence[int] = ()) -> None:
         """Push one point past the frontier, popping dominated vertices.

@@ -39,20 +39,29 @@ from typing import Optional
 
 import numpy as np
 
-_GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# Gauss-Legendre (nodes, weights): 32 points for li_between's geometric
+# panels, 12 for the short prime-gap panels of the envelope scan.
+GL32 = np.polynomial.legendre.leggauss(32)
+GL12 = np.polynomial.legendre.leggauss(12)
 
 
 class ThetaPreconditionError(ValueError):
     """x is too small for the requested alpha window."""
 
 
-def _gl_panel(a: float, b: float) -> float:
-    """Gauss-Legendre 32-point integral of 1/ln t over [a, b], 2 <= a <= b."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    t = mid + half * _GL32_NODES
-    return half * float(np.dot(_GL32_WEIGHTS, 1.0 / np.log(t)))
+def li_panels(lefts: np.ndarray, rights: np.ndarray, rule) -> np.ndarray:
+    """Integral of dt/ln t over each [lefts[i], rights[i]], one panel each.
+
+    ``rule`` is a Gauss-Legendre (nodes, weights) pair, GL32 or GL12.  One
+    12-point panel suffices for consecutive-prime gaps: even the worst,
+    [2, 3], is accurate to ~1e-18 relative, and long gaps sit far from the
+    integrand's singularity.
+    """
+    nodes, weights = rule
+    half = 0.5 * (rights - lefts)
+    mid = 0.5 * (rights + lefts)
+    t = mid[:, None] + half[:, None] * nodes[None, :]
+    return half * np.dot(1.0 / np.log(t), weights)
 
 
 def li_between(a: float, b: float) -> float:
@@ -64,13 +73,11 @@ def li_between(a: float, b: float) -> float:
     """
     if b < a or a < 2:
         raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
-    pieces = []
-    lo = a
-    while 2 * lo < b:
-        pieces.append(_gl_panel(lo, 2 * lo))
-        lo = 2 * lo
-    pieces.append(_gl_panel(lo, b))
-    return math.fsum(pieces)
+    edges = [a]
+    while 2 * edges[-1] < b:
+        edges.append(2 * edges[-1])
+    edges = np.array(edges + [b], dtype=np.float64)
+    return math.fsum(li_panels(edges[:-1], edges[1:], GL32).tolist())
 
 
 def li(x: float) -> float:
@@ -78,20 +85,6 @@ def li(x: float) -> float:
     if x < 2:
         raise ValueError(f"li requires x >= 2, got {x}")
     return li_between(2.0, x)
-
-
-def li_gap_increments(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Vectorized integral of dt/ln t over many short intervals.
-
-    Single 12-point panel per interval; intended for consecutive-prime
-    gaps, where even the worst case ([2, 3]) is accurate to ~1e-18
-    relative and long gaps sit far from the integrand's singularity.
-    """
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    t = mid[:, None] + half[:, None] * _GL12_NODES[None, :]
-    vals = np.dot(1.0 / np.log(t), _GL12_WEIGHTS)
-    return half * vals
 
 
 @dataclass(frozen=True)
@@ -160,9 +153,6 @@ class CubicProblem:
     a2: float
     a1: float
     a0: float
-    b2: float
-    b1: float
-    b0: float
     v2: float
     v1: float
     v0: float
@@ -177,10 +167,10 @@ class CubicProblem:
 def cubic_coeffs(x: float) -> CubicProblem:
     """Closed-form W_x and reduced-cubic coefficients.
 
-    The normalized forms B_i = A_i / A3 and v_i are computed symbolically
-    (common factors cancelled by hand); the identity B_i * A3 = A_i is
-    pinned to 1e-12 relative in the tests.  B1 carries the factor (y+2)
-    from A1: the consistency identity forces it.
+    The reduced coefficients are computed symbolically (common factors
+    cancelled by hand); the identities v2 = 3 + A2/(A3 x),
+    v1 = A1/(A3 x^2) and v0 = A0/(A3 x^3) are pinned to 1e-12 relative in
+    the tests.  v1 carries the factor (y+2) from A1: the identity forces it.
     """
     if x < 2:
         raise ValueError(f"cubic_coeffs requires x >= 2, got {x}")
@@ -195,13 +185,10 @@ def cubic_coeffs(x: float) -> CubicProblem:
     a2 = -(4.0 * sx + y3) / (8.0 * x * sx * y * y)
     a1 = (y + 2.0) / sx
     a0 = 2.0 * sx * y
-    b2 = -6.0 * x * (4.0 * sx * y + y4) / d_common
-    b1 = 48.0 * x * x * (y + 2.0) * y3 / d_common
-    b0 = 96.0 * x**3 * y4 / d_common
     v2 = 3.0 * (16.0 * sx + y4 - 2.0 * y3) / d_common
     v1 = 48.0 * (y + 2.0) * y3 / d_common
     v0 = 96.0 * y4 / d_common
-    return CubicProblem(x=x, a3=a3, a2=a2, a1=a1, a0=a0, b2=b2, b1=b1, b0=b0, v2=v2, v1=v1, v0=v0)
+    return CubicProblem(x=x, a3=a3, a2=a2, a1=a1, a0=a0, v2=v2, v1=v1, v0=v0)
 
 
 @dataclass(frozen=True)
@@ -244,6 +231,15 @@ def _bisect(f, lo: float, hi: float, iters: int = 120) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _double_until(pred, start: float) -> float:
+    """First of start, 2 start, 4 start, ... where pred holds; 64 doublings at most."""
+    for k in range(65):
+        x = start * 2.0**k
+        if pred(x):
+            return x
+    raise ValueError(f"no bracket found within 64 doublings of {start}")
 
 
 def _window_holds(prob: CubicProblem, alpha: float) -> bool:
@@ -300,10 +296,7 @@ def theta_extreme_roots(x: float) -> tuple[float, Optional[float]]:
     """
     prob = cubic_coeffs(x)
     g = prob.reduced_value
-    lo = -1.0
-    while g(lo) >= 0.0:
-        lo *= 2.0
-    theta_minus = _bisect(g, lo, 0.0)
+    theta_minus = _bisect(g, _double_until(lambda t: g(t) < 0.0, -1.0), 0.0)
     # Positive side: g(0) = v0 > 0 and g'(0) = v1 > 0, so the smallest
     # positive root, when it exists, lies between the two critical points.
     b = prob.v2 - 3.0
@@ -341,7 +334,7 @@ def _tangent_gap(x: float, h: float) -> float:
     return dl + math.sqrt(z) * math.log(z) + d.eps - pp * h
 
 
-def solve_h_exact(x: float, max_expand: int = 64) -> ExactCrossings:
+def solve_h_exact(x: float) -> ExactCrossings:
     """Exact tangent crossings h- < 0 < h+ of L + eps versus the tangent.
 
     F is strictly concave in h (its second derivative is L'' + eps'' < 0),
@@ -351,13 +344,7 @@ def solve_h_exact(x: float, max_expand: int = 64) -> ExactCrossings:
     rejected.
     """
     f = lambda h: _tangent_gap(x, h)
-    hi = x
-    for _ in range(max_expand):
-        if f(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(f"no positive tangent crossing found below {hi}")
+    hi = _double_until(lambda h: f(h) < 0, x)
     h_plus = _bisect(f, hi / 2.0 if hi > x else 0.0, hi)
 
     edge = 2.0 - x + 1e-9 * x
@@ -380,14 +367,9 @@ def working_threshold(alpha: float = 1.0) -> float:
     def ok(x: float) -> bool:
         return _window_holds(cubic_coeffs(x), alpha)
 
-    lo = 1e6
-    if ok(lo):
+    hi = _double_until(ok, 1e6)
+    if hi == 1e6:
         raise ValueError("threshold search must start below the acceptance region")
-    hi = lo
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 1e30:
-            raise ValueError(f"no working threshold found for alpha={alpha}")
     lo = hi / 2.0
     while hi - lo > 1e-6 * lo:
         mid = 0.5 * (lo + hi)

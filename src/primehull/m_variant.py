@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .analysis import CONFIRMED, PROVISIONAL
 from .hull_engine import HullState, HullVertex
-from .prime_stream import DEFAULT_SEGMENT_SIZE, LimitTooLargeError
+from .prime_stream import LimitTooLargeError
 
 M_MAX_LIMIT = 10**9
 
@@ -98,12 +98,12 @@ def records_from_m_state(state: MHullState) -> list[MRecord]:
     return out
 
 
-def compute_m_extremal(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> MComputeResult:
+def compute_m_extremal(limit: int) -> MComputeResult:
     """Stream primes to `limit` and build the M hull with exact arithmetic."""
     if limit > M_MAX_LIMIT:
         raise LimitTooLargeError(
             f"M-variant limit {limit} exceeds supported maximum {M_MAX_LIMIT}"
         )
     state = MHullState()
-    state.extend(limit, segment_size)
+    state.extend(limit)
     return MComputeResult(records=records_from_m_state(state), state=state)

@@ -4,16 +4,8 @@ Produces the stream of points (p, pi(p)) consumed by the hull engine.
 Segments are sieved with numpy over odd integers only; 2 is special-cased.
 The stream is deterministic for a given (start, limit) regardless of
 segment size, and supports resuming from any (start, start_pi) frontier.
-
-Also provides the explicit upper bounds on pi(x) used by the vertex
-confirmation horizon:
-
-* ``pi_upper_bound`` / ``bound_slope``: the classical bound
-  1.25506 * x / ln x, valid for all x > 1 (Rosser and Schoenfeld 1962).
-* ``pi_upper_bound_tight`` / ``bound_slope_tight``: a piecewise bound that
-  switches to x/ln x * (1 + 1/ln x + 2/ln^2 x + 7.59/ln^3 x) for
-  x >= 88789 (Dusart 2018).  The tighter tail shortens the confirmation
-  latency by orders of magnitude while remaining unconditional.
+The explicit bound on pi(x) that proves vertices final lives beside the
+rule that uses it, ``hull_engine.pi_bound``.
 """
 
 from __future__ import annotations
@@ -30,10 +22,6 @@ MIN_SEGMENT_SIZE = 1024
 # (delta pi) * (delta p) < 2^25 * 2^26 = 2^51.
 MAX_SEGMENT_SIZE = 1 << 25
 DEFAULT_SEGMENT_SIZE = 1 << 20
-
-RS_CONSTANT = 1.25506
-DUSART_CUTOFF = 88789
-E_SQUARED = math.exp(2.0)
 
 
 class LimitTooLargeError(ValueError):
@@ -135,46 +123,3 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         count += len(primes)
         yield primes, pis, min(hi + 1, limit)
         lo = hi + 2
-
-
-def pi_upper_bound(x: float) -> float:
-    """Upper bound 1.25506 x / ln x on pi(x), valid for all x > 1."""
-    if x <= 1:
-        raise ValueError(f"pi_upper_bound requires x > 1, got {x}")
-    return RS_CONSTANT * x / math.log(x)
-
-
-def bound_slope(x: float) -> float:
-    """Derivative 1.25506 (ln x - 1)/ln^2 x of pi_upper_bound.
-
-    Decreasing for x > e^2, which is what the confirmation horizon needs;
-    smaller x is rejected.
-    """
-    if x <= E_SQUARED:
-        raise ValueError(f"bound_slope requires x > e^2, got {x}")
-    y = math.log(x)
-    return RS_CONSTANT * (y - 1.0) / (y * y)
-
-
-def pi_upper_bound_tight(x: float) -> float:
-    """Piecewise upper bound on pi(x): Rosser-Schoenfeld below 88789,
-    Dusart's x/ln x (1 + 1/ln x + 2/ln^2 x + 7.59/ln^3 x) at and above it.
-    """
-    if x < DUSART_CUTOFF:
-        return pi_upper_bound(x)
-    y = math.log(x)
-    return x / y * (1.0 + 1.0 / y + 2.0 / (y * y) + 7.59 / (y * y * y))
-
-
-def bound_slope_tight(x: float) -> float:
-    """Derivative of ``pi_upper_bound_tight`` on its smooth pieces.
-
-    1/ln x + 1.59/ln^4 x - 30.36/ln^5 x on the Dusart branch; decreasing
-    there for x >= 30, and the branch switch only jumps downward, so the
-    piecewise slope is decreasing wherever the confirmation rule uses it.
-    """
-    if x < DUSART_CUTOFF:
-        return bound_slope(x)
-    y = math.log(x)
-    y4 = y * y * y * y
-    return 1.0 / y + 1.59 / y4 - 30.36 / (y4 * y)

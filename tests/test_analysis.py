@@ -54,10 +54,13 @@ def test_status_partition(run_1e6):
 
 
 def test_running_sums_match_state(run_1e6):
+    # Each running sum is the correctly rounded (math.fsum) sum of its prefix.
     recs = records_from_state(run_1e6.state)
     for k in range(1, len(recs) + 1):
         sums = conjecture_sums(recs[:k])
         assert (recs[k - 1].sum_inv, recs[k - 1].sum_invlog) == (sums.sum_inv, sums.sum_invlog)
+        assert sums.sum_inv == math.fsum(1.0 / r.e for r in recs[:k])
+        assert sums.sum_invlog == math.fsum(1.0 / math.log(r.e) for r in recs[:k])
 
 
 def test_conjecture_sums_against_oracle(run_1e8):
@@ -72,6 +75,8 @@ def test_conjecture_sums_ignore_provisional(run_1e6):
     recs = records_from_state(run_1e6.state, include_provisional=True)
     sums = conjecture_sums(recs)
     assert sums.count == run_1e6.state.confirmed_len
+    last = recs[sums.count - 1]
+    assert (sums.sum_inv, sums.sum_invlog) == (last.sum_inv, last.sum_invlog)
 
 
 def test_find_twins(run_1e8):

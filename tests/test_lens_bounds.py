@@ -68,7 +68,7 @@ def test_li_domain_errors():
         lb.li_between(1.0, 5.0)
 
 
-def test_li_gap_increments_match_li_between():
+def test_li_panels_match_li_between():
     rng = random.Random(5)
     lefts, rights = [], []
     x = 2.0
@@ -77,7 +77,7 @@ def test_li_gap_increments_match_li_between():
         lefts.append(x)
         rights.append(x + rng.uniform(0.0, 90.0))
         x = rights[-1]
-    incs = lb.li_gap_increments(np.array(lefts), np.array(rights))
+    incs = lb.li_panels(np.array(lefts), np.array(rights), lb.GL12)
     for a, b, inc in zip(lefts, rights, incs.tolist()):
         assert inc == pytest.approx(lb.li_between(a, b), rel=1e-12, abs=1e-15)
 
@@ -123,13 +123,10 @@ def test_cubic_coeffs_consistency():
         assert prob.a1 == pytest.approx(2.0 * d.eps1, rel=1e-12)
         assert prob.a0 == pytest.approx(2.0 * d.eps, rel=1e-12)
         assert prob.a3 > 0.0
-        # normalized forms: B_i * A3 = A_i and v_i = B_i / x^(3-i)
-        assert prob.b2 * prob.a3 == pytest.approx(prob.a2, rel=1e-12)
-        assert prob.b1 * prob.a3 == pytest.approx(prob.a1, rel=1e-12)
-        assert prob.b0 * prob.a3 == pytest.approx(prob.a0, rel=1e-12)
-        assert prob.v2 == pytest.approx(3.0 + prob.b2 / x, rel=1e-12)
-        assert prob.v1 == pytest.approx(prob.b1 / (x * x), rel=1e-12)
-        assert prob.v0 == pytest.approx(prob.b0 / (x**3), rel=1e-12)
+        # reduced forms: v2 = 3 + A2/(A3 x), v1 = A1/(A3 x^2), v0 = A0/(A3 x^3)
+        assert prob.v2 == pytest.approx(3.0 + prob.a2 / (prob.a3 * x), rel=1e-12)
+        assert prob.v1 == pytest.approx(prob.a1 / (prob.a3 * x * x), rel=1e-12)
+        assert prob.v0 == pytest.approx(prob.a0 / (prob.a3 * x**3), rel=1e-12)
 
 
 def test_w_value_and_reduced_value_agree():

@@ -1,9 +1,11 @@
+import argparse
 import ast
 import pkgutil
 import re
 from pathlib import Path
 
 import primehull
+from primehull import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
@@ -13,6 +15,19 @@ PACKAGE = ROOT / "src" / "primehull"
 # criterion 8 checks solve_theta and solve_h_exact against these reference
 # routines and Taylor majorants.
 REFERENCE_ONLY = {"theta_extreme_roots", "working_threshold", "taylor_upper_l", "taylor_upper_eps"}
+
+# Every option string of the command and its subcommands, in parser order.
+# A new option is a deliberate edit here, not a side effect.
+CLI_OPTIONS = {
+    "primehull": ["-h", "--help"],
+    "compute": [
+        "-h", "--help", "--limit", "--segment-size", "--checkpoint", "--resume",
+        "--out", "--format", "--include-provisional",
+    ],
+    "analyze": ["-h", "--help", "--in", "--sums", "--twins", "--ties", "--envelope-limit"],
+    "lensbounds": ["-h", "--help", "--x-grid", "--alpha", "--out"],
+    "mvariant": ["-h", "--help", "--limit", "--out"],
+}
 
 
 def _trees(*dirs):
@@ -52,6 +67,16 @@ def test_package_exports_exactly_what_the_benchmark_calls():
     submodules = {m.name for m in pkgutil.iter_modules(primehull.__path__)}
     assert set(primehull.__all__) == used - submodules - {"__file__"}
     assert all(hasattr(primehull, name) for name in used)
+
+
+def test_cli_options_are_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [opt for action in p._actions for opt in action.option_strings]
+        for name, p in [("primehull", parser), *sub.choices.items()]
+    }
+    assert got == CLI_OPTIONS
 
 
 def test_every_top_level_definition_is_reached():

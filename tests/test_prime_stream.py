@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import sieve_primes
-from primehull import prime_stream
-from primehull.prime_stream import (
-    DUSART_CUTOFF,
-    LimitTooLargeError,
-    SieveConfig,
-    bound_slope,
-    bound_slope_tight,
-    iter_prime_blocks,
-    pi_upper_bound,
-    pi_upper_bound_tight,
-)
+from primehull.hull_engine import DUSART_CUTOFF, pi_bound
+from primehull.prime_stream import LimitTooLargeError, SieveConfig, iter_prime_blocks
 
 
 def collect(cfg):
@@ -91,48 +82,59 @@ def test_degenerate_limit_two():
     assert primes == [2] and pis == [1] and high == 2
 
 
+def rs_bound(x):
+    """The reference bound 1.25506 x / ln x (Rosser and Schoenfeld)."""
+    return 1.25506 * x / math.log(x)
+
+
 def test_pi_upper_bound_formula():
-    # 1.25506 x / ln x; values recomputed by hand, not copied from anywhere
-    assert pi_upper_bound(10**6) == pytest.approx(1.25506e6 / math.log(1e6), rel=1e-12)
-    assert pi_upper_bound(10**6) == pytest.approx(90844.272076, rel=1e-9)
-    with pytest.raises(ValueError):
-        pi_upper_bound(1.0)
+    # Rosser-Schoenfeld below the cutoff, Dusart from it on; values
+    # recomputed by hand, not copied from anywhere
+    assert pi_bound(5e4)[0] == pytest.approx(rs_bound(5e4), rel=1e-12)
+    assert pi_bound(5e4)[0] == pytest.approx(5799.8415818, rel=1e-9)
+    y = math.log(1e6)
+    dusart = 1e6 / y * (1 + 1 / y + 2 / y**2 + 7.59 / y**3)
+    assert pi_bound(1e6)[0] == pytest.approx(dusart, rel=1e-12)
+    assert pi_bound(1e6)[0] == pytest.approx(78588.421991, rel=1e-9)
 
 
 def test_bound_slope_formula():
-    # d/dx [1.25506 x / ln x] = 1.25506 (ln x - 1) / ln^2 x
-    x = 1e9
-    y = math.log(x)
-    assert bound_slope(x) == pytest.approx(1.25506 * (y - 1) / y**2, rel=1e-12)
-    assert bound_slope(x) == pytest.approx(0.057641, rel=1e-4)
+    # d/dx [1.25506 x / ln x] = 1.25506 (ln x - 1) / ln^2 x below the cutoff;
+    # the derivative of Dusart's bound is 1/ln x + 1.59/ln^4 x - 30.36/ln^5 x
+    y = math.log(5e4)
+    assert pi_bound(5e4)[1] == pytest.approx(1.25506 * (y - 1) / y**2, rel=1e-12)
+    y = math.log(1e9)
+    assert pi_bound(1e9)[1] == pytest.approx(1 / y + 1.59 / y**4 - 30.36 / y**5, rel=1e-12)
+    assert pi_bound(1e9)[1] == pytest.approx(0.0482556, rel=1e-5)
     with pytest.raises(ValueError):
-        bound_slope(math.exp(2))  # needs x > e^2 for monotone decrease
+        pi_bound(math.exp(2))  # needs x > e^2 for monotone decrease
 
 
 def test_bounds_dominate_actual_counts():
     primes = sieve_primes(200_000)
     for i in range(0, len(primes), 997):
         p = primes[i]
-        if p <= 1:
+        if p <= math.exp(2):
             continue
-        assert pi_upper_bound(p) > i + 1
-        assert pi_upper_bound_tight(p) > i + 1
+        assert rs_bound(p) > i + 1
+        assert pi_bound(p)[0] > i + 1
 
 
 def test_tight_bound_is_tighter_beyond_cutoff():
     for x in (DUSART_CUTOFF, 1e6, 1e8, 1e10):
-        assert pi_upper_bound_tight(x) < pi_upper_bound(x)
-    # below the cutoff the tight bound falls back to the classic one
-    assert pi_upper_bound_tight(1000.0) == pi_upper_bound(1000.0)
+        assert pi_bound(x)[0] < rs_bound(x)
+    # below the cutoff the bound is the classic one, bit for bit
+    assert pi_bound(1000.0)[0] == rs_bound(1000.0)
 
 
 def test_tight_slope_decreasing_and_dominates_density():
-    # bound_slope_tight(x) must exceed d(pi upper bound)/dx needs: sampled
-    # finite differences of the tight bound itself stay below it.
-    xs = np.geomspace(DUSART_CUTOFF * 1.01, 1e11, 40)
-    slopes = [bound_slope_tight(float(x)) for x in xs]
+    # The slope must decrease over the whole domain, the switch at the
+    # cutoff included, and stay above the bound's own finite differences.
+    xs = np.geomspace(math.exp(2) * 1.01, 1e11, 60)
+    slopes = [pi_bound(float(x))[1] for x in xs]
     assert all(a > b for a, b in zip(slopes, slopes[1:]))
+    assert pi_bound(DUSART_CUTOFF - 1)[1] > pi_bound(DUSART_CUTOFF)[1]
     for x in xs:
         x = float(x)
-        fd = (pi_upper_bound_tight(x * 1.0001) - pi_upper_bound_tight(x)) / (x * 1e-4)
-        assert bound_slope_tight(x) >= fd * (1 - 1e-6)
+        fd = (pi_bound(x * 1.0001)[0] - pi_bound(x)[0]) / (x * 1e-4)
+        assert pi_bound(x)[1] >= fd * (1 - 1e-6)
