@@ -88,8 +88,8 @@ def rs_bound(x):
 
 
 def test_pi_upper_bound_formula():
-    # Rosser-Schoenfeld below the cutoff, Dusart from it on; values
-    # recomputed by hand, not copied from anywhere
+    # Rosser-Schoenfeld below the cutoff, Dusart from it on; the pinned
+    # values agree with a 30-digit mpmath evaluation of each formula
     assert pi_bound(5e4)[0] == pytest.approx(rs_bound(5e4), rel=1e-12)
     assert pi_bound(5e4)[0] == pytest.approx(5799.8415818, rel=1e-9)
     y = math.log(1e6)
