@@ -13,7 +13,7 @@ from decimal import Decimal
 from typing import Optional, Sequence
 
 from . import analysis, lens_bounds, persistence
-from .hull_engine import compute_extremal
+from .hull_engine import HullState
 from .m_variant import compute_m_extremal
 from .persistence import CheckpointError, fmt12
 from .prime_stream import DEFAULT_SEGMENT_SIZE, LimitTooLargeError
@@ -80,12 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     limit = parse_limit(args.limit)
     segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else parse_limit(args.segment_size)
-    state = None
+    state = HullState()
     if args.resume:
         if not args.checkpoint:
             raise ValueError("--resume requires --checkpoint")
         state, _echo = persistence.load_checkpoint(args.checkpoint)
-    state = compute_extremal(limit, segment_size=segment_size, state=state).state
+    state.extend(limit, segment_size)
     if args.checkpoint:
         persistence.save_checkpoint(
             state, args.checkpoint, config_echo={"limit": limit, "segment_size": segment_size}

@@ -2,8 +2,13 @@
 
 Produces the stream of points (p, pi(p)) consumed by the hull engine.
 Segments are sieved with numpy over odd integers only; 2 is special-cased.
-The stream is deterministic for a given (start, limit) regardless of
-segment size, and supports resuming from any (start, start_pi) frontier.
+Small base primes strike their multiples with one strided slice each; all
+larger ones are struck together with one numpy scatter per segment, the
+vectorized form of the bucket sieve of Oliveira e Silva, Herzog and Pardi
+(Math. Comp. 2014). Near 3e11 a segment has about 45k base primes, and a
+Python-level loop over them made a 1e8 window there about five times
+slower. The stream is deterministic for a given (start, limit) regardless
+of segment size, and supports resuming from any (start, start_pi) frontier.
 The explicit bound on pi(x) that proves vertices final lives beside the
 rule that uses it, ``hull_engine.pi_bound``.
 """
@@ -22,6 +27,13 @@ MIN_SEGMENT_SIZE = 1024
 # (delta pi) * (delta p) < 2^25 * 2^26 = 2^51.
 MAX_SEGMENT_SIZE = 1 << 25
 DEFAULT_SEGMENT_SIZE = 1 << 20
+# Base primes from here on are struck by one numpy scatter per segment; below
+# it a strided slice is cheaper, since it writes at least 2^20 / 2^12 = 256
+# entries of a default segment per Python-level call.
+SCATTER_MIN_PRIME = 1 << 12
+# The scatter builds its index runs this many at a time, so its scratch
+# arrays stay a small fraction of the segment mask.
+SCATTER_CHUNK = 1 << 14
 
 
 class LimitTooLargeError(ValueError):
@@ -84,10 +96,23 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     Single-threaded by construction, which trivially satisfies the ordered
     delivery contract; a parallel sieve would have to re-order before
     yielding.
+
+    Each segment's mask is marked in two ways. An odd base prime below
+    ``SCATTER_MIN_PRIME`` clears its multiples with one strided slice,
+    which is cheap while the slice is long. Every larger base prime with
+    p*p <= hi is handled by ``_strike_large``, a single numpy scatter for
+    all of them, because a Python-level loop over tens of thousands of
+    short slices costs far more than the writes themselves. Thresholds
+    from 2^11 to 2^14 time alike on 1e8 windows at 3e11 and on the sieve
+    from 2 to 1e8; 2^12 sits in the middle. The first scattered prime is
+    4099, so segments ending below 4099^2 (about 1.68e7) never scatter.
     """
     limit = cfg.limit
     basis = base_primes(math.isqrt(limit))
     odd_basis = basis[basis >= 3]
+    split = int(np.searchsorted(odd_basis, SCATTER_MIN_PRIME))
+    small = odd_basis[:split].tolist()
+    large = odd_basis[split:]
 
     count = cfg.start_pi
     lo = cfg.start
@@ -107,8 +132,7 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         hi = min(lo + span - 2, limit if limit % 2 == 1 else limit - 1)
         odd_count = (hi - lo) // 2 + 1
         mask = np.ones(odd_count, dtype=bool)
-        for p in odd_basis:
-            p = int(p)
+        for p in small:
             p2 = p * p
             if p2 > hi:
                 break
@@ -117,9 +141,43 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
                 first += p
             if first <= hi:
                 mask[(first - lo) // 2 :: p] = False
+        _strike_large(mask, lo, hi, large)
         idx = np.flatnonzero(mask)
         primes = lo + 2 * idx.astype(np.int64)
         pis = count + 1 + np.arange(len(primes), dtype=np.int64)
         count += len(primes)
         yield primes, pis, min(hi + 1, limit)
         lo = hi + 2
+
+
+def _strike_large(mask: np.ndarray, lo: int, hi: int, large: np.ndarray) -> None:
+    """Clear the odd multiples of every prime in ``large`` with p*p <= hi.
+
+    ``mask[i]`` stands for the odd integer lo + 2i. Prime p strikes the
+    indices i0, i0 + p, ..., one run per prime; the runs are laid end to
+    end as steps (p inside a run, a jump between runs) and summed.
+    """
+    P = large[: np.searchsorted(large, math.isqrt(hi), side="right")]
+    if len(P) == 0:
+        return
+    first = np.maximum(P * P, -(-lo // P) * P)
+    first += (1 - (first & 1)) * P
+    i0 = (first - lo) // 2
+    # n >= 0, since first is p*p <= hi or below lo + 2p. A prime with n == 0
+    # must go, or its run would start where the next one does.
+    n = (len(mask) - 1 - i0) // P + 1
+    hit = n > 0
+    P, i0, n = P[hit], i0[hit], n[hit]
+    ends = np.cumsum(n)
+    starts = ends - n
+    jump = i0.copy()
+    jump[1:] -= i0[:-1] + P[:-1] * (n[:-1] - 1)
+    cuts = np.searchsorted(ends, np.arange(SCATTER_CHUNK, ends[-1], SCATTER_CHUNK), side="right")
+    bounds = [0, *cuts.tolist(), len(P)]
+    for a, b in zip(bounds, bounds[1:]):
+        if a == b:
+            continue
+        steps = np.repeat(P[a:b], n[a:b])
+        steps[starts[a:b] - starts[a]] = jump[a:b]
+        steps[0] = i0[a]
+        mask[np.cumsum(steps, out=steps)] = False

@@ -9,7 +9,9 @@ with these implementations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 
@@ -25,6 +27,15 @@ def sieve_primes(limit: int) -> list[int]:
             mask[p * p :: p] = bytearray(len(mask[p * p :: p]))
         p += 1
     return [i for i in range(2, limit + 1) for _ in range(mask[i])]
+
+
+def window_primes(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], 2 <= lo, by a sieve over every integer of the window."""
+    mask = bytearray([1]) * (hi - lo + 1)
+    for p in sieve_primes(math.isqrt(hi)):
+        first = max(p * p, -(-lo // p) * p)
+        mask[first - lo :: p] = bytearray(len(range(first - lo, len(mask), p)))
+    return list(compress(range(lo, hi + 1), mask))
 
 
 def prime_points(limit: int) -> list[tuple[int, int]]:

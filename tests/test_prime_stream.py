@@ -1,11 +1,13 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
-from oracles import sieve_primes
+from oracles import sieve_primes, window_primes
+from primehull import prime_stream
 from primehull.hull_engine import DUSART_CUTOFF, pi_bound
-from primehull.prime_stream import LimitTooLargeError, SieveConfig, iter_prime_blocks
+from primehull.prime_stream import MAX_LIMIT, LimitTooLargeError, SieveConfig, iter_prime_blocks
 
 
 def collect(cfg):
@@ -55,6 +57,54 @@ def test_resume_from_offset_matches_full_run():
     )
     assert primes == ref_primes[idx:]
     assert pis == ref_pis[idx:]
+
+
+SCATTER_LIMIT = 3 * 10**6
+
+
+@pytest.fixture(scope="module")
+def scatter_ref():
+    return sieve_primes(SCATTER_LIMIT)
+
+
+@pytest.mark.parametrize("segment_size", [1 << 10, 1 << 14, 1 << 20])
+# fresh, an even frontier, a prime one (the 100000th prime), and 2^20 + 1,
+# which sits inside the first 2^20 segment of a fresh run
+@pytest.mark.parametrize("start", [2, 1_000_000, 1_299_709, 1_048_577])
+def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, start):
+    # Every base prime from 5 on goes through the scatter, so runs of many
+    # lengths, chunk cuts and first multiples below, at and above p*p occur.
+    monkeypatch.setattr(prime_stream, "SCATTER_MIN_PRIME", 5)
+    start_pi = bisect_left(scatter_ref, start)
+    cfg = SieveConfig(
+        limit=SCATTER_LIMIT, segment_size=segment_size, start=start, start_pi=start_pi
+    )
+    primes, pis, high = collect(cfg)
+    assert primes == scatter_ref[start_pi:]
+    assert pis == list(range(start_pi + 1, len(scatter_ref) + 1))
+    assert high == SCATTER_LIMIT
+
+
+@pytest.mark.parametrize(
+    "lo, hi, segment_size, start_pi",
+    [
+        # pi(10^10) = 455052511 is the published value
+        (10**10, 10**10 + 2**20, 1 << 20, 455052511),
+        # the top of the supported range: base primes up to 10^6
+        (MAX_LIMIT - 2**16 + 1, MAX_LIMIT, 1 << 20, 1),
+        # one segment holding both 4099, the first scattered base prime,
+        # and its square; pi(4096) = 564
+        (4097, 4099**2, 1 << 24, 564),
+    ],
+)
+def test_high_windows_match_oracle(lo, hi, segment_size, start_pi):
+    cfg = SieveConfig(limit=hi, segment_size=segment_size, start=lo, start_pi=start_pi)
+    blocks = list(iter_prime_blocks(cfg))
+    primes = np.concatenate([b[0] for b in blocks])
+    pis = np.concatenate([b[1] for b in blocks])
+    assert np.array_equal(primes, window_primes(lo, hi))
+    assert np.array_equal(pis - start_pi, np.arange(1, len(primes) + 1))
+    assert blocks[-1][2] == hi
 
 
 def test_limit_cap_rejected():
