@@ -158,8 +158,6 @@ def _strike_large(mask: np.ndarray, lo: int, hi: int, large: np.ndarray) -> None
     end as steps (p inside a run, a jump between runs) and summed.
     """
     P = large[: np.searchsorted(large, math.isqrt(hi), side="right")]
-    if len(P) == 0:
-        return
     first = np.maximum(P * P, -(-lo // P) * P)
     first += (1 - (first & 1)) * P
     i0 = (first - lo) // 2
@@ -168,6 +166,10 @@ def _strike_large(mask: np.ndarray, lo: int, hi: int, large: np.ndarray) -> None
     n = (len(mask) - 1 - i0) // P + 1
     hit = n > 0
     P, i0, n = P[hit], i0[hit], n[hit]
+    # Short segments (a resumed last one, or small --segment-size far up)
+    # can hold no odd multiple of any large prime at all.
+    if len(P) == 0:
+        return
     ends = np.cumsum(n)
     starts = ends - n
     jump = i0.copy()

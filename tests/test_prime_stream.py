@@ -88,13 +88,19 @@ def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, star
 @pytest.mark.parametrize(
     "lo, hi, segment_size, start_pi",
     [
-        # pi(10^10) = 455052511 is the published value
+        # pi(10^10) = 455052511
         (10**10, 10**10 + 2**20, 1 << 20, 455052511),
         # the top of the supported range: base primes up to 10^6
         (MAX_LIMIT - 2**16 + 1, MAX_LIMIT, 1 << 20, 1),
         # one segment holding both 4099, the first scattered base prime,
         # and its square; pi(4096) = 564
         (4097, 4099**2, 1 << 24, 564),
+        # a one-number last segment, as when resuming a 10^8 run to 10^8 + 1;
+        # 10^8 + 1 = 17 * 5882353 has no factor the scatter would strike
+        (10**8 + 1, 10**8 + 1, 1 << 20, 5761455),
+        # minimum-size segments just past 4099^2: 4099's odd multiples lie
+        # 8198 apart, so most segments hold no large-prime multiple at all
+        (16_801_801, 17_000_000, 1 << 10, 1),
     ],
 )
 def test_high_windows_match_oracle(lo, hi, segment_size, start_pi):
@@ -103,6 +109,8 @@ def test_high_windows_match_oracle(lo, hi, segment_size, start_pi):
     primes = np.concatenate([b[0] for b in blocks])
     pis = np.concatenate([b[1] for b in blocks])
     assert np.array_equal(primes, window_primes(lo, hi))
+    # The sieve takes start_pi on trust, so this checks only that the
+    # counts run on without a gap across segments, not start_pi itself.
     assert np.array_equal(pis - start_pi, np.arange(1, len(primes) + 1))
     assert blocks[-1][2] == hi
 
