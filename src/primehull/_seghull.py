@@ -10,8 +10,9 @@ tests pin that equivalence against the batch oracle.
 The kernel is quickhull (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996),
 vectorized over each edge's candidates.  Every orientation test is an
 int64 cross product of deltas from the edge's left end, never of absolute
-coordinates.  That is exact because segment spans are capped at 2^26
-integers, so |delta pi| * |delta p| < 2^25 * 2^26 = 2^51.
+coordinates.  That is exact because a segment spans 2^21 integers
+(``prime_stream.SEGMENT_SIZE`` odd ones), so |delta pi| * |delta p| <
+2^20 * 2^21 = 2^41.
 
 Vertices are the strictly convex points.  The ties of a vertex b with hull
 predecessor a are the points strictly between a and b that lie exactly on

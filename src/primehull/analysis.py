@@ -158,13 +158,14 @@ def verify_envelope(limit: int) -> EnvelopeReport:
     per prime gap (one panel is already far below the comparison's needs;
     the worst panel, [2,3], is still accurate to ~1e-18 relative).  The
     inequality genuinely fails at p=2, so primes below 11 are reported as
-    boundary flags rather than counted as violations.  A limit above 10^9
-    raises LimitTooLargeError.
+    boundary flags rather than counted as violations.  A limit below 11
+    leaves nothing to measure and raises ValueError; one above 10^9 raises
+    LimitTooLargeError.
     """
     if limit > _ENVELOPE_MAX:
         raise prime_stream.LimitTooLargeError(f"envelope scan limited to {_ENVELOPE_MAX}, got {limit}")
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
+    if limit < ENVELOPE_BOUNDARY:
+        raise ValueError(f"envelope limit must be >= {ENVELOPE_BOUNDARY}, got {limit}")
     cfg = prime_stream.SieveConfig(limit=limit)
     block_sums: list[float] = []  # fsum of each block's Li increments
     prev_p = 2.0

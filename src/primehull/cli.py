@@ -16,7 +16,7 @@ from . import analysis, lens_bounds, persistence
 from .hull_engine import HullState
 from .m_variant import compute_m_extremal
 from .persistence import CheckpointError, fmt12
-from .prime_stream import DEFAULT_SEGMENT_SIZE, LimitTooLargeError
+from .prime_stream import LimitTooLargeError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compute", help="stream primes and compute extremal records")
     c.add_argument("--limit", required=True, help="sieve limit (e.g. 100000, 10^8, 1e8)")
-    c.add_argument("--segment-size", default=None, help="sieve segment size")
     c.add_argument("--checkpoint", default=None, help="checkpoint file to write (and read with --resume)")
     c.add_argument("--resume", action="store_true", help="resume from --checkpoint before extending")
     c.add_argument("--out", default=None, help="export path")
@@ -79,17 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     limit = parse_limit(args.limit)
-    segment_size = DEFAULT_SEGMENT_SIZE if args.segment_size is None else parse_limit(args.segment_size)
     state = HullState()
     if args.resume:
         if not args.checkpoint:
             raise ValueError("--resume requires --checkpoint")
         state, _echo = persistence.load_checkpoint(args.checkpoint)
-    state.extend(limit, segment_size)
+    state.extend(limit)
     if args.checkpoint:
-        persistence.save_checkpoint(
-            state, args.checkpoint, config_echo={"limit": limit, "segment_size": segment_size}
-        )
+        persistence.save_checkpoint(state, args.checkpoint, config_echo={"limit": limit})
     records = analysis.records_from_state(state, include_provisional=True)
     confirmed = [r for r in records if r.status == analysis.CONFIRMED]
     if args.out:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ._seghull import segment_hull
-from .prime_stream import DEFAULT_SEGMENT_SIZE, SieveConfig, iter_prime_blocks
+from .prime_stream import SieveConfig, iter_prime_blocks
 
 RS_CONSTANT = 1.25506
 DUSART_CUTOFF = 88789
@@ -225,7 +225,7 @@ class HullState:
         ):
             self.push(p, pi, tie_ps[lo:hi])
 
-    def extend(self, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> None:
+    def extend(self, limit: int) -> None:
         """Sieve from the frontier to ``limit``, merging and confirming per segment.
 
         A state extended in steps ends equal to one extended straight to the
@@ -242,7 +242,6 @@ class HullState:
             return
         cfg = SieveConfig(
             limit=limit,
-            segment_size=segment_size,
             start=max(2, self.last_processed + 1),
             start_pi=self.pi_at_last,
         )
@@ -259,11 +258,7 @@ class ComputeResult:
     confirmed: list  # list[analysis.ExtremalRecord]
 
 
-def compute_extremal(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    state: Optional[HullState] = None,
-) -> ComputeResult:
+def compute_extremal(limit: int, state: Optional[HullState] = None) -> ComputeResult:
     """Stream primes up to ``limit`` and return confirmed extremal records.
 
     With ``state`` given (e.g. loaded from a checkpoint) the run resumes
@@ -273,5 +268,5 @@ def compute_extremal(
 
     if state is None:
         state = HullState()
-    state.extend(limit, segment_size)
+    state.extend(limit)
     return ComputeResult(state=state, confirmed=records_from_state(state))

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+from decimal import Decimal
 from typing import Optional, Sequence, Union
 
 from .analysis import CONFIRMED, PROVISIONAL, ExtremalRecord
@@ -56,24 +57,12 @@ def fmt12(x: float) -> str:
     """Format with exactly 12 significant digits, positional notation.
 
     f-string positional precision counts decimal places, not significant
-    digits, so the mantissa is taken from scientific notation and the
-    decimal point is re-placed by exponent.
+    digits, so the digits are rounded in scientific notation and Decimal
+    writes them out positionally.  Adding 0.0 turns -0.0 into 0.0.
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot format non-finite value {x}")
-    if x == 0.0:
-        return "0.00000000000"
-    sign = "-" if x < 0 else ""
-    mantissa, _, exp_s = f"{abs(x):.11e}".partition("e")
-    digits = mantissa.replace(".", "")
-    exp = int(exp_s)
-    if exp >= 11:
-        body = digits + "0" * (exp - 11)
-    elif exp >= 0:
-        body = digits[: exp + 1] + "." + digits[exp + 1 :]
-    else:
-        body = "0." + "0" * (-exp - 1) + digits
-    return sign + body
+    return format(Decimal(f"{x + 0.0:.11e}"), "f")
 
 
 def _canonical_json(payload: dict) -> bytes:

@@ -147,3 +147,8 @@ def test_envelope_range_checks():
         verify_envelope(10**9 + 1)
     with pytest.raises(ValueError):
         verify_envelope(1)
+    # below 11 no prime is measured, so there is no ratio to report
+    with pytest.raises(ValueError):
+        verify_envelope(10)
+    rep = verify_envelope(11)
+    assert rep.argmax_p == 11 and rep.max_ratio >= 0.0

@@ -17,7 +17,7 @@ from primehull.hull_engine import (
 )
 from primehull.analysis import records_from_state
 from primehull.m_variant import MHullState
-from primehull.prime_stream import MAX_SEGMENT_SIZE
+from primehull import prime_stream
 
 
 def test_slope_compare_examples():
@@ -141,8 +141,9 @@ def test_streaming_equals_batch_oracle_small(limit):
 
 
 @pytest.mark.parametrize("segment_size", [1024, 8192, 1 << 17])
-def test_segment_size_does_not_change_hull(segment_size, run_1e5):
-    r = compute_extremal(10**5, segment_size=segment_size)
+def test_segment_size_does_not_change_hull(monkeypatch, segment_size, run_1e5):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
+    r = compute_extremal(10**5)
     assert [(v.p, v.pi, v.ties) for v in r.state.stack] == [
         (v.p, v.pi, v.ties) for v in run_1e5.state.stack
     ]
@@ -155,14 +156,14 @@ def test_chord_dominance_1e6(run_1e6):
     assert chord_dominates(vertices, points)
 
 
-def test_randomized_extension_prefix_stability():
+def test_randomized_extension_prefix_stability(monkeypatch):
     rng = random.Random(20260814)
     base = compute_extremal(10**6)
     base_confirmed = [rec.e for rec in base.confirmed]
     for _ in range(20):
         limit = rng.randrange(10**4, 10**6)
-        seg = rng.choice([1024, 4096, 1 << 16, 1 << 20])
-        r = compute_extremal(limit, segment_size=seg)
+        monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", rng.choice([1024, 4096, 1 << 16, 1 << 20]))
+        r = compute_extremal(limit)
         got = [rec.e for rec in r.confirmed]
         assert got == base_confirmed[: len(got)]
 
@@ -268,9 +269,11 @@ def test_segment_hull_int64_exact_at_full_span():
     # A wrapped int64 sum of products can still come out right, so overflow
     # of a scalar product is made an error; the exact ties and near-ties
     # below make float64 products of absolute coordinates give a hull that
-    # differs.
+    # differs. The span, 2^26, is 32 times the sieve's fixed segment span,
+    # so the kernel has that much headroom.
+    half = 1 << 25
     rng = random.Random(7)
-    span = 2 * MAX_SEGMENT_SIZE
+    span = 2 * half
     # A concave chain of lattice steps (a, b) with slopes b/a falling from
     # just under 1/2, so pi rises by nearly 2^25 over the span; each step is
     # repeated so that the inner lattice points are exact ties.
@@ -298,8 +301,8 @@ def test_segment_hull_int64_exact_at_full_span():
     base_p, base_r = 10**12 - span, 4 * 10**10
     pts = [(base_p + d, base_r + r) for d, r in sorted(cloud.items())]
     assert pts[-1][0] - pts[0][0] == span - 1
-    assert 0.9 * MAX_SEGMENT_SIZE < pts[-1][1] - pts[0][1] < MAX_SEGMENT_SIZE
-    assert max(r for _, r in pts) - min(r for _, r in pts) < MAX_SEGMENT_SIZE
+    assert 0.9 * half < pts[-1][1] - pts[0][1] < half
+    assert max(r for _, r in pts) - min(r for _, r in pts) < half
     want = oracle_hull(pts)
     assert len(want) > 20 and sum(len(t) for _, _, t in want) > 100
     with np.errstate(over="raise"):

@@ -21,7 +21,7 @@ REFERENCE_ONLY = {"theta_extreme_roots", "working_threshold", "taylor_upper_l", 
 CLI_OPTIONS = {
     "primehull": ["-h", "--help"],
     "compute": [
-        "-h", "--help", "--limit", "--segment-size", "--checkpoint", "--resume",
+        "-h", "--help", "--limit", "--checkpoint", "--resume",
         "--out", "--format", "--include-provisional",
     ],
     "analyze": ["-h", "--help", "--in", "--sums", "--twins", "--ties", "--envelope-limit"],

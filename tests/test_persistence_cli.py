@@ -39,6 +39,10 @@ def test_fmt12_pinned_strings():
     assert fmt12(67596937.0) == "67596937.0000"
     assert fmt12(-0.001234567890123) == "-0.00123456789012"
     assert fmt12(0.0) == "0.00000000000"
+    assert fmt12(-0.0) == "0.00000000000"
+    assert fmt12(9.9999999999995) == "10.0000000000"  # rounding carries a digit
+    assert fmt12(5e-324) == "0." + "0" * 323 + "494065645841"
+    assert fmt12(1.7976931348623157e308) == "179769313486" + "0" * 297
     with pytest.raises(ValueError):
         fmt12(float("nan"))
     with pytest.raises(ValueError):
@@ -319,6 +323,9 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
     # the envelope scan's 10^9 cap is a range error, like the other caps
     assert cli.main(["analyze", "--in", str(out), "--envelope-limit", "2*10^9"]) == 4
     assert "envelope scan limited to" in capsys.readouterr().err
+    # below 11 the scan measures nothing, so there is no ratio to print
+    assert cli.main(["analyze", "--in", str(out), "--envelope-limit", "10"]) == 2
+    assert "envelope limit must be >= 11" in capsys.readouterr().err
 
 
 def test_cli_analyze_missing_file(capsys):
@@ -367,6 +374,25 @@ def test_cli_checkpoint_resume_flow(tmp_path, capsys):
     )
     assert cli.main(["compute", "--limit", "10^6", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_resumes_checkpoint_with_segment_size_echo(tmp_path):
+    # Checkpoints from before the segment size was fixed echo the
+    # "segment_size" they were sieved with; the echo is not read back.
+    ck = tmp_path / "ck.json"
+    save_checkpoint(
+        compute_extremal(10**5).state, ck, config_echo={"limit": 10**5, "segment_size": 1024}
+    )
+    resumed = tmp_path / "resumed.csv"
+    straight = tmp_path / "straight.csv"
+    assert (
+        cli.main(
+            ["compute", "--limit", "2*10^5", "--checkpoint", str(ck), "--resume", "--out", str(resumed)]
+        )
+        == 0
+    )
+    assert cli.main(["compute", "--limit", "2*10^5", "--out", str(straight)]) == 0
+    assert resumed.read_bytes() == straight.read_bytes()
 
 
 def test_cli_resume_errors(tmp_path, capsys):

@@ -28,15 +28,17 @@ def test_stream_matches_naive_sieve():
 
 
 @pytest.mark.parametrize("segment_size", [1024, 4096, 65536, 1 << 20])
-def test_segment_size_invariance(segment_size):
+def test_segment_size_invariance(monkeypatch, segment_size):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
     ref = sieve_primes(30_000)
-    primes, pis, _ = collect(SieveConfig(limit=30_000, segment_size=segment_size))
+    primes, pis, _ = collect(SieveConfig(limit=30_000))
     assert primes == ref
     assert pis == list(range(1, len(ref) + 1))
 
 
-def test_blocks_are_ordered_and_cover_frontier():
-    cfg = SieveConfig(limit=50_000, segment_size=1024)
+def test_blocks_are_ordered_and_cover_frontier(monkeypatch):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1024)
+    cfg = SieveConfig(limit=50_000)
     last_high = 1
     last_p = 1
     for primes, pis, high in iter_prime_blocks(cfg):
@@ -75,10 +77,9 @@ def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, star
     # Every base prime from 5 on goes through the scatter, so runs of many
     # lengths, chunk cuts and first multiples below, at and above p*p occur.
     monkeypatch.setattr(prime_stream, "SCATTER_MIN_PRIME", 5)
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
     start_pi = bisect_left(scatter_ref, start)
-    cfg = SieveConfig(
-        limit=SCATTER_LIMIT, segment_size=segment_size, start=start, start_pi=start_pi
-    )
+    cfg = SieveConfig(limit=SCATTER_LIMIT, start=start, start_pi=start_pi)
     primes, pis, high = collect(cfg)
     assert primes == scatter_ref[start_pi:]
     assert pis == list(range(start_pi + 1, len(scatter_ref) + 1))
@@ -103,8 +104,9 @@ def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, star
         (16_801_801, 17_000_000, 1 << 10, 1),
     ],
 )
-def test_high_windows_match_oracle(lo, hi, segment_size, start_pi):
-    cfg = SieveConfig(limit=hi, segment_size=segment_size, start=lo, start_pi=start_pi)
+def test_high_windows_match_oracle(monkeypatch, lo, hi, segment_size, start_pi):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
+    cfg = SieveConfig(limit=hi, start=lo, start_pi=start_pi)
     blocks = list(iter_prime_blocks(cfg))
     primes = np.concatenate([b[0] for b in blocks])
     pis = np.concatenate([b[1] for b in blocks])
@@ -124,7 +126,6 @@ def test_limit_cap_rejected():
     "kwargs",
     [
         dict(limit=1),
-        dict(limit=100, segment_size=10),
         dict(limit=100, start=1),
         dict(limit=100, start=200),
         dict(limit=100, start=2, start_pi=5),
