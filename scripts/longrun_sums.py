@@ -22,7 +22,6 @@ import os
 import sys
 import time
 
-from primehull.analysis import conjecture_sums
 from primehull.cli import parse_limit
 from primehull.hull_engine import compute_extremal
 from primehull.persistence import fmt12, load_checkpoint, save_checkpoint
@@ -53,11 +52,10 @@ def main() -> int:
         rate = (state.last_processed - done) / seconds
         eta = datetime.timedelta(seconds=round((limit - state.last_processed) / rate))
         done = state.last_processed
-        confirmed = result.confirmed
-        sums = conjecture_sums(confirmed)
+        last = result.confirmed[-1]
         print(
-            f"x={done}  confirmed k={len(confirmed)}  "
-            f"sum 1/e_k={fmt12(sums.sum_inv)}  sum 1/ln e_k={fmt12(sums.sum_invlog)}  "
+            f"x={done}  confirmed k={last.k}  "
+            f"sum 1/e_k={fmt12(last.sum_inv)}  sum 1/ln e_k={fmt12(last.sum_invlog)}  "
             f"({seconds:.1f}s, {rate:.3g} integers/s, ETA {eta})",
             flush=True,
         )

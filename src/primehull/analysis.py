@@ -28,20 +28,20 @@ PROVISIONAL = "provisional"
 class ExtremalRecord:
     """One extremal prime with the data of the lens it opens.
 
-    ``delta``, ``lens_len`` and ``ratio_next`` describe the edge to the
-    next hull vertex and are None for the final vertex of a run.  ``ties``
-    lists the primes lying exactly on that edge (strictly between the two
-    vertices), i.e. the slope-equal candidates this lens absorbed.
-    ``sum_inv``/``sum_invlog`` are the correctly rounded sums of 1/e_j and
-    1/ln e_j over confirmed records up to and including k, the bits
-    ``math.fsum`` gives for that prefix; provisional records carry None.
+    ``delta`` and ``ratio_next`` describe the edge to the next hull vertex
+    and are None for the final vertex of a run; ``delta.dp`` is the lens
+    length e_{k+1} - e_k.  ``ties`` lists the primes lying exactly on that
+    edge (strictly between the two vertices), i.e. the slope-equal
+    candidates this lens absorbed.  ``sum_inv``/``sum_invlog`` are the
+    correctly rounded sums of 1/e_j and 1/ln e_j over confirmed records up
+    to and including k, the bits ``math.fsum`` gives for that prefix;
+    provisional records carry None.
     """
 
     k: int
     e: int
     pi_e: int
     delta: Optional[ExactSlope]
-    lens_len: Optional[int]
     ratio_next: Optional[float]
     ties: tuple[int, ...]
     status: str
@@ -72,12 +72,10 @@ def records_from_state(state: HullState, include_provisional: bool = False) -> l
         if i + 1 < len(stack):
             w = stack[i + 1]
             delta = ExactSlope(w.pi - v.pi, w.p - v.p)
-            lens_len: Optional[int] = w.p - v.p
             ratio: Optional[float] = w.p / v.p
             ties = tuple(w.ties)
         else:
             delta = None
-            lens_len = None
             ratio = None
             ties = ()
         records.append(
@@ -86,7 +84,6 @@ def records_from_state(state: HullState, include_provisional: bool = False) -> l
                 e=v.p,
                 pi_e=v.pi,
                 delta=delta,
-                lens_len=lens_len,
                 ratio_next=ratio,
                 ties=ties,
                 status=CONFIRMED if confirmed else PROVISIONAL,
@@ -95,23 +92,6 @@ def records_from_state(state: HullState, include_provisional: bool = False) -> l
             )
         )
     return records
-
-
-@dataclass(frozen=True)
-class ConjectureSums:
-    count: int
-    sum_inv: float
-    sum_invlog: float
-
-
-def conjecture_sums(records: Sequence[ExtremalRecord]) -> ConjectureSums:
-    """Correctly rounded (math.fsum) sums of 1/e_k and 1/ln e_k over confirmed records."""
-    es = [r.e for r in records if r.status == CONFIRMED]
-    return ConjectureSums(
-        count=len(es),
-        sum_inv=math.fsum(1.0 / e for e in es),
-        sum_invlog=math.fsum(1.0 / math.log(e) for e in es),
-    )
 
 
 @dataclass(frozen=True)

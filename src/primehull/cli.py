@@ -42,6 +42,9 @@ def parse_limit(text: str) -> int:
     raise ValueError(f"cannot parse limit {text!r}")
 
 
+_EXPORTERS = {"csv": persistence.export_csv, "json": persistence.export_json}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primehull",
@@ -54,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--checkpoint", default=None, help="checkpoint file to write (and read with --resume)")
     c.add_argument("--resume", action="store_true", help="resume from --checkpoint before extending")
     c.add_argument("--out", default=None, help="export path")
-    c.add_argument("--format", default="csv", choices=("csv", "json"), help="export format")
+    c.add_argument("--format", default="csv", choices=tuple(_EXPORTERS), help="export format")
     c.add_argument("--include-provisional", action="store_true", help="add unconfirmed tail rows with a status column")
 
     a = sub.add_parser("analyze", help="statistics over an exported record table")
@@ -89,7 +92,7 @@ def _cmd_compute(args) -> int:
     records = analysis.records_from_state(state, include_provisional=True)
     confirmed = [r for r in records if r.status == analysis.CONFIRMED]
     if args.out:
-        persistence.export(records, args.format, args.out, include_provisional=args.include_provisional)
+        _EXPORTERS[args.format](records, args.out, include_provisional=args.include_provisional)
         print(f"wrote {args.out}")
     print(
         f"limit {limit}: {len(confirmed)} confirmed extremal primes, "
@@ -106,9 +109,9 @@ def _cmd_analyze(args) -> int:
     confirmed = [r for r in records if r.status == analysis.CONFIRMED]
     print(f"{len(records)} records ({len(confirmed)} confirmed)")
     if args.sums:
-        sums = analysis.conjecture_sums(records)
-        print(f"sum 1/e_k      = {fmt12(sums.sum_inv)}  (k <= {sums.count})")
-        print(f"sum 1/ln e_k   = {fmt12(sums.sum_invlog)}  (k <= {sums.count})")
+        sum_inv, sum_invlog = (confirmed[-1].sum_inv, confirmed[-1].sum_invlog) if confirmed else (0.0, 0.0)
+        print(f"sum 1/e_k      = {fmt12(sum_inv)}  (k <= {len(confirmed)})")
+        print(f"sum 1/ln e_k   = {fmt12(sum_invlog)}  (k <= {len(confirmed)})")
     if args.twins:
         twins = analysis.find_twins(records)
         if twins:

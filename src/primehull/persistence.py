@@ -11,10 +11,11 @@ CSV export schema (stable, regression-pinned):
 
     k,e_k,pi_e,delta_num,delta_den,lens_len,ratio_next,sum_inv,sum_invlog,ties
 
-with ties semicolon-joined, empty cells for absent values, reals printed
-with exactly 12 significant digits, and a single line feed per row.  A
-``status`` column is appended only when provisional rows are included, so
-confirmed-only regression fixtures never change shape.
+with lens_len repeating delta_den, ties semicolon-joined, empty cells for
+absent values, reals printed with exactly 12 significant digits, and a
+single line feed per row.  A ``status`` column is appended only when
+provisional rows are included, so confirmed-only regression fixtures never
+change shape.
 """
 
 from __future__ import annotations
@@ -123,6 +124,14 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         raise CorruptCheckpointError("checkpoint corrupt: stack not strictly increasing in p and pi")
     if stack and (state.last_processed < stack[-1].p or state.pi_at_last < stack[-1].pi):
         raise CorruptCheckpointError("checkpoint corrupt: frontier behind the top vertex")
+    if any(state.slope_compare(a, b, c) <= 0 for a, b, c in zip(stack, stack[1:], stack[2:])):
+        raise CorruptCheckpointError("checkpoint corrupt: stack slopes not strictly decreasing")
+    # The frontier is the one the last confirmation ran at, and finality is
+    # monotone in it, so every confirmed edge must still test final there.
+    confirmed = stack[: state.confirmed_len]
+    x, pi_x = state.last_processed, state.pi_at_last
+    if not all(state._final(u, v, x, pi_x) for u, v in zip(confirmed, confirmed[1:])):
+        raise CorruptCheckpointError("checkpoint corrupt: a confirmed vertex is not final at the frontier")
     return state, payload.get("config_echo", {})
 
 
@@ -134,7 +143,7 @@ def _record_dict(r: ExtremalRecord) -> dict:
         "pi_e": r.pi_e,
         "delta_num": r.delta.dpi if r.delta else None,
         "delta_den": r.delta.dp if r.delta else None,
-        "lens_len": r.lens_len,
+        "lens_len": r.delta.dp if r.delta else None,
         "ratio_next": None if r.ratio_next is None else fmt12(r.ratio_next),
         "sum_inv": None if r.sum_inv is None else fmt12(r.sum_inv),
         "sum_invlog": None if r.sum_invlog is None else fmt12(r.sum_invlog),
@@ -151,25 +160,29 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
+def _exported(records: Sequence, include_provisional: bool) -> list:
+    """The records an export writes; an empty input is refused."""
     if not records:
         raise ValueError("refusing to export an empty record list")
-    header = CSV_HEADER + (",status" if include_provisional else "")
+    return [r for r in records if include_provisional or r.status == CONFIRMED]
+
+
+def _write_csv(path: Union[str, os.PathLike], header: str, rows: Sequence[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for r in records:
-            if not include_provisional and r.status != CONFIRMED:
-                continue
-            row = _record_dict(r)
-            if not include_provisional:
-                del row["status"]
-            fh.write(",".join(_csv_cell(v) for v in row.values()) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+
+
+def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
+    header = CSV_HEADER + (",status" if include_provisional else "")
+    width = header.count(",") + 1
+    rows = [list(_record_dict(r).values())[:width] for r in _exported(records, include_provisional)]
+    _write_csv(path, header, rows)
 
 
 def export_json(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
-    if not records:
-        raise ValueError("refusing to export an empty record list")
-    rows = [r for r in records if include_provisional or r.status == CONFIRMED]
+    rows = _exported(records, include_provisional)
     payload = {
         "meta": {
             "format_version": _EXPORT_VERSION,
@@ -181,15 +194,6 @@ def export_json(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
-
-
-def export(records: Sequence[ExtremalRecord], fmt: str, path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
-    if fmt == "csv":
-        export_csv(records, path, include_provisional)
-    elif fmt == "json":
-        export_json(records, path, include_provisional)
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
 
 
 def _int(value) -> int:
@@ -207,8 +211,9 @@ def _optional(value, convert):
 def _record_from_dict(d) -> ExtremalRecord:
     """Decode one record: a JSON object, or a CSV row keyed by its header.
 
-    CSV cells are strings, with ties joined by ";".  A missing key or a
-    value of the wrong type raises ValueError.
+    CSV cells are strings, with ties joined by ";".  A missing key, a
+    value of the wrong type, a ``lens_len`` other than ``delta_den`` or a
+    confirmed record without its running sums raises ValueError.
     """
     try:
         ties = d["ties"]
@@ -217,12 +222,14 @@ def _record_from_dict(d) -> ExtremalRecord:
         if d["status"] not in (CONFIRMED, PROVISIONAL):
             raise ValueError(f"unknown record status {d['status']!r}")
         dnum = _optional(d["delta_num"], _int)
-        return ExtremalRecord(
+        delta = None if dnum is None else ExactSlope(dnum, _int(d["delta_den"]))
+        if _optional(d["lens_len"], _int) != (delta.dp if delta else None):
+            raise ValueError(f"lens_len {d['lens_len']!r} differs from delta_den")
+        record = ExtremalRecord(
             k=_int(d["k"]),
             e=_int(d["e_k"]),
             pi_e=_int(d["pi_e"]),
-            delta=None if dnum is None else ExactSlope(dnum, _int(d["delta_den"])),
-            lens_len=_optional(d["lens_len"], _int),
+            delta=delta,
             ratio_next=_optional(d["ratio_next"], float),
             ties=tuple(_int(t) for t in ties),
             status=d["status"],
@@ -231,6 +238,9 @@ def _record_from_dict(d) -> ExtremalRecord:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed export record {d!r}: {exc!r}") from exc
+    if record.status == CONFIRMED and None in (record.sum_inv, record.sum_invlog):
+        raise ValueError(f"confirmed record k={record.k} lacks its running sums")
+    return record
 
 
 def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
@@ -264,11 +274,8 @@ def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
 
 
 def export_m_csv(records: Sequence[MRecord], path: Union[str, os.PathLike]) -> None:
-    if not records:
-        raise ValueError("refusing to export an empty record list")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(M_CSV_HEADER + "\n")
-        for r in records:
-            value = f"{r.value.numerator}/{r.value.denominator}"
-            row = (r.k, r.p, r.pi, value, list(r.ties), r.status)
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+    rows = [
+        (r.k, r.p, r.pi, f"{r.value.numerator}/{r.value.denominator}", list(r.ties), r.status)
+        for r in _exported(records, include_provisional=True)
+    ]
+    _write_csv(path, M_CSV_HEADER, rows)

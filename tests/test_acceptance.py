@@ -18,7 +18,7 @@ from conftest import record_criterion
 from oracles import check_concave, hull_of_primes, prime_points
 
 from primehull import analysis, lens_bounds as lb, persistence
-from primehull.analysis import conjecture_sums, find_twins, records_from_state, verify_envelope
+from primehull.analysis import find_twins, records_from_state, verify_envelope
 from primehull.hull_engine import compute_extremal
 
 # First 28 extremal primes, checked against the brute-force hull oracle.
@@ -171,10 +171,10 @@ def test_criterion_06_invariants():
 
 def test_criterion_07_conjecture_sums(run_1e8):
     with criterion(7, "partial sums over k <= 200 match oracle to 1e-12 relative") as info:
-        first200 = records_from_state(run_1e8.state)[:200]
-        sums = conjecture_sums(first200)
-        assert abs(sums.sum_inv - SUM_INV_200) <= 1e-12 * SUM_INV_200
-        assert abs(sums.sum_invlog - SUM_INVLOG_200) <= 1e-12 * SUM_INVLOG_200
+        r200 = records_from_state(run_1e8.state)[199]
+        assert r200.k == 200
+        assert abs(r200.sum_inv - SUM_INV_200) <= 1e-12 * SUM_INV_200
+        assert abs(r200.sum_invlog - SUM_INVLOG_200) <= 1e-12 * SUM_INVLOG_200
         info["detail"] = "long-run targets: scripts/longrun_sums.py"
 
 

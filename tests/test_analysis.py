@@ -8,7 +8,6 @@ from oracles import check_concave, mp_li, sieve_primes
 from primehull.analysis import (
     CONFIRMED,
     PROVISIONAL,
-    conjecture_sums,
     find_twins,
     records_from_state,
     verify_envelope,
@@ -23,11 +22,10 @@ SUM_INVLOG_200 = 17.897310663965118983
 def test_record_edge_fields_are_consistent(run_1e6):
     recs = records_from_state(run_1e6.state, include_provisional=True)
     for a, b in zip(recs, recs[1:]):
-        assert a.lens_len == b.e - a.e
         assert a.delta.dpi == b.pi_e - a.pi_e
-        assert a.delta.dp == a.lens_len
+        assert a.delta.dp == b.e - a.e
         assert a.ratio_next == pytest.approx(b.e / a.e, rel=1e-15)
-    assert recs[-1].delta is None and recs[-1].lens_len is None
+    assert recs[-1].delta is None
     assert recs[-1].ratio_next is None
 
 
@@ -57,26 +55,15 @@ def test_running_sums_match_state(run_1e6):
     # Each running sum is the correctly rounded (math.fsum) sum of its prefix.
     recs = records_from_state(run_1e6.state)
     for k in range(1, len(recs) + 1):
-        sums = conjecture_sums(recs[:k])
-        assert (recs[k - 1].sum_inv, recs[k - 1].sum_invlog) == (sums.sum_inv, sums.sum_invlog)
-        assert sums.sum_inv == math.fsum(1.0 / r.e for r in recs[:k])
-        assert sums.sum_invlog == math.fsum(1.0 / math.log(r.e) for r in recs[:k])
+        assert recs[k - 1].sum_inv == math.fsum(1.0 / r.e for r in recs[:k])
+        assert recs[k - 1].sum_invlog == math.fsum(1.0 / math.log(r.e) for r in recs[:k])
 
 
 def test_conjecture_sums_against_oracle(run_1e8):
-    recs = records_from_state(run_1e8.state)[:200]
-    sums = conjecture_sums(recs)
-    assert sums.count == 200
-    assert sums.sum_inv == pytest.approx(SUM_INV_200, rel=1e-12)
-    assert sums.sum_invlog == pytest.approx(SUM_INVLOG_200, rel=1e-12)
-
-
-def test_conjecture_sums_ignore_provisional(run_1e6):
-    recs = records_from_state(run_1e6.state, include_provisional=True)
-    sums = conjecture_sums(recs)
-    assert sums.count == run_1e6.state.confirmed_len
-    last = recs[sums.count - 1]
-    assert (sums.sum_inv, sums.sum_invlog) == (last.sum_inv, last.sum_invlog)
+    r200 = records_from_state(run_1e8.state)[199]
+    assert r200.k == 200
+    assert r200.sum_inv == pytest.approx(SUM_INV_200, rel=1e-12)
+    assert r200.sum_invlog == pytest.approx(SUM_INVLOG_200, rel=1e-12)
 
 
 def test_find_twins(run_1e8):

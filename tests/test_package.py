@@ -11,10 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
 PACKAGE = ROOT / "src" / "primehull"
 
-# Top-level names kept without a caller in the program: acceptance
-# criterion 8 checks solve_theta and solve_h_exact against these reference
-# routines and Taylor majorants.
-REFERENCE_ONLY = {"theta_extreme_roots", "working_threshold", "taylor_upper_l", "taylor_upper_eps"}
+# Definitions kept without a caller in the program: acceptance criterion 8
+# checks solve_theta and solve_h_exact against these reference routines,
+# Taylor majorants and the cubic's majorant value.
+REFERENCE_ONLY = {
+    "theta_extreme_roots", "working_threshold", "taylor_upper_l", "taylor_upper_eps", "w_value",
+}
 
 # Every option string of the command and its subcommands, in parser order.
 # A new option is a deliberate edit here, not a side effect.
@@ -34,12 +36,18 @@ def _trees(*dirs):
     return {p: ast.parse(p.read_text()) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
 
 
-def _top_level_names(node):
-    """Names a module-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
-    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-    return [t.id for t in targets if isinstance(t, ast.Name)]
+def _definitions(tree):
+    """(name, node) for each module-level name and each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item
 
 
 def _references(tree, skip=None):
@@ -81,7 +89,9 @@ def test_cli_options_are_pinned():
 
 def test_every_top_level_definition_is_reached():
     # Tests do not count as callers: a definition only they use is dead
-    # code, or a reference check that belongs in tests/oracles.py.
+    # code, or a reference check that belongs in tests/oracles.py.  Methods
+    # count too; a reference to their name anywhere outside their own body
+    # keeps them.
     trees = _trees("src", "scripts", "perfbench")
     everywhere = {path: _references(tree) for path, tree in trees.items()}
     defined = set()
@@ -90,13 +100,12 @@ def test_every_top_level_definition_is_reached():
         if path.parent != PACKAGE:
             continue
         others = set().union(*(refs for p, refs in everywhere.items() if p != path))
-        for node in tree.body:
-            for name in _top_level_names(node):
-                defined.add(name)
-                if name in REFERENCE_ONLY or (name.startswith("__") and name.endswith("__")):
-                    continue
-                if name not in others | _references(tree, skip=node):
-                    unreached.append(f"{path.name}:{node.lineno} {name}")
+        for name, node in _definitions(tree):
+            defined.add(name)
+            if name in REFERENCE_ONLY or (name.startswith("__") and name.endswith("__")):
+                continue
+            if name not in others | _references(tree, skip=node):
+                unreached.append(f"{path.name}:{node.lineno} {name}")
     assert unreached == []
     assert REFERENCE_ONLY <= defined
     acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()

@@ -1,8 +1,11 @@
 import ast
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,9 +76,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.confirmed_len == state.confirmed_len
     assert loaded.last_processed == state.last_processed
     assert loaded.pi_at_last == state.pi_at_last
-    assert analysis.conjecture_sums(analysis.records_from_state(loaded)) == analysis.conjecture_sums(
-        analysis.records_from_state(state)
-    )
+    assert analysis.records_from_state(loaded) == analysis.records_from_state(state)
     assert echo == {"limit": 10**5, "segment_size": 1 << 20}
 
 
@@ -124,19 +125,28 @@ def test_checkpoint_version_mismatch(tmp_path):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda s: {"provisional_stack": s[:3] + [[s[2][0], s[3][1], s[3][2]]] + s[4:]},
-        lambda s: {"provisional_stack": s[:3] + [[s[3][0], s[2][1], s[3][2]]] + s[4:]},
-        lambda s: {"limit_processed": 50_000},
-        lambda s: {"pi_at_limit": s[-1][1] - 1},
+        lambda s, n: {"provisional_stack": s[:3] + [[s[2][0], s[3][1], s[3][2]]] + s[4:]},
+        lambda s, n: {"provisional_stack": s[:3] + [[s[3][0], s[2][1], s[3][2]]] + s[4:]},
+        lambda s, n: {"limit_processed": 50_000},
+        lambda s, n: {"pi_at_limit": s[-1][1] - 1},
+        # (5, 3) lies on the chord from (3, 2) to (7, 4): not a vertex.
+        lambda s, n: {"provisional_stack": s[:2] + [[5, 3, []]] + s[2:], "confirmed_count": n + 1},
+        lambda s, n: {"confirmed_count": len(s)},
     ],
-    ids=["p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top"],
+    ids=[
+        "p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top",
+        "slopes-not-decreasing", "tail-confirmed",
+    ],
 )
 def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
-    # Each edit is resealed, so only a consistency check can catch it; a
-    # resume from the frontier-behind-top file used to pop a confirmed vertex.
+    # Each edit is resealed, so only a consistency check can catch it.  A
+    # resume from the frontier-behind-top or the tail-confirmed file used to
+    # pop a confirmed vertex, and one from the slopes-not-decreasing file
+    # reported 5 as a confirmed extremal prime.
     ck = tmp_path / "ck.json"
     assert cli.main(["compute", "--limit", "10^5", "--checkpoint", str(ck)]) == 0
-    _rewrite_checkpoint(ck, **corrupt(json.loads(ck.read_text())["provisional_stack"]))
+    payload = json.loads(ck.read_text())
+    _rewrite_checkpoint(ck, **corrupt(payload["provisional_stack"], payload["confirmed_count"]))
     with pytest.raises(CorruptCheckpointError):
         load_checkpoint(ck)
     assert cli.main(["compute", "--limit", "2*10^5", "--checkpoint", str(ck), "--resume"]) == 3
@@ -148,15 +158,15 @@ def test_checkpoint_v1_resumes_byte_identical(tmp_path):
     # repr strings; they are derived data and must be ignored on load.
     straight = tmp_path / "straight.csv"
     persistence.export_csv(analysis.records_from_state(compute_extremal(10**6).state), straight)
-    state = compute_extremal(271_828).state
-    sums = analysis.conjecture_sums(analysis.records_from_state(state))
+    part = compute_extremal(271_828)
+    last = part.confirmed[-1]
     ck = tmp_path / "v1.json"
-    save_checkpoint(state, ck)
+    save_checkpoint(part.state, ck)
     _rewrite_checkpoint(
         ck,
         format_version=1,
-        sum_inv_state=[repr(sums.sum_inv), "0.0"],
-        sum_invlog_state=[repr(sums.sum_invlog), "0.0"],
+        sum_inv_state=[repr(last.sum_inv), "0.0"],
+        sum_invlog_state=[repr(last.sum_invlog), "0.0"],
     )
     loaded, _ = load_checkpoint(ck)
     resumed = tmp_path / "resumed.csv"
@@ -225,12 +235,10 @@ def test_export_provisional_column(tmp_path):
 
 
 def test_export_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        persistence.export_csv([], tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        persistence.export([], "csv", tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        persistence.export([None], "yaml", tmp_path / "x.csv")
+    for export in (persistence.export_csv, persistence.export_json, persistence.export_m_csv):
+        with pytest.raises(ValueError):
+            export([], tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_resume_byte_identity(tmp_path):
@@ -281,6 +289,22 @@ def test_longrun_script_limits_parse():
     assert len(values) == 4
     for text in values:
         cli.parse_limit(text)
+
+
+def test_longrun_script_end_to_end(tmp_path, run_1e6):
+    ck = tmp_path / "sums.ck"
+    cmd = [sys.executable, str(LONGRUN), "--limit", "10^6", "--chunk", "4*10^5", "--checkpoint", str(ck)]
+    env = {**os.environ, "PYTHONPATH": str(LONGRUN.parents[1] / "src")}
+    lines = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["x=400000", "x=800000", "x=1000000"]
+    last = run_1e6.confirmed[-1]
+    assert last.k == 63
+    assert (
+        f"confirmed k=63  sum 1/e_k={fmt12(last.sum_inv)}  sum 1/ln e_k={fmt12(last.sum_invlog)}  "
+        in lines[-1]
+    )
+    rerun = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    assert rerun.stdout == "resuming from 1000000\n"
 
 
 def test_cli_compute_degenerate(tmp_path, capsys):
@@ -350,6 +374,8 @@ _MALFORMED_EXPORTS = {
     "long-row.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + ",confirmed\n",
     "bad-cell.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,2,1,", "1,x,1,", 1) + "\n",
     "bad-ratio.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1.5", "one", 1) + "\n",
+    "lens-mismatch.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,1,1,1.5", "1,1,2,1.5", 1) + "\n",
+    "no-sums.json": json.dumps({"records": [{**_GOOD_RECORD, "sum_inv": None}]}),
 }
 
 
@@ -359,6 +385,17 @@ def test_cli_analyze_malformed_export(tmp_path, capsys, name):
     path.write_text(_MALFORMED_EXPORTS[name])
     assert cli.main(["analyze", "--in", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_analyze_header_only_export(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text(persistence.CSV_HEADER + "\n")
+    assert cli.main(["analyze", "--in", str(path), "--sums"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 records (0 confirmed)",
+        "sum 1/e_k      = 0.00000000000  (k <= 0)",
+        "sum 1/ln e_k   = 0.00000000000  (k <= 0)",
+    ]
 
 
 def test_cli_checkpoint_resume_flow(tmp_path, capsys):
