@@ -29,10 +29,13 @@ import numpy as np
 def segment_hull(P: np.ndarray, R: np.ndarray):
     """Upper hull of the points (P[i], R[i]), P strictly increasing, n >= 1.
 
-    P and R are int64 arrays.  Returns ``(idx, tie_lo, tie_hi, tie_buf)``:
-    the indices of the hull vertices in increasing order, and for vertex j
-    the indices of its ties, ``tie_buf[tie_lo[j]:tie_hi[j]]``, in increasing
-    order.
+    P is an int64 array.  Returns ``(idx, tie_lo, tie_hi, tie_buf)``: the
+    indices of the hull vertices in increasing order, and for vertex j the
+    indices of its ties, ``tie_buf[tie_lo[j]:tie_hi[j]]``, in increasing
+    order.  With R int64 the hull and its ties are exact.  R may also be
+    float64 (the M-variant's filter): then the vertices are only those of
+    a rounded hull and the ties mean nothing, but idx still starts at 0,
+    ends at n - 1 and increases.
     """
     n = len(P)
     verts = [0]

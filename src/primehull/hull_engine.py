@@ -90,8 +90,8 @@ class HullState:
     The hull is over the points (p, y(p)) for the stored (p, pi) pairs; this
     class has y = pi.  A sequence over another height differs only in its
     two static hooks, ``_cross`` (the orientation test) and ``_final`` (the
-    finality rule), and in ``merge_segment``, whose segment kernel is for
-    y = pi; a subclass overrides those three (see ``m_variant``).
+    finality rule), and in ``merge_segment``, whose exact segment kernel is
+    for y = pi; a subclass overrides those three (see ``m_variant``).
 
     Invariants (checked by the test suite, not at runtime):
     * stack slopes strictly decrease left to right;
@@ -215,8 +215,8 @@ class HullState:
 
         Only the segment-hull vertices are pushed, each with its ties as
         pre-ties; the last point is always one of them.  No confirmation is
-        attempted.  The segment kernel compares slopes of heights pi, so a
-        hull over other heights overrides this method.
+        attempted.  The kernel's exact int64 path needs heights pi; the M
+        hull overrides this method with a float filter over the same kernel.
         """
         idx, tie_lo, tie_hi, tie_buf = segment_hull(primes, pis)
         tie_ps = primes[tie_buf].tolist()

@@ -1,10 +1,10 @@
 """Extremal primes of the average-gap function M(x) = x / pi(x).
 
 Upper convex hull over the discrete points (p, p/pi(p)) at primes p.  The
-y-coordinates are rationals, so every hull decision cross-multiplies
-denominators and compares integers; nothing is ever rounded.  Cross terms
-reach ~p^2 pi^3 (about 2^140 at the 1e9 cap), comfortably exact in
-arbitrary-width integers.
+y-coordinates are rationals, so every decision of the hull stack
+cross-multiplies denominators and compares integers; none is rounded.
+Cross terms reach ~p^2 pi^3 (about 2^140 at the 1e9 cap), comfortably exact
+in arbitrary-width integers.
 
 Confirmation rule (conservative, integer-exact): let u -> v be a hull edge
 with slope s = (M(v) - M(u)) / (v.p - u.p) and let x be the sieve frontier
@@ -20,6 +20,13 @@ where ell is the edge line extended, then for t > x
 so no future point can reach the extended edge and v can never be popped.
 All three conditions are monotone in x, so confirmations never depend on
 where segment boundaries fall.
+
+A segment is merged through a float filter (``MHullState.merge_segment``):
+the segment kernel, run on float64 heights, gives a polyline that no point
+of the segment's exact hull lies more than ``FILTER_MARGIN`` times the
+segment's largest height below, so only the points within that margin are
+pushed.  Every decision the stack takes is still the exact ``_cross``; the
+floats only rule points out.
 """
 
 from __future__ import annotations
@@ -27,11 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from ._seghull import segment_hull
 from .analysis import CONFIRMED, PROVISIONAL
 from .hull_engine import HullState, HullVertex
 from .prime_stream import LimitTooLargeError
 
 M_MAX_LIMIT = 10**9
+
+# delta / Y in MHullState.merge_segment: 8u with u = 2^-53, which covers the
+# 7.004u its docstring derives and keeps delta = Y * 2^-50 exact.
+FILTER_MARGIN = 2.0**-50
 
 
 class MHullState(HullState):
@@ -61,7 +75,56 @@ class MHullState(HullState):
         return lhs > x * v.pi * s_den
 
     def merge_segment(self, primes, pis) -> None:
-        """Push every point of the segment: its kernel is for heights pi."""
+        """Push, in order, the points of one segment that can be on its hull.
+
+        The heights are y_i = fl(p_i/pi_i) in float64, and ``segment_hull``
+        on them returns indices v_0 = 0 < v_1 < ... = n - 1 of float hull
+        vertices (its ties are meaningless for floats and are ignored).  The
+        chain C is the exact polyline through (p_v, y_v).  Point i is kept
+        when y_i >= fl(c_i - delta), where c_i is C(p_i) as evaluated below
+        and delta = FILTER_MARGIN * Y, Y = max y.  The kept points are
+        pushed through the exact ``push``; the first and last are kept.
+
+        Soundness, with u = 2^-53, u' = u/(1 - u), h_i = p_i/pi_i and H the
+        exact upper hull of the points (p_i, h_i), a concave function:
+
+        1. p_i < 2^53 (the M_MAX_LIMIT cap) converts to float exactly, and
+           so does pi_i <= p_i; so y_i is h_i correctly rounded and
+           |y_i - h_i| <= u h_i <= u'Y.
+        2. Each edge of C is a chord whose ends lie at most u'Y above the
+           concave H, so the whole chord does: C <= H + u'Y on [p_0, p_n-1],
+           whichever vertices the float quickhull picked.
+        3. For i on edge (a, b), c_i = y_a + (y_b - y_a) * t with
+           t = (p_i - p_a)/(p_b - p_a) in [0, 1], the differences exact in
+           int64, each of the four operations rounded once (separate numpy
+           ufuncs, no fused multiply-add).  |y_b - y_a| <= Y and
+           C(p_i) in [0, Y] give |c_i - C(p_i)| <= 3.001uY + 1.001uY.
+        4. delta is exact (Y times a power of two), and c_i - delta is
+           rounded once, by at most 1.001uY.
+
+        A point on H, a vertex or a point exactly on an edge (a tie), has
+        y_i >= H(p_i) - u'Y >= C(p_i) - 2u'Y by 1 and 2, while the threshold
+        is at most C(p_i) + 5.003uY - delta by 3 and 4.  So it is kept once
+        delta >= 2u'Y + 5.003uY, which is below 7.004uY; FILTER_MARGIN = 8u.
+
+        A dropped point lies strictly below H, so strictly below the hull
+        of everything pushed so far.  The stack after a push sequence holds
+        the vertices of the pushed points' hull, each with the points
+        exactly on its incoming edge as ties, so pushing the kept points
+        leaves the same stack as pushing all of them.  The last point is
+        kept, so the frontier and pi_at_last are the same too.
+        """
+        y = primes / pis
+        idx = segment_hull(primes, y)[0]
+        if len(idx) > 1:
+            counts = np.diff(idx)
+            counts[-1] += 1
+            a = np.repeat(idx[:-1], counts)
+            b = np.repeat(idx[1:], counts)
+            t = (primes - primes[a]) / (primes[b] - primes[a])
+            chain = y[a] + (y[b] - y[a]) * t
+            keep = y >= chain - FILTER_MARGIN * y.max()
+            primes, pis = primes[keep], pis[keep]
         for p, pi in zip(primes.tolist(), pis.tolist()):
             self.push(p, pi)
 

@@ -30,6 +30,7 @@ from typing import Optional, Sequence, Union
 from .analysis import CONFIRMED, PROVISIONAL, ExtremalRecord
 from .hull_engine import ExactSlope, HullState, HullVertex
 from .m_variant import MRecord
+from .prime_stream import MAX_LIMIT
 
 CHECKPOINT_VERSION = 2
 # Version 1 also stored the running sums, which are derived data; they are
@@ -124,6 +125,8 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         raise CorruptCheckpointError("checkpoint corrupt: stack not strictly increasing in p and pi")
     if stack and (state.last_processed < stack[-1].p or state.pi_at_last < stack[-1].pi):
         raise CorruptCheckpointError("checkpoint corrupt: frontier behind the top vertex")
+    if state.last_processed > MAX_LIMIT:
+        raise CorruptCheckpointError(f"checkpoint corrupt: frontier beyond the {MAX_LIMIT} cap")
     if any(state.slope_compare(a, b, c) <= 0 for a, b, c in zip(stack, stack[1:], stack[2:])):
         raise CorruptCheckpointError("checkpoint corrupt: stack slopes not strictly decreasing")
     # The frontier is the one the last confirmation ran at, and finality is

@@ -215,6 +215,21 @@ def synthetic_points(draw):
     return pts
 
 
+# M clouds: p just above 1e9 in runs of constant pi.  Along a run the heights
+# p/pi are collinear, so exact ties on the M hull are frequent, and with pi
+# 3, 7 or near 5e7 they are far from dyadic, so their float heights round.
+@st.composite
+def m_tie_clouds(draw):
+    p = draw(st.integers(10**9, 10**9 + 10**6))
+    pis = st.one_of(st.sampled_from([3, 7, 21]), st.integers(5 * 10**7, 5 * 10**7 + 3))
+    pts = []
+    for pi in draw(st.lists(pis, min_size=1, max_size=6)):
+        for gap in draw(st.lists(st.integers(1, 40), min_size=2, max_size=15)):
+            p += gap
+            pts.append((p, pi))
+    return pts
+
+
 def oracle_hull(pts):
     """(p, pi, ties) of every vertex of the batch Fraction oracle."""
     return [(v.p, int(v.y), v.ties) for v in batch_upper_hull([(p, Fraction(r)) for p, r in pts])]
@@ -309,8 +324,8 @@ def test_segment_hull_int64_exact_at_full_span():
         assert kernel_hull(pts) == want
 
 
-@given(synthetic_points(), st.data())
-@settings(max_examples=200, deadline=None)
+@given(st.one_of(synthetic_points(), m_tie_clouds()), st.data())
+@settings(max_examples=300, deadline=None)
 def test_streaming_hull_matches_fraction_oracle(pts, data):
     oracle = oracle_hull(pts)
     s = HullState()

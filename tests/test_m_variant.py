@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from oracles import chord_dominates, m_hull_of_primes, prime_points
+from oracles import batch_upper_hull, chord_dominates, m_hull_of_primes, prime_points
+from primehull import m_variant
 from primehull.analysis import records_from_state
 from primehull.hull_engine import HullVertex as P
 from primehull.m_variant import MHullState, compute_m_extremal
@@ -12,6 +15,21 @@ m_slope_compare = MHullState.slope_compare
 
 # Batch-oracle hull prefix over primes <= 1e6 (Fraction arithmetic).
 M_FIRST_10 = [2, 29, 37, 41, 59, 97, 149, 223, 347, 557]
+
+# sha256 of the "p,pi,ties" lines of every M vertex, joined by newlines:
+# (limit, vertices, confirmed, digest).  The digests are those of the exact
+# merge that pushed every point, which the filtered merge must reproduce.
+M_VERTEX_DIGESTS = [
+    (10**7, 130, 59, "201714e12af8cd17640b8accf707b56b49d5285fe5e5a677869579380b8f7fc2"),
+    pytest.param(
+        10**8, 234, 110, "ada47a7cad8bfc95bb41f56cce8012f25be9ec4b40703f017b41a128ac2313ab",
+        marks=pytest.mark.extended,
+    ),
+    pytest.param(
+        10**9, 429, 189, "98bf6b5fc008054db19b015be43e19dc6a6636a5b36b937e9c8bab9ca59a1e28",
+        marks=pytest.mark.extended,
+    ),
+]
 
 
 def test_m_slope_compare_examples():
@@ -102,3 +120,36 @@ def test_compare_sequences_e_vs_m(run_1e6):
 def test_limit_cap():
     with pytest.raises(LimitTooLargeError):
         compute_m_extremal(10**9 + 1)
+
+
+@pytest.mark.parametrize("limit, vertices, confirmed, digest", M_VERTEX_DIGESTS)
+def test_m_vertex_list_pinned(limit, vertices, confirmed, digest):
+    res = compute_m_extremal(limit)
+    lines = [f"{r.p},{r.pi},{';'.join(map(str, r.ties))}" for r in res.records]
+    assert (len(lines), res.state.confirmed_len) == (vertices, confirmed)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def _merged(pts):
+    P = np.array([p for p, _ in pts], dtype=np.int64)
+    R = np.array([r for _, r in pts], dtype=np.int64)
+    state = MHullState()
+    state.merge_segment(P, R)
+    return [(v.p, Fraction(v.p, v.pi), v.ties) for v in state.stack]
+
+
+def test_filtered_merge_keeps_rational_ties(monkeypatch):
+    # The five pi = 3 points lie on the line y = x/3, so the middle three are
+    # ties of the edge between the outer two.  None of p/3 is dyadic, and two
+    # of the ties round below the float chain: only the filter's margin keeps
+    # them.
+    pts = [
+        (1000000064, 7),
+        (1000000073, 3), (1000000102, 3), (1000000104, 3), (1000000132, 3), (1000000133, 3),
+        (1000000145, 7),
+    ]
+    want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
+    assert want[2] == (1000000133, Fraction(1000000133, 3), [1000000102, 1000000104, 1000000132])
+    assert _merged(pts) == want
+    monkeypatch.setattr(m_variant, "FILTER_MARGIN", 0.0)
+    assert _merged(pts) != want

@@ -132,17 +132,19 @@ def test_checkpoint_version_mismatch(tmp_path):
         # (5, 3) lies on the chord from (3, 2) to (7, 4): not a vertex.
         lambda s, n: {"provisional_stack": s[:2] + [[5, 3, []]] + s[2:], "confirmed_count": n + 1},
         lambda s, n: {"confirmed_count": len(s)},
+        lambda s, n: {"limit_processed": 10**400, "pi_at_limit": 10**399},
     ],
     ids=[
         "p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top",
-        "slopes-not-decreasing", "tail-confirmed",
+        "slopes-not-decreasing", "tail-confirmed", "frontier-beyond-cap",
     ],
 )
 def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
     # Each edit is resealed, so only a consistency check can catch it.  A
     # resume from the frontier-behind-top or the tail-confirmed file used to
     # pop a confirmed vertex, and one from the slopes-not-decreasing file
-    # reported 5 as a confirmed extremal prime.
+    # reported 5 as a confirmed extremal prime.  The frontier-beyond-cap file
+    # overflowed the float pi bound and exited as a usage error.
     ck = tmp_path / "ck.json"
     assert cli.main(["compute", "--limit", "10^5", "--checkpoint", str(ck)]) == 0
     payload = json.loads(ck.read_text())
