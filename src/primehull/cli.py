@@ -7,39 +7,60 @@ checkpoint, 4 computational range rejected (overflow-safety caps).
 from __future__ import annotations
 
 import argparse
+import datetime
+import os
 import re
 import sys
-from decimal import Decimal
+import time
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import analysis, lens_bounds, persistence
 from .hull_engine import HullState
 from .m_variant import compute_m_extremal
 from .persistence import CheckpointError, fmt12
-from .prime_stream import LimitTooLargeError
+from .prime_stream import LimitTooLargeError, SieveConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_RANGE = 4
 
+# Every limit a command accepts is far below 10^LIMIT_DIGITS: compute stops
+# at 10^12, and lensbounds converts x to a float, which ends near 1.8e308.
+LIMIT_DIGITS = 400
+# compute extends and saves its state in chunks ending at multiples of this.
+CHUNK = 10**9
+
 
 def parse_limit(text: str) -> int:
-    """Accept plain integers plus 10^8, 3*10^9 and 1e8 style spellings."""
+    """Accept plain integers plus 10^8, 3*10^9 and 1e8 style spellings.
+
+    A value of 10^LIMIT_DIGITS or more, or a number in it of more digits,
+    raises LimitTooLargeError before any large power is evaluated.
+    """
     s = text.strip().replace("_", "").replace(" ", "")
+    too_large = LimitTooLargeError(f"limit {text!r} is not below 10^{LIMIT_DIGITS}")
+    if any(len(run.lstrip("0")) > LIMIT_DIGITS for run in re.findall(r"\d+", s)):
+        raise too_large
     if re.fullmatch(r"\d+", s):
         return int(s)
-    m = re.fullmatch(r"(?:(\d+)\*)?(\d+)\^(\d+)", s)
-    if m:
-        factor = int(m.group(1)) if m.group(1) else 1
-        return factor * int(m.group(2)) ** int(m.group(3))
-    m = re.fullmatch(r"(\d+(?:\.\d+)?)[eE]\+?(\d+)", s)
-    if m:
-        value = Decimal(m.group(1)) * (Decimal(10) ** int(m.group(2)))
-        if value != value.to_integral_value():
-            raise ValueError(f"limit {text!r} is not an integer")
-        return int(value)
-    raise ValueError(f"cannot parse limit {text!r}")
+    if m := re.fullmatch(r"(?:(\d+)\*)?(\d+)\^(\d+)", s):
+        factor, base, exp = Fraction(m.group(1) or 1), int(m.group(2)), int(m.group(3))
+    elif m := re.fullmatch(r"(\d+(?:\.\d+)?)[eE]\+?(\d+)", s):
+        factor, base, exp = Fraction(m.group(1)), 10, int(m.group(2))
+    else:
+        raise ValueError(f"cannot parse limit {text!r}")
+    # A nonzero value exceeds 2^low_bits, and 2^(LIMIT_DIGITS * 10 // 3) > 10^LIMIT_DIGITS.
+    low_bits = factor.numerator.bit_length() - factor.denominator.bit_length() - 1
+    if factor and low_bits + exp * (base.bit_length() - 1) >= LIMIT_DIGITS * 10 // 3:
+        raise too_large
+    value = factor * base**exp if factor else factor
+    if value.denominator != 1:
+        raise ValueError(f"limit {text!r} is not an integer")
+    if value >= 10**LIMIT_DIGITS:
+        raise too_large
+    return value.numerator
 
 
 _EXPORTERS = {"csv": persistence.export_csv, "json": persistence.export_json}
@@ -54,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compute", help="stream primes and compute extremal records")
     c.add_argument("--limit", required=True, help="sieve limit (e.g. 100000, 10^8, 1e8)")
-    c.add_argument("--checkpoint", default=None, help="checkpoint file to write (and read with --resume)")
-    c.add_argument("--resume", action="store_true", help="resume from --checkpoint before extending")
+    c.add_argument("--checkpoint", default=None, help="checkpoint file, resumed if present and saved after each chunk")
     c.add_argument("--out", default=None, help="export path")
     c.add_argument("--format", default="csv", choices=tuple(_EXPORTERS), help="export format")
     c.add_argument("--include-provisional", action="store_true", help="add unconfirmed tail rows with a status column")
@@ -81,25 +101,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     limit = parse_limit(args.limit)
+    SieveConfig(limit=limit)  # refuse a limit out of range before the first chunk
     state = HullState()
-    if args.resume:
-        if not args.checkpoint:
-            raise ValueError("--resume requires --checkpoint")
+    if args.checkpoint and os.path.exists(args.checkpoint):
         state, _echo = persistence.load_checkpoint(args.checkpoint)
-    state.extend(limit)
-    if args.checkpoint:
-        persistence.save_checkpoint(state, args.checkpoint, config_echo={"limit": limit})
+        print(f"resuming from {state.last_processed}")
+    if limit < state.last_processed:
+        raise ValueError(f"limit {limit} is below the checkpoint's frontier {state.last_processed}")
     records = analysis.records_from_state(state, include_provisional=True)
-    confirmed = [r for r in records if r.status == analysis.CONFIRMED]
+    while (done := state.last_processed) < limit:
+        t0 = time.perf_counter()
+        state.extend(min((done // CHUNK + 1) * CHUNK, limit))
+        if args.checkpoint:
+            persistence.save_checkpoint(state, args.checkpoint, config_echo={"limit": limit})
+        records = analysis.records_from_state(state, include_provisional=True)
+        seconds = time.perf_counter() - t0
+        rate = (state.last_processed - done) / seconds
+        eta = datetime.timedelta(seconds=round((limit - state.last_processed) / rate))
+        last = records[state.confirmed_len - 1]
+        print(
+            f"x={state.last_processed}  confirmed k={last.k}  "
+            f"sum 1/e_k={fmt12(last.sum_inv)}  sum 1/ln e_k={fmt12(last.sum_invlog)}  "
+            f"({seconds:.1f}s, {rate:.3g} integers/s, ETA {eta})",
+            flush=True,
+        )
     if args.out:
         _EXPORTERS[args.format](records, args.out, include_provisional=args.include_provisional)
         print(f"wrote {args.out}")
-    print(
-        f"limit {limit}: {len(confirmed)} confirmed extremal primes, "
-        f"{len(records) - len(confirmed)} provisional"
-    )
-    if confirmed:
-        last = confirmed[-1]
+    n = state.confirmed_len
+    print(f"limit {limit}: {n} confirmed extremal primes, {len(records) - n} provisional")
+    if n:
+        last = records[n - 1]
         print(f"last confirmed: k={last.k} e_k={last.e} pi(e_k)={last.pi_e}")
     return EXIT_OK
 

@@ -82,9 +82,17 @@ def save_checkpoint(state: HullState, path: Union[str, os.PathLike], config_echo
         "config_echo": dict(config_echo or {}),
     }
     payload["integrity"] = hashlib.sha256(_canonical_json(payload)).hexdigest()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # Renamed onto ``path`` only once whole: a kill mid-save keeps the old file.
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:

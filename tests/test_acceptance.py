@@ -175,7 +175,7 @@ def test_criterion_07_conjecture_sums(run_1e8):
         assert r200.k == 200
         assert abs(r200.sum_inv - SUM_INV_200) <= 1e-12 * SUM_INV_200
         assert abs(r200.sum_invlog - SUM_INVLOG_200) <= 1e-12 * SUM_INVLOG_200
-        info["detail"] = "long-run targets: scripts/longrun_sums.py"
+        info["detail"] = "long-run targets: primehull compute --checkpoint"
 
 
 def test_criterion_08_tangent_window_numerics():

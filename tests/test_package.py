@@ -23,7 +23,7 @@ REFERENCE_ONLY = {
 CLI_OPTIONS = {
     "primehull": ["-h", "--help"],
     "compute": [
-        "-h", "--help", "--limit", "--checkpoint", "--resume",
+        "-h", "--help", "--limit", "--checkpoint",
         "--out", "--format", "--include-provisional",
     ],
     "analyze": ["-h", "--help", "--in", "--sums", "--twins", "--ties", "--envelope-limit"],
@@ -92,7 +92,7 @@ def test_every_top_level_definition_is_reached():
     # code, or a reference check that belongs in tests/oracles.py.  Methods
     # count too; a reference to their name anywhere outside their own body
     # keeps them.
-    trees = _trees("src", "scripts", "perfbench")
+    trees = _trees("src", "perfbench")
     everywhere = {path: _references(tree) for path, tree in trees.items()}
     defined = set()
     unreached = []
@@ -114,7 +114,7 @@ def test_every_top_level_definition_is_reached():
 
 def test_no_unused_imports():
     unused = []
-    for path, tree in _trees("src", "scripts").items():
+    for path, tree in _trees("src").items():
         exported = set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):

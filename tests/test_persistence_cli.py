@@ -1,11 +1,9 @@
-import ast
 import hashlib
 import json
 import os
 import random
 import re
-import subprocess
-import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +21,7 @@ from primehull.persistence import (
     save_checkpoint,
 )
 
-LONGRUN = Path(__file__).resolve().parents[1] / "scripts" / "longrun_sums.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FIRST_ROWS = [
     "1,2,1,1,1,1,1.50000000000,0.500000000000,1.44269504089,",
@@ -101,6 +99,26 @@ def test_checkpoint_tampered(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    # A save that dies halfway leaves the previous checkpoint in place and
+    # no temporary file beside it.
+    _, state = _records()
+    ck = tmp_path / "ck.json"
+    save_checkpoint(state, ck)
+
+    def partial_dump(payload, fh, **kwargs):
+        fh.write(json.dumps(payload)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", partial_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(compute_extremal(2 * 10**5).state, ck)
+    monkeypatch.undo()
+    loaded, _ = load_checkpoint(ck)
+    assert loaded == state
+    assert os.listdir(tmp_path) == ["ck.json"]
+
+
 def _rewrite_checkpoint(path, **fields):
     """Change top-level checkpoint fields and reseal the integrity hash."""
     payload = json.loads(path.read_text())
@@ -151,7 +169,7 @@ def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
     _rewrite_checkpoint(ck, **corrupt(payload["provisional_stack"], payload["confirmed_count"]))
     with pytest.raises(CorruptCheckpointError):
         load_checkpoint(ck)
-    assert cli.main(["compute", "--limit", "2*10^5", "--checkpoint", str(ck), "--resume"]) == 3
+    assert cli.main(["compute", "--limit", "2*10^5", "--checkpoint", str(ck)]) == 3
     assert "corrupt" in capsys.readouterr().err
 
 
@@ -269,44 +287,77 @@ def test_parse_limit_forms():
     assert cli.parse_limit("3*10^9") == 3 * 10**9
     assert cli.parse_limit("1e8") == 10**8
     assert cli.parse_limit("2.5e9") == 2_500_000_000
+    assert cli.parse_limit("0*10^99999") == 0
+    assert cli.parse_limit("2^1328") == 2**1328  # just below 10^400
+    assert cli.parse_limit("9.99e399") == 999 * 10**397
+    # A mantissa longer than Decimal's 28-digit context is not rounded.
+    assert cli.parse_limit("1234567890123456789012345678901e0") == 1234567890123456789012345678901
+    assert cli.parse_limit("9" * 400) == 10**400 - 1
     for bad in ("abc", "1.5e0", "-5", "10^", "1e-3"):
         with pytest.raises(ValueError):
             cli.parse_limit(bad)
 
 
-def test_longrun_script_limits_parse():
-    # The run command in the script's docstring and the examples and defaults
-    # of its --limit/--chunk options must all be spellings parse_limit takes.
-    tree = ast.parse(LONGRUN.read_text())
-    values = re.findall(r"--(?:limit|chunk) (\S+)", ast.get_docstring(tree))
-    for call in ast.walk(tree):
-        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument":
-            if call.args[0].value not in ("--limit", "--chunk"):
-                continue
-            for kw in call.keywords:
-                if kw.arg == "default":
-                    values.append(kw.value.value)
-                elif kw.arg == "help":
-                    values += re.findall(r"e\.g\. ([^)\s]+)", kw.value.value)
-    assert len(values) == 4
-    for text in values:
-        cli.parse_limit(text)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e400", "10^400", "1" + "0" * 400, "10*10^399", "0.1e401", "2^1329",
+        "1e" + "9" * 500, "1e1000000", "1e999999", "10^300000",
+    ],
+    ids=[
+        "1e400", "10^400", "401-digits", "10*10^399", "0.1e401", "2^1329",
+        "500-digit-exponent", "1e1000000", "1e999999", "10^300000",
+    ],
+)
+def test_limit_from_10_to_400_is_a_range_error(capsys, text):
+    # The last three used to die in Decimal overflow, run for minutes, or
+    # trip the int-to-string digit limit; the bound is decided before any
+    # large power is evaluated.
+    t0 = time.perf_counter()
+    assert cli.main(["compute", "--limit", text]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert "is not below 10^400" in capsys.readouterr().err
 
 
-def test_longrun_script_end_to_end(tmp_path, run_1e6):
+def test_readme_cli_block_parses():
+    # Every command in README's CLI block is one the parser takes, with
+    # limits parse_limit takes.
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("primehull ")]
+    assert len(commands) == 5
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        limits = [getattr(args, name, None) for name in ("limit", "envelope_limit")]
+        limits += getattr(args, "x_grid", "").split(",")
+        for text in filter(None, limits):
+            cli.parse_limit(text)
+
+
+def test_cli_compute_chunks_and_resumes(tmp_path, capsys, monkeypatch, run_1e6):
+    monkeypatch.setattr(cli, "CHUNK", 4 * 10**5)
     ck = tmp_path / "sums.ck"
-    cmd = [sys.executable, str(LONGRUN), "--limit", "10^6", "--chunk", "4*10^5", "--checkpoint", str(ck)]
-    env = {**os.environ, "PYTHONPATH": str(LONGRUN.parents[1] / "src")}
-    lines = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["x=400000", "x=800000", "x=1000000"]
+    cmd = ["compute", "--limit", "10^6", "--checkpoint", str(ck)]
+    assert cli.main(cmd) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == ["x=400000", "x=800000", "x=1000000"]
     last = run_1e6.confirmed[-1]
     assert last.k == 63
     assert (
         f"confirmed k=63  sum 1/e_k={fmt12(last.sum_inv)}  sum 1/ln e_k={fmt12(last.sum_invlog)}  "
-        in lines[-1]
+        in lines[2]
     )
-    rerun = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-    assert rerun.stdout == "resuming from 1000000\n"
+    assert lines[3:] == [
+        f"limit 1000000: 63 confirmed extremal primes, {len(run_1e6.state.stack) - 63} provisional",
+        f"last confirmed: k=63 e_k={last.e} pi(e_k)={last.pi_e}",
+    ]
+    # The chunked run writes what one unchunked save of the same state does.
+    straight = tmp_path / "straight.ck"
+    save_checkpoint(run_1e6.state, straight, config_echo={"limit": 10**6})
+    assert ck.read_bytes() == straight.read_bytes()
+    assert cli.main(cmd) == 0
+    assert capsys.readouterr().out.splitlines() == ["resuming from 1000000"] + lines[3:]
+    assert ck.read_bytes() == straight.read_bytes()
 
 
 def test_cli_compute_degenerate(tmp_path, capsys):
@@ -400,17 +451,19 @@ def test_cli_analyze_header_only_export(tmp_path, capsys):
     ]
 
 
-def test_cli_checkpoint_resume_flow(tmp_path, capsys):
+def test_cli_checkpoint_resume_flow(tmp_path, capsys, monkeypatch):
     ck = tmp_path / "ck.json"
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert cli.main(["compute", "--limit", "500000", "--checkpoint", str(ck)]) == 0
-    assert (
-        cli.main(
-            ["compute", "--limit", "10^6", "--checkpoint", str(ck), "--resume", "--out", str(out1)]
-        )
-        == 0
-    )
+    capsys.readouterr()
+    # A resumed run's chunks end at multiples of the chunk size.
+    monkeypatch.setattr(cli, "CHUNK", 3 * 10**5)
+    assert cli.main(["compute", "--limit", "10^6", "--checkpoint", str(ck), "--out", str(out1)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:4]] == [
+        "resuming", "x=600000", "x=900000", "x=1000000",
+    ]
     assert cli.main(["compute", "--limit", "10^6", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -426,7 +479,7 @@ def test_cli_resumes_checkpoint_with_segment_size_echo(tmp_path):
     straight = tmp_path / "straight.csv"
     assert (
         cli.main(
-            ["compute", "--limit", "2*10^5", "--checkpoint", str(ck), "--resume", "--out", str(resumed)]
+            ["compute", "--limit", "2*10^5", "--checkpoint", str(ck), "--out", str(resumed)]
         )
         == 0
     )
@@ -435,18 +488,24 @@ def test_cli_resumes_checkpoint_with_segment_size_echo(tmp_path):
 
 
 def test_cli_resume_errors(tmp_path, capsys):
-    assert cli.main(["compute", "--limit", "1000", "--resume"]) == 2
+    # An unusable checkpoint, or a limit below its frontier, is an error; the
+    # file is left as it was instead of being overwritten by a fresh run.
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert (
-        cli.main(["compute", "--limit", "1000", "--checkpoint", str(bad), "--resume"]) == 3
-    )
+    assert cli.main(["compute", "--limit", "1000", "--checkpoint", str(bad)]) == 3
     assert "corrupt" in capsys.readouterr().err
+    assert bad.read_text() == "{not json"
+    ahead = tmp_path / "ahead.json"
+    assert cli.main(["compute", "--limit", "2000", "--checkpoint", str(ahead)]) == 0
+    saved = ahead.read_bytes()
+    assert cli.main(["compute", "--limit", "1000", "--checkpoint", str(ahead)]) == 2
+    assert "below the checkpoint's frontier 2000" in capsys.readouterr().err
+    assert ahead.read_bytes() == saved
     unknown = tmp_path / "unknown.json"
     assert cli.main(["compute", "--limit", "1000", "--checkpoint", str(unknown)]) == 0
     _rewrite_checkpoint(unknown, format_version=3)
     assert (
-        cli.main(["compute", "--limit", "2000", "--checkpoint", str(unknown), "--resume"]) == 3
+        cli.main(["compute", "--limit", "2000", "--checkpoint", str(unknown)]) == 3
     )
     assert "version 3 not supported" in capsys.readouterr().err
 
@@ -468,7 +527,8 @@ def test_cli_lensbounds(tmp_path, capsys):
     assert cli.main(["lensbounds", "--x-grid", "1e12", "--alpha", "1.5"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "oops"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "1"]) == 2
-    assert cli.main(["lensbounds", "--x-grid", "1e400"]) == 2
+    assert cli.main(["lensbounds", "--x-grid", "1e309"]) == 2  # overflows a float
+    assert cli.main(["lensbounds", "--x-grid", "1e400"]) == 4
     path = tmp_path / "lens.csv"
     assert cli.main(["lensbounds", "--x-grid", "1e12", "--out", str(path)]) == 0
     assert path.read_text().count("\n") == 2
