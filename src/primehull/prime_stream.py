@@ -10,6 +10,11 @@ Python-level loop over them made a 1e8 window there about five times
 slower. The stream is deterministic for a given (start, limit) wherever a
 resume frontier cuts the segments, and supports resuming from any
 (start, start_pi) frontier.
+Segments are sieved on a pool of one thread per usable CPU, at most one
+segment per thread at a time, and delivered strictly in segment order; see
+``iter_prime_blocks``. This is the one module of the package that starts
+threads, so every consumer of the stream (the E and M hulls, the envelope
+scan) shares them through one code path.
 The explicit bound on pi(x) that proves vertices final lives beside the
 rule that uses it, ``hull_engine.pi_bound``.
 """
@@ -17,7 +22,11 @@ rule that uses it, ``hull_engine.pi_bound``.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -87,23 +96,24 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
 
     ``primes`` and ``pi_values`` are aligned int64 arrays; ``segment_high``
     is the largest integer fully sieved so far (the confirmation frontier).
-    Single-threaded by construction, which trivially satisfies the ordered
-    delivery contract; a parallel sieve would have to re-order before
-    yielding.
-
     Each segment holds ``SEGMENT_SIZE`` odd integers lo..hi (the last one
-    may hold fewer), and the constant is read when iteration starts. Per
-    segment, the first odd multiple at or above max(p*p, lo) of every odd
-    base prime p with p*p <= hi is computed once, as one vectorized step.
-    The mask is then marked in two ways. An odd base prime below
-    ``SCATTER_MIN_PRIME`` clears its multiples with one strided slice,
-    which is cheap while the slice is long. Every larger one is handled
-    by ``_strike_large``, a single numpy scatter for all of them, because
-    a Python-level loop over tens of thousands of short slices costs far
-    more than the writes themselves. Thresholds
-    from 2^11 to 2^14 time alike on 1e8 windows at 3e11 and on the sieve
-    from 2 to 1e8; 2^12 sits in the middle. The first scattered prime is
-    4099, so segments ending below 4099^2 (about 1.68e7) never scatter.
+    may hold fewer), and the constant is read when iteration starts.
+
+    Segments are sieved on a pool of one thread per usable CPU, started
+    when iteration starts and joined when the generator ends, is closed or
+    raises. Segment bounds are drawn lazily, and each worker runs
+    ``_sieve_segment`` into one of as many masks, allocated once per
+    generator and reused. The generator's own thread takes the segments
+    back strictly in order: it waits for the oldest one, turns its mask
+    into primes, hands that mask to the next segment, and only then numbers
+    the primes on from the running count and yields them. So at most one
+    segment per worker is being sieved while the caller holds one block,
+    and the caller's work on it (the hull kernel, merging, confirmation)
+    overlaps the sieving of the segments after it. A worker's exception is
+    raised from the ``next()`` that reaches its segment, after every block
+    before it. A segment in flight holds its ``SEGMENT_SIZE``-byte mask
+    and, while its scatter runs, about 30 bytes of scratch per base prime
+    (0.8 MB near 1e11); the block held costs 16 bytes per prime.
     """
     limit = cfg.limit
     basis = base_primes(math.isqrt(limit))
@@ -120,58 +130,120 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         )
         count = 1
         lo = 3
-    if lo % 2 == 0:
-        lo += 1
-
+    top = limit if limit % 2 == 1 else limit - 1
     span = 2 * SEGMENT_SIZE
-    while lo <= limit:
-        hi = min(lo + span - 2, limit if limit % 2 == 1 else limit - 1)
-        odd_count = (hi - lo) // 2 + 1
-        mask = np.ones(odd_count, dtype=bool)
-        P = odd_basis[: np.searchsorted(odd_basis, math.isqrt(hi), side="right")]
-        first = np.maximum(P * P, -(-lo // P) * P)
-        first += (1 - (first & 1)) * P
-        i0 = (first - lo) // 2
-        # An offset past the mask gives an empty slice.
-        for p, i in zip(P[:split].tolist(), i0[:split].tolist()):
-            mask[i::p] = False
-        _strike_large(mask, P[split:], i0[split:])
-        idx = np.flatnonzero(mask)
-        primes = lo + 2 * idx.astype(np.int64)
-        pis = count + 1 + np.arange(len(primes), dtype=np.int64)
-        count += len(primes)
-        yield primes, pis, min(hi + 1, limit)
-        lo = hi + 2
+    segments = ((a, min(a + span - 2, top)) for a in range(lo | 1, top + 1, span))
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        workers = os.cpu_count() or 1
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+        def submit(bounds, buf):
+            return (*bounds, buf, pool.submit(_sieve_segment, *bounds, buf, odd_basis, split))
+
+        pending = deque(
+            submit(bounds, np.empty(SEGMENT_SIZE, dtype=bool)) for bounds in islice(segments, workers)
+        )
+        while pending:
+            lo, hi, buf, future = pending.popleft()
+            # Primes are extracted here, not on the workers: int64 arrays
+            # built there, one per worker in flight and then kept by the
+            # allocator's per-thread arenas, raised the benchmark's
+            # compute-1e8 peak RSS from 47.6 to 52-55 MB; here it is 49.3.
+            primes = np.flatnonzero(future.result())
+            pending.extend(submit(bounds, buf) for bounds in islice(segments, 1))
+            primes *= 2
+            primes += lo
+            pis = np.arange(count + 1, count + 1 + len(primes), dtype=np.int64)
+            count += len(primes)
+            yield primes, pis, min(hi + 1, limit)
+            # Hold no block while waiting for the next one.
+            del primes, pis
+
+
+def _sieve_segment(lo: int, hi: int, buf: np.ndarray, odd_basis: np.ndarray, split: int) -> np.ndarray:
+    """Sieve the odd integers lo..hi into ``buf``; returns the mask used.
+
+    The mask is the view of ``buf`` whose entry i is True exactly when
+    lo + 2i is prime. Nothing but ``buf`` is written, so segments can be
+    sieved concurrently with the read-only odd base primes. The first odd
+    multiple at or above max(p*p, lo) of every odd base prime p with
+    p*p <= hi is computed once, as one vectorized step. The mask is then
+    marked in two ways. An odd base prime below ``SCATTER_MIN_PRIME`` (the
+    first ``split`` of them) clears its multiples with one strided slice,
+    which is cheap while the slice is long. Every larger one is handled by
+    ``_strike_large``, a single numpy scatter for all of them, because a
+    Python-level loop over tens of thousands of short slices costs far more
+    than the writes themselves. Thresholds from 2^11 to 2^14 time alike on
+    1e8 windows at 3e11 and on the sieve from 2 to 1e8; 2^12 sits in the
+    middle. The first scattered prime is 4099, so segments ending below
+    4099^2 (about 1.68e7) never scatter.
+    """
+    mask = buf[: (hi - lo) // 2 + 1]
+    mask.fill(True)
+    P = odd_basis[: np.searchsorted(odd_basis, math.isqrt(hi), side="right")]
+    # The first odd multiple at or above max(p*p, lo) is m*p, with m the
+    # least odd integer at or above both p and ceil(lo / p). Built in place,
+    # it ends as its mask index (m*p - lo) / 2.
+    i0 = -lo // P
+    np.negative(i0, out=i0)
+    i0 |= 1
+    np.maximum(i0, P, out=i0)
+    i0 *= P
+    i0 -= lo
+    i0 >>= 1
+    # An offset past the mask gives an empty slice.
+    for p, i in zip(P[:split].tolist(), i0[:split].tolist()):
+        mask[i::p] = False
+    # A mask index is below the segment size or below its prime, and base
+    # primes are below 10^6, so the scatter works in int32, which halves
+    # its scratch memory.
+    i0 = i0[split:].astype(np.int32)
+    _strike_large(mask, P[split:].astype(np.int32), i0)
+    return mask
 
 
 def _strike_large(mask: np.ndarray, P: np.ndarray, i0: np.ndarray) -> None:
     """Clear every odd multiple of each prime P[j] from mask index i0[j] on.
 
     ``mask[i]`` stands for the odd integer lo + 2i, and i0[j] indexes the
-    first odd multiple of P[j] at or above max(P[j]^2, lo). Prime p strikes
-    the indices i0, i0 + p, ..., one run per prime; the runs are laid end
-    to end as steps (p inside a run, a jump between runs) and summed.
+    first odd multiple of P[j] at or above max(P[j]^2, lo); both arrays are
+    int32. Prime p strikes the indices i0, i0 + p, ..., one run per prime;
+    the runs are laid end to end as steps (p inside a run, a jump between
+    runs) and summed.
     """
     # n >= 0, since the first multiple is p*p <= hi or below lo + 2p. A
     # prime with n == 0 must go, or its run would start where the next one
-    # does.
-    n = (len(mask) - 1 - i0) // P + 1
+    # does. Every prime hits a full segment, whose 2^20 entries exceed any
+    # base prime.
+    n = len(mask) - 1 - i0
+    n //= P
+    n += 1
     hit = n > 0
-    P, i0, n = P[hit], i0[hit], n[hit]
+    if not hit.all():
+        P, i0, n = P[hit], i0[hit], n[hit]
     # A segment much shorter than 2p, such as a last one cut short by the
     # limit, can hold no odd multiple of any large prime at all.
     if len(P) == 0:
         return
-    ends = np.cumsum(n)
-    starts = ends - n
-    jump = i0.copy()
-    jump[1:] -= i0[:-1] + P[:-1] * (n[:-1] - 1)
+    # A segment takes far fewer than 2^31 strikes, so int32 sums suffice.
+    ends = np.cumsum(n, dtype=np.int32)
+    # jump[j], for j >= 1, is the step from the last index run j - 1
+    # strikes to the first one run j does.
+    jump = n - 1
+    jump *= P
+    jump += i0
+    jump[1:] = i0[1:] - jump[:-1]
     cuts = np.searchsorted(ends, np.arange(SCATTER_CHUNK, ends[-1], SCATTER_CHUNK), side="right")
     bounds = [0, *cuts.tolist(), len(P)]
     for a, b in zip(bounds, bounds[1:]):
         if a == b:
             continue
         steps = np.repeat(P[a:b], n[a:b])
-        steps[starts[a:b] - starts[a]] = jump[a:b]
+        # Run j starts where run j - 1 ends; the chunk's first run starts
+        # at its absolute index.
+        steps[ends[a : b - 1] - (ends[a] - n[a])] = jump[a + 1 : b]
         steps[0] = i0[a]
-        mask[np.cumsum(steps, out=steps)] = False
+        mask[np.cumsum(steps, dtype=np.int64)] = False

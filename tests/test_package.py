@@ -129,3 +129,21 @@ def test_no_unused_imports():
                     if name not in loaded | exported:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_only_the_prime_stream_starts_threads_or_processes():
+    # The one concurrency decision, the sieve's thread pool, stays behind
+    # one module.
+    concurrency = {"threading", "_thread", "concurrent", "queue", "multiprocessing"}
+    importers = set()
+    for path, tree in _trees("src").items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] in concurrency for m in modules):
+                importers.add(path.relative_to(PACKAGE).as_posix())
+    assert importers == {"prime_stream.py"}

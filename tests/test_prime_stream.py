@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 from bisect import bisect_left
 
 import numpy as np
@@ -115,6 +118,71 @@ def test_high_windows_match_oracle(monkeypatch, lo, hi, segment_size, start_pi):
     # counts run on without a gap across segments, not start_pi itself.
     assert np.array_equal(pis - start_pi, np.arange(1, len(primes) + 1))
     assert blocks[-1][2] == hi
+
+
+def test_closing_the_stream_joins_its_workers(monkeypatch):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    before = threading.active_count()
+    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
+    next(blocks)  # the block of 2, yielded before any segment is sieved
+    next(blocks)
+    assert threading.active_count() > before
+    blocks.close()
+    assert threading.active_count() == before
+
+
+def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch):
+    # Five segments below 4099^2 hold no scatter prime; from the sixth on,
+    # which starts at 4099^2, every segment's scatter raises.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    span = 2 << 12
+    lo = 4099**2 - 5 * span
+    real = prime_stream._strike_large
+
+    def strike(mask, P, i0):
+        if len(P):
+            raise RuntimeError("scatter failed")
+        real(mask, P, i0)
+
+    monkeypatch.setattr(prime_stream, "_strike_large", strike)
+    before = threading.active_count()
+    got = []
+    with pytest.raises(RuntimeError, match="scatter failed"):
+        for block in iter_prime_blocks(SieveConfig(limit=lo + 20 * span, start=lo, start_pi=1)):
+            got.append(block)
+    assert [high for _, _, high in got] == [lo + j * span - 1 for j in range(1, 6)]
+    primes = np.concatenate([p for p, _, _ in got])
+    assert np.array_equal(primes, window_primes(lo, lo + 5 * span - 1))
+    assert np.array_equal(np.concatenate([q for _, q, _ in got]), np.arange(2, len(primes) + 2))
+    assert threading.active_count() == before
+
+
+def test_sieves_in_flight_bounded_by_usable_cpus(monkeypatch):
+    # Every base prime from 5 on is scattered, so each segment calls the
+    # wrapper, which sleeps inside each sieve long enough for them to overlap.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    monkeypatch.setattr(prime_stream, "SCATTER_MIN_PRIME", 5)
+    lock = threading.Lock()
+    running = peak = 0
+    real = prime_stream._strike_large
+
+    def strike(mask, P, i0):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        try:
+            time.sleep(0.005)
+            real(mask, P, i0)
+        finally:
+            with lock:
+                running -= 1
+
+    monkeypatch.setattr(prime_stream, "_strike_large", strike)
+    primes, pis, _ = collect(SieveConfig(limit=200_000))
+    assert primes == sieve_primes(200_000)
+    cpus = len(os.sched_getaffinity(0))
+    assert min(cpus, 2) <= peak <= cpus
 
 
 def test_limit_cap_rejected():
