@@ -18,6 +18,7 @@ from primehull.hull_engine import (
 from primehull.analysis import records_from_state
 from primehull.m_variant import MHullState
 from primehull import prime_stream
+from primehull._seghull import BLOCK, _candidates
 
 
 def test_slope_compare_examples():
@@ -246,6 +247,43 @@ def kernel_hull(pts):
     ]
 
 
+def polyline(*corners):
+    """Points (x, y) at every integer x along a polyline of integer slopes.
+
+    Every third point off a corner sits one below the line, so each edge
+    carries both ties and points strictly inside the hull.
+    """
+    pts = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
+        slope, rest = divmod(y1 - y0, x1 - x0)
+        assert rest == 0
+        pts += [(x, y0 + slope * (x - x0)) for x in range(x0, x1)]
+    pts.append(corners[-1])
+    bends = {x for x, _ in corners}
+    return [(x, y - (x % 3 == 2 and x not in bends)) for x, y in pts]
+
+
+# Clouds whose first-level cross products put their running maxima at the
+# edges of the kernel's candidate blocks.  Point i > 0 is in block
+# (i - 1) // BLOCK, so the first slot of block 1 is BLOCK + 1 and its last
+# slot 2 * BLOCK.
+B = BLOCK
+BLOCK_CLOUDS = [
+    # The farthest point in a block's first slot, then in its last slot.
+    polyline((0, 0), (B + 1, 3 * B + 3), (3 * B + 1, 3 - B)),
+    polyline((0, 0), (2 * B, 6 * B), (3 * B + 1, 4 * B - 2)),
+    # A horizontal chord under a flat top from B - 2 to B + 3: a tie run
+    # across the edge of blocks 0 and 1.
+    polyline((0, 0), (B - 2, 2 * B - 4), (B + 3, 2 * B - 4), (2 * B + 1, 0)),
+    # A flat top across blocks 0 to 3, so their block maxima are equal.
+    polyline((0, 0), (3, 6), (3 * B + 3, 6), (3 * B + 6, 0)),
+    # Flat runs below the peak, across blocks 0 to 2 on its left and 2 to
+    # 4 on its right: points equal to an earlier (a later) block maximum
+    # that are running maxima from the left (the right) only.
+    polyline((0, 0), (3, 6), (2 * B + 3, 6), (2 * B + 6, 12), (2 * B + 9, 6), (4 * B + 9, 6), (4 * B + 12, 0)),
+]
+
+
 @pytest.mark.parametrize(
     "pts",
     [
@@ -260,22 +298,68 @@ def kernel_hull(pts):
         # (2, 4) and (5, 7) tie for the maximum distance above the chord
         # (0, 0) -> (8, 8) on a line of slope 1 that also carries (3, 5).
         [(0, 0), (1, 2), (2, 4), (3, 5), (4, 5), (5, 7), (6, 7), (7, 7), (8, 8)],
+        *BLOCK_CLOUDS,
     ],
 )
 def test_segment_hull_matches_oracle(pts):
     assert kernel_hull(pts) == oracle_hull(pts)
 
 
-def test_segment_hull_matches_oracle_on_random_tie_heavy_clouds():
-    rng = random.Random(20261017)
-    for _ in range(300):
-        n = rng.randrange(1, 400)
+def tie_heavy_clouds(seed, count, max_n):
+    """`count` random walks of 1 to `max_n` points, log-uniform in size.
+
+    Steps of 1 to 4 in p and 0 to 2 in pi make exact slope ties common.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = int(math.exp(rng.uniform(0, math.log(max_n))))
         x, y, pts = 0, 0, []
         for _ in range(n):
             x += rng.randint(1, 4)
             y += rng.randint(0, 2)
             pts.append((x, y))
+        yield pts
+
+
+def test_segment_hull_matches_oracle_on_random_tie_heavy_clouds():
+    # Up to about 3000 points, so up to 47 candidate blocks.
+    for pts in tie_heavy_clouds(20261017, 200, 3000):
         assert kernel_hull(pts) == oracle_hull(pts)
+
+
+def test_candidates_are_the_running_maxima():
+    # The first level's contract, by a scan over Python integers: i is a
+    # candidate when its cross product against the chord from the first
+    # point to the last is at least that of every point (ends included) on
+    # its left, or on its right.  Ties of block maxima and the floor at the
+    # ends' 0 change this set, never the hull, so the oracle tests cannot
+    # see them.
+    clouds = [*BLOCK_CLOUDS, *tie_heavy_clouds(20261018, 200, 3000)]
+    for pts in (pts for pts in clouds if len(pts) > 1):
+        (p0, r0), (p1, r1) = pts[0], pts[-1]
+        c = [(r - r0) * (p1 - p0) - (p - p0) * (r1 - r0) for p, r in pts]
+        want = set()
+        for order in (range(1, len(c) - 1), range(len(c) - 2, 0, -1)):
+            best = 0
+            for i in order:
+                if c[i] >= best:
+                    want.add(i)
+                    best = c[i]
+        P = np.array([p for p, _ in pts], dtype=np.int64)
+        R = np.array([r for _, r in pts], dtype=np.int64)
+        assert _candidates(P, R).tolist() == sorted(want)
+
+
+def test_candidates_are_under_one_percent_of_a_segment():
+    # A work count, so that a filter which stops filtering, while every
+    # hull stays right, still fails: on the last full segment below 1e8,
+    # 361 of its 113,756 points reach quickhull.  pi is counted from 0 at
+    # the segment start, which moves no cross product.
+    start = 10**8 - 2 * prime_stream.SEGMENT_SIZE + 1
+    cfg = prime_stream.SieveConfig(start=start, limit=10**8)
+    ((P, R, _),) = prime_stream.iter_prime_blocks(cfg)
+    assert len(P) > 100_000
+    assert len(_candidates(P, R)) < 0.01 * len(P)
 
 
 def test_segment_hull_int64_exact_at_full_span():
@@ -356,3 +440,28 @@ def test_streaming_hull_matches_fraction_oracle(pts, data):
     for lo, hi in pieces:
         m_seg.merge_segment(P[lo:hi], R[lo:hi])
     assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m_seg.stack] == m_oracle
+
+
+def test_m_merge_matches_fraction_oracle_across_blocks():
+    # m_tie_clouds stop near 90 points, about two candidate blocks; these
+    # clouds of the same kind span 8 to 47.
+    rng = random.Random(20261019)
+    for n in (500, 1200, 3000):
+        p, pts = rng.randrange(10**9, 10**9 + 10**6), []
+        while len(pts) < n:
+            pi = rng.choice([3, 7, 21, rng.randrange(5 * 10**7, 5 * 10**7 + 4)])
+            for _ in range(rng.randint(2, 15)):
+                p += rng.randint(1, 40)
+                pts.append((p, pi))
+        pts = pts[:n]
+        P = np.array([p for p, _ in pts], dtype=np.int64)
+        R = np.array([r for _, r in pts], dtype=np.int64)
+        idx = segment_hull(P, P / R)[0]
+        assert idx[0] == 0 and idx[-1] == n - 1 and (np.diff(idx) > 0).all()
+        want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
+        cuts = sorted(rng.sample(range(1, n), 6))
+        for bounds in ([0, n], [0, *cuts, n]):
+            m = MHullState()
+            for lo, hi in zip(bounds, bounds[1:]):
+                m.merge_segment(P[lo:hi], R[lo:hi])
+            assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == want
