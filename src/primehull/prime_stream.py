@@ -5,16 +5,18 @@ Segments are sieved with numpy over odd integers only; 2 is special-cased.
 Small base primes strike their multiples with one strided slice each; all
 larger ones are struck together with one numpy scatter per segment, the
 vectorized form of the bucket sieve of Oliveira e Silva, Herzog and Pardi
-(Math. Comp. 2014). Near 3e11 a segment has about 45k base primes, and a
+(Math. Comp. 2014), with indices built by one product and one sum per
+chunk of strikes. Near 3e11 a segment has about 45k base primes, and a
 Python-level loop over them made a 1e8 window there about five times
 slower. The stream is deterministic for a given (start, limit) wherever a
 resume frontier cuts the segments, and supports resuming from any
 (start, start_pi) frontier.
 Segments are sieved on a pool of one thread per usable CPU, at most one
-segment per thread at a time, and delivered strictly in segment order; see
-``iter_prime_blocks``. This is the one module of the package that starts
-threads, so every consumer of the stream (the E and M hulls, the envelope
-scan) shares them through one code path.
+segment per thread at a time, into one reused mask per thread plus a
+spare, and delivered strictly in segment order; see ``iter_prime_blocks``.
+This is the one module of the package that starts threads, so every
+consumer of the stream (the E and M hulls, the envelope scan) shares them
+through one code path.
 The explicit bound on pi(x) that proves vertices final lives beside the
 rule that uses it, ``hull_engine.pi_bound``.
 """
@@ -102,18 +104,24 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     Segments are sieved on a pool of one thread per usable CPU, started
     when iteration starts and joined when the generator ends, is closed or
     raises. Segment bounds are drawn lazily, and each worker runs
-    ``_sieve_segment`` into one of as many masks, allocated once per
-    generator and reused. The generator's own thread takes the segments
-    back strictly in order: it waits for the oldest one, turns its mask
-    into primes, hands that mask to the next segment, and only then numbers
-    the primes on from the running count and yields them. So at most one
-    segment per worker is being sieved while the caller holds one block,
-    and the caller's work on it (the hull kernel, merging, confirmation)
-    overlaps the sieving of the segments after it. A worker's exception is
-    raised from the ``next()`` that reaches its segment, after every block
-    before it. A segment in flight holds its ``SEGMENT_SIZE``-byte mask
-    and, while its scatter runs, about 30 bytes of scratch per base prime
-    (0.8 MB near 1e11); the block held costs 16 bytes per prime.
+    ``_sieve_segment`` into one of ``workers + 1`` masks, allocated once
+    per generator and reused. The generator's own thread takes the segments
+    back strictly in order: it waits for the oldest one, hands the spare
+    mask to the next segment, turns the finished mask into primes, keeps
+    that mask as the new spare, and only then numbers the primes on from
+    the running count and yields them. ``np.flatnonzero`` releases the
+    interpreter lock, so every worker sieves while the primes are
+    extracted. At most one segment per worker is being sieved while the
+    caller holds one block, and the caller's work on it (the hull kernel,
+    merging, confirmation) overlaps the sieving of the segments after it.
+    A worker's exception is raised from the ``next()`` that reaches its
+    segment, after every block before it.
+
+    Memory: the masks take ``(workers + 1) * SEGMENT_SIZE`` bytes. While
+    its scatter runs, a segment in flight holds 24 bytes of scratch per
+    base prime and about 256 KB per chunk of strikes; tracemalloc measures
+    0.91 MB near 1e11 and 2.14 MB near 1e12. The block held costs 16 bytes
+    per prime.
     """
     limit = cfg.limit
     basis = base_primes(math.isqrt(limit))
@@ -146,14 +154,19 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         pending = deque(
             submit(bounds, np.empty(SEGMENT_SIZE, dtype=bool)) for bounds in islice(segments, workers)
         )
+        spare = np.empty(SEGMENT_SIZE, dtype=bool)
         while pending:
             lo, hi, buf, future = pending.popleft()
+            mask = future.result()
+            # The next segment goes into the spare mask before this one is
+            # read, so every worker sieves while the primes are extracted.
+            pending.extend(submit(bounds, spare) for bounds in islice(segments, 1))
             # Primes are extracted here, not on the workers: int64 arrays
             # built there, one per worker in flight and then kept by the
             # allocator's per-thread arenas, raised the benchmark's
-            # compute-1e8 peak RSS from 47.6 to 52-55 MB; here it is 49.3.
-            primes = np.flatnonzero(future.result())
-            pending.extend(submit(bounds, buf) for bounds in islice(segments, 1))
+            # compute-1e8 peak RSS from 47.6 to 52-55 MB; here it is 49.5.
+            primes = np.flatnonzero(mask)
+            spare = buf
             primes *= 2
             primes += lo
             pis = np.arange(count + 1, count + 1 + len(primes), dtype=np.int64)
@@ -197,11 +210,7 @@ def _sieve_segment(lo: int, hi: int, buf: np.ndarray, odd_basis: np.ndarray, spl
     # An offset past the mask gives an empty slice.
     for p, i in zip(P[:split].tolist(), i0[:split].tolist()):
         mask[i::p] = False
-    # A mask index is below the segment size or below its prime, and base
-    # primes are below 10^6, so the scatter works in int32, which halves
-    # its scratch memory.
-    i0 = i0[split:].astype(np.int32)
-    _strike_large(mask, P[split:].astype(np.int32), i0)
+    _strike_large(mask, P[split:], i0[split:])
     return mask
 
 
@@ -210,40 +219,35 @@ def _strike_large(mask: np.ndarray, P: np.ndarray, i0: np.ndarray) -> None:
 
     ``mask[i]`` stands for the odd integer lo + 2i, and i0[j] indexes the
     first odd multiple of P[j] at or above max(P[j]^2, lo); both arrays are
-    int32. Prime p strikes the indices i0, i0 + p, ..., one run per prime;
-    the runs are laid end to end as steps (p inside a run, a jump between
-    runs) and summed.
+    int64. Prime P[j] strikes n[j] indices i0[j], i0[j] + P[j], ...; its run
+    is laid after those of P[0..j-1], which hold start[j] strikes in all.
+    So the strike with overall number t, for start[j] <= t < start[j] + n[j],
+    lies at a[j] + t * P[j] with a[j] = i0[j] - start[j] * P[j], and each
+    chunk of whole runs is one arange times the repeated primes plus the
+    repeated a. A prime with n[j] == 0 repeats nothing. A full segment
+    takes fewer than 2^20 strikes (530k at 10^12) and base primes are
+    below 10^6 < 2^20, so start * P, t * P and |a| stay below 2^40, far
+    inside int64 (though not int32).
     """
-    # n >= 0, since the first multiple is p*p <= hi or below lo + 2p. A
-    # prime with n == 0 must go, or its run would start where the next one
-    # does. Every prime hits a full segment, whose 2^20 entries exceed any
-    # base prime.
+    # n >= 0, since the first multiple is p*p <= hi or below lo + 2p.
     n = len(mask) - 1 - i0
     n //= P
     n += 1
-    hit = n > 0
-    if not hit.all():
-        P, i0, n = P[hit], i0[hit], n[hit]
-    # A segment much shorter than 2p, such as a last one cut short by the
-    # limit, can hold no odd multiple of any large prime at all.
-    if len(P) == 0:
+    # A segment with no large base prime has nothing to strike.
+    if len(n) == 0:
         return
-    # A segment takes far fewer than 2^31 strikes, so int32 sums suffice.
-    ends = np.cumsum(n, dtype=np.int32)
-    # jump[j], for j >= 1, is the step from the last index run j - 1
-    # strikes to the first one run j does.
-    jump = n - 1
-    jump *= P
-    jump += i0
-    jump[1:] = i0[1:] - jump[:-1]
+    ends = np.cumsum(n)
     cuts = np.searchsorted(ends, np.arange(SCATTER_CHUNK, ends[-1], SCATTER_CHUNK), side="right")
-    bounds = [0, *cuts.tolist(), len(P)]
-    for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            continue
-        steps = np.repeat(P[a:b], n[a:b])
-        # Run j starts where run j - 1 ends; the chunk's first run starts
-        # at its absolute index.
-        steps[ends[a : b - 1] - (ends[a] - n[a])] = jump[a + 1 : b]
-        steps[0] = i0[a]
-        mask[np.cumsum(steps, dtype=np.int64)] = False
+    runs = [0, *cuts.tolist(), len(P)]
+    # The first strike number of each chunk's runs, and one past the last.
+    firsts = [int(ends[j] - n[j]) for j in runs[:-1]] + [int(ends[-1])]
+    # ends becomes a in place.
+    a = ends
+    a -= n
+    a *= P
+    np.subtract(i0, a, out=a)
+    for j, k, t, u in zip(runs, runs[1:], firsts, firsts[1:]):
+        idx = np.arange(t, u)
+        idx *= np.repeat(P[j:k], n[j:k])
+        idx += np.repeat(a[j:k], n[j:k])
+        mask[idx] = False

@@ -1,11 +1,15 @@
 import math
 import os
+import sys
 import threading
 import time
 from bisect import bisect_left
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import sieve_primes, window_primes
 from primehull import prime_stream
@@ -96,6 +100,9 @@ def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, star
         (10**10, 10**10 + 2**20, 1 << 20, 455052511),
         # the top of the supported range: base primes up to 10^6
         (MAX_LIMIT - 2**16 + 1, MAX_LIMIT, 1 << 20, 1),
+        # one full segment ending there, where the scatter's strike numbers
+        # times primes are largest
+        (MAX_LIMIT - 2**21 + 1, MAX_LIMIT, 1 << 20, 1),
         # one segment holding both 4099, the first scattered base prime,
         # and its square; pi(4096) = 564
         (4097, 4099**2, 1 << 24, 564),
@@ -118,6 +125,38 @@ def test_high_windows_match_oracle(monkeypatch, lo, hi, segment_size, start_pi):
     # counts run on without a gap across segments, not start_pi itself.
     assert np.array_equal(pis - start_pi, np.arange(1, len(primes) + 1))
     assert blocks[-1][2] == hi
+
+
+ODD_PRIMES = sieve_primes(20_000)[1:]
+
+
+@st.composite
+def strike_cases(draw):
+    """A mask length and sorted odd primes with first indices, as _sieve_segment passes them."""
+    size = draw(st.integers(1, 5000))
+    pool = st.sampled_from(ODD_PRIMES[:50]) | st.sampled_from(ODD_PRIMES)
+    P = sorted(draw(st.lists(pool, unique=True, max_size=40)))
+    # An index from size on, up to size - 1 + p, strikes nothing (n == 0).
+    i0 = [draw(st.integers(0, size - 1 + p)) for p in P]
+    return size, P, i0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, prime_stream.SCATTER_CHUNK])
+@given(strike_cases())
+@example((5, [], []))
+# no prime hits the mask at all
+@example((10, [4099, 4111], [10, 4000]))
+@example((1, [3], [0]))
+@settings(max_examples=200, deadline=None)
+def test_strike_large_matches_per_prime_slices(chunk, case):
+    size, P, i0 = case
+    ref = np.ones(size, dtype=bool)
+    for p, i in zip(P, i0):
+        ref[i::p] = False
+    mask = np.ones(size, dtype=bool)
+    with mock.patch.object(prime_stream, "SCATTER_CHUNK", chunk):
+        prime_stream._strike_large(mask, np.array(P, dtype=np.int64), np.array(i0, dtype=np.int64))
+    assert np.array_equal(mask, ref)
 
 
 def test_closing_the_stream_joins_its_workers(monkeypatch):
@@ -183,6 +222,41 @@ def test_sieves_in_flight_bounded_by_usable_cpus(monkeypatch):
     assert primes == sieve_primes(200_000)
     cpus = len(os.sched_getaffinity(0))
     assert min(cpus, 2) <= peak <= cpus
+
+
+def test_masks_are_one_per_worker_and_one_spare(monkeypatch):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    masks = {}
+    calls = 0
+    real = prime_stream._sieve_segment
+
+    def sieve(lo, hi, buf, odd_basis, split):
+        nonlocal calls
+        # Holding each mask keeps its id from being reused by a new one.
+        masks[id(buf)] = buf
+        calls += 1
+        return real(lo, hi, buf, odd_basis, split)
+
+    monkeypatch.setattr(prime_stream, "_sieve_segment", sieve)
+    primes, _, _ = collect(SieveConfig(limit=400_000))
+    assert primes == sieve_primes(400_000)
+    assert calls >= 20
+    assert len(masks) == min(len(os.sched_getaffinity(0)) + 1, calls)
+
+
+def test_mask_handoff_under_thread_switching(monkeypatch):
+    # Eight workers on however many cores, switching threads every
+    # microsecond: a mask handed to a new segment while its primes are
+    # still being read would lose or invent primes.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 10)
+    monkeypatch.setattr(prime_stream.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        primes, _, _ = collect(SieveConfig(limit=300_000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert primes == sieve_primes(300_000)
 
 
 def test_limit_cap_rejected():
