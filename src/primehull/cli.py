@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     l = sub.add_parser("lensbounds", help="tangent-window bounds at given x values")
     l.add_argument("--x-grid", required=True, help="comma-separated x values (e.g. 1e8,1e10,1e12)")
-    l.add_argument("--alpha", type=float, default=1.0, help="theta window half-width in (0,1]")
     l.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     m = sub.add_parser("mvariant", help="extremal primes of x/pi(x)")
@@ -171,17 +170,17 @@ def _cmd_analyze(args) -> int:
 
 
 _LENS_COLUMNS = (
-    "x,alpha,v2,v1,v0,theta_minus,theta_plus,h_star_minus,h_star_plus,"
+    "x,v2,v1,v0,theta_minus,theta_plus,h_star_minus,h_star_plus,"
     "h_minus,h_plus,h_width_over_x,status"
 )
 
 
-def _lens_row(x: float, alpha: float) -> str:
+def _lens_row(x: float) -> str:
     prob = lens_bounds.cubic_coeffs(x)
-    cells = [f"{x:.6g}", fmt12(alpha), fmt12(prob.v2), fmt12(prob.v1), fmt12(prob.v0)]
+    cells = [f"{x:.6g}", fmt12(prob.v2), fmt12(prob.v1), fmt12(prob.v0)]
     status = "ok"
     try:
-        roots = lens_bounds.solve_theta(x, alpha)
+        roots = lens_bounds.solve_theta(x)
         cells += [
             fmt12(roots.theta_minus),
             fmt12(roots.theta_plus),
@@ -205,9 +204,7 @@ def _cmd_lensbounds(args) -> int:
     grid = [float(parse_limit(part)) for part in args.x_grid.split(",") if part]
     if not grid:
         raise ValueError("empty x grid")
-    if not 0.0 < args.alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {args.alpha}")
-    lines = [_LENS_COLUMNS] + [_lens_row(x, args.alpha) for x in grid]
+    lines = [_LENS_COLUMNS] + [_lens_row(x) for x in grid]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

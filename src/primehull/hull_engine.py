@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._seghull import segment_hull
 from .prime_stream import SieveConfig, iter_prime_blocks
@@ -162,7 +162,6 @@ class HullState:
         stack = self.stack
         cross = self._cross
         ties = list(pre_ties)
-        first_pop = True
         while len(stack) >= 2:
             lhs, rhs = cross(stack[-2], stack[-1], p, pi)
             if lhs > rhs:
@@ -178,11 +177,12 @@ class HullState:
                 # is necessarily the last pop of this push, so v's tie list
                 # extends with v itself and any ties carried by the point.
                 ties = v.ties + [v.p] + ties
-            elif first_pop:
-                # The anchor of the pre-collected ties fell strictly below
-                # the new chord, taking its collinear points with it.
+            else:
+                # v fell strictly below the new chord.  Strict pops all come
+                # before the equal one, so what is carried is the
+                # pre-collected ties, anchored to the first v popped, or
+                # nothing; they go with it.
                 ties = []
-            first_pop = False
         stack.append(HullVertex(p, pi, ties))
         self.last_processed = p
         self.pi_at_last = pi
@@ -258,15 +258,14 @@ class ComputeResult:
     confirmed: list  # list[analysis.ExtremalRecord]
 
 
-def compute_extremal(limit: int, state: Optional[HullState] = None) -> ComputeResult:
+def compute_extremal(limit: int) -> ComputeResult:
     """Stream primes up to ``limit`` and return confirmed extremal records.
 
-    With ``state`` given (e.g. loaded from a checkpoint) the run resumes
-    from its frontier; results are identical to an uninterrupted run.
+    A state to resume, e.g. one loaded from a checkpoint, continues with
+    ``HullState.extend``; results are identical to an uninterrupted run.
     """
     from .analysis import records_from_state
 
-    if state is None:
-        state = HullState()
+    state = HullState()
     state.extend(limit)
     return ComputeResult(state=state, confirmed=records_from_state(state))

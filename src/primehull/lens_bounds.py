@@ -39,14 +39,15 @@ from typing import Optional
 
 import numpy as np
 
-# Gauss-Legendre (nodes, weights): 32 points for li_between's geometric
-# panels, 12 for the short prime-gap panels of the envelope scan.
+# Gauss-Legendre (nodes, weights): 32 points for the geometric panels of
+# li_between and _tangent_gap, 12 for the short prime-gap panels of the
+# envelope scan.
 GL32 = np.polynomial.legendre.leggauss(32)
 GL12 = np.polynomial.legendre.leggauss(12)
 
 
 class ThetaPreconditionError(ValueError):
-    """x is too small for the requested alpha window."""
+    """x is too small for the window [-1, 1]."""
 
 
 def li_panels(lefts: np.ndarray, rights: np.ndarray, rule) -> np.ndarray:
@@ -146,31 +147,31 @@ def taylor_upper_eps(x: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class CubicProblem:
-    """Coefficients of W_x and of the reduced theta cubic at one x."""
+    """Coefficients of the reduced theta cubic at one x."""
 
     x: float
-    a3: float
-    a2: float
-    a1: float
-    a0: float
     v2: float
     v1: float
     v0: float
 
     def w_value(self, h: float) -> float:
-        return ((self.a3 * h + self.a2) * h + self.a1) * h + self.a0
+        """W_x(h), with the coefficients A3..A0 taken from ``derivatives``."""
+        d = derivatives(self.x)
+        a3 = (d.l3 + d.eps3) / 6.0
+        a2 = (d.l2 + d.eps2) / 2.0
+        return ((a3 * h + a2) * h + 2.0 * d.eps1) * h + 2.0 * d.eps
 
     def reduced_value(self, theta: float) -> float:
         return ((theta + (self.v2 - 3.0)) * theta + self.v1) * theta + self.v0
 
 
 def cubic_coeffs(x: float) -> CubicProblem:
-    """Closed-form W_x and reduced-cubic coefficients.
+    """Closed-form reduced-cubic coefficients v2, v1, v0.
 
-    The reduced coefficients are computed symbolically (common factors
-    cancelled by hand); the identities v2 = 3 + A2/(A3 x),
-    v1 = A1/(A3 x^2) and v0 = A0/(A3 x^3) are pinned to 1e-12 relative in
-    the tests.  v1 carries the factor (y+2) from A1: the identity forces it.
+    They are computed symbolically (common factors cancelled by hand); the
+    identities v2 = 3 + A2/(A3 x), v1 = A1/(A3 x^2) and v0 = A0/(A3 x^3)
+    are pinned to 1e-12 relative in the tests.  v1 carries the factor (y+2)
+    from A1: the identity forces it.
     """
     if x < 2:
         raise ValueError(f"cubic_coeffs requires x >= 2, got {x}")
@@ -179,22 +180,15 @@ def cubic_coeffs(x: float) -> CubicProblem:
     y3 = y**3
     y4 = y3 * y
     d_common = 8.0 * sx * (y + 2.0) + y3 * (3.0 * y - 2.0)
-    a3 = d_common / (48.0 * x * x * sx * y3)
-    if not a3 > 0.0:
-        raise ValueError(f"cubic leading coefficient not positive at x={x}")
-    a2 = -(4.0 * sx + y3) / (8.0 * x * sx * y * y)
-    a1 = (y + 2.0) / sx
-    a0 = 2.0 * sx * y
     v2 = 3.0 * (16.0 * sx + y4 - 2.0 * y3) / d_common
     v1 = 48.0 * (y + 2.0) * y3 / d_common
     v0 = 96.0 * y4 / d_common
-    return CubicProblem(x=x, a3=a3, a2=a2, a1=a1, a0=a0, v2=v2, v1=v1, v0=v0)
+    return CubicProblem(x=x, v2=v2, v1=v1, v0=v0)
 
 
 @dataclass(frozen=True)
 class ThetaRoots:
     x: float
-    alpha: float
     theta_minus: float
     theta_plus: float
     residual_minus: float
@@ -209,8 +203,8 @@ class ThetaRoots:
         return self.theta_plus * self.x
 
 
-def _bisect(f, lo: float, hi: float, iters: int = 120) -> float:
-    """Bisection on [lo, hi] with f(lo) and f(hi) of opposite sign."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisection on [lo, hi], with f(lo) and f(hi) of opposite sign, to adjacent floats."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -219,10 +213,7 @@ def _bisect(f, lo: float, hi: float, iters: int = 120) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError("bisection bracket does not change sign")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -242,43 +233,27 @@ def _double_until(pred, start: float) -> float:
     raise ValueError(f"no bracket found within 64 doublings of {start}")
 
 
-def _window_holds(prob: CubicProblem, alpha: float) -> bool:
-    """solve_theta's window inequalities; working_threshold searches them too."""
-    a2_ = alpha * alpha
-    return (
-        prob.v2 * a2_ + prob.v1 * alpha + prob.v0 < 2.0 * a2_
-        and prob.v2 * a2_ - prob.v1 * alpha + prob.v0 < 2.0 * a2_
-    )
+def solve_theta(x: float) -> ThetaRoots:
+    """Roots theta- < 0 < theta+ of the reduced cubic g inside [-1, 1].
 
-
-def solve_theta(x: float, alpha: float = 1.0) -> ThetaRoots:
-    """Roots of the reduced cubic inside [-alpha, alpha], alpha in (0, 1].
-
-    Requires the window inequalities
-
-        v2 a^2 + v1 a + v0 < 2 a^2   and   v2 a^2 - v1 a + v0 < 2 a^2
-
-    which force a sign change of the cubic on both half-windows and pin
-    exactly one root in each (the third root lies beyond alpha).  Raises
-    ThetaPreconditionError when x is too small for this alpha.  At alpha = 1
-    the plus-side inequality is g(1) < 0 for the reduced cubic g, so the
-    window fails exactly where g has no positive root or one >= 1, which is
-    below working_threshold(1.0) ~ 1.478e10.
+    Requires g(1) = v2 + v1 + v0 - 2 < 0.  Then g(-1) = v2 - v1 + v0 - 4 < 0
+    as well, while g(0) = v0 > 0, so g changes sign on both half-windows;
+    its third root lies beyond 1, which leaves exactly one root in each.
+    Raises ThetaPreconditionError where g(1) >= 0, that is where g has no
+    positive root or its smallest one is >= 1: below working_threshold()
+    ~ 1.478e10.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     prob = cubic_coeffs(x)
-    if not _window_holds(prob, alpha):
+    g = prob.reduced_value
+    if not g(1.0) < 0.0:
         raise ThetaPreconditionError(
-            f"x={x} too small for alpha={alpha}: window inequalities fail "
+            f"x={x} too small for the window [-1, 1]: g(1) = {g(1.0):.6g} >= 0 "
             f"(v2, v1, v0 = {prob.v2:.6g}, {prob.v1:.6g}, {prob.v0:.6g})"
         )
-    g = prob.reduced_value
-    theta_plus = _bisect(g, 0.0, alpha)
-    theta_minus = _bisect(g, -alpha, 0.0)
+    theta_plus = _bisect(g, 0.0, 1.0)
+    theta_minus = _bisect(g, -1.0, 0.0)
     return ThetaRoots(
         x=x,
-        alpha=alpha,
         theta_minus=theta_minus,
         theta_plus=theta_plus,
         residual_minus=abs(g(theta_minus)),
@@ -323,15 +298,29 @@ class ExactCrossings:
 
 
 def _tangent_gap(x: float, h: float) -> float:
-    """F(h) = L(x+h) + eps(x+h) - l(x,h); F(0) = 2 eps(x) > 0."""
-    d = derivatives(x)
-    pp = d.l1 - d.eps1
-    if h >= 0:
-        dl = li_between(x, x + h)
-    else:
-        dl = -li_between(x + h, x)
-    z = x + h
-    return dl + math.sqrt(z) * math.log(z) + d.eps - pp * h
+    """F(h) = L(x+h) + eps(x+h) - phi(x) - phi'(x) h, evaluated relative to x.
+
+    With r = h/x and y = ln x,
+
+        F = x I + sqrt(x) (sqrt(1+r) (y + log1p(r)) + y + (y+2) r/2),
+        I = integral from 0 to r of -log1p(u) / (y (y + log1p(u))) du.
+
+    x I is L(x+h) - L(x) - h/y, whose two terms of size h/y would cancel
+    down to about eps(x); so neither is formed, and neither is x + h.  I is
+    integrated in s = log1p(u), on 32-point Gauss-Legendre panels of width
+    at most ln 2 (geometric in 1 + u).  The integrand -s e^s / (y (y+s))
+    has its one pole at t = x e^s = 1, at least ln 2 away on the domain
+    x + h >= 2.  F(0) = 2 eps(x) > 0.
+    """
+    y = math.log(x)
+    r = h / x
+    s_end = math.log1p(r)
+    edges = np.linspace(0.0, s_end, max(1, math.ceil(abs(s_end) / math.log(2.0))) + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    s = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * GL32[0]
+    integral = math.fsum((half * np.dot(s * np.exp(s) / (y + s), GL32[1])).tolist())
+    tail = math.sqrt(1.0 + r) * (y + s_end) + y + 0.5 * (y + 2.0) * r
+    return math.sqrt(x) * tail - x * integral / y
 
 
 def solve_h_exact(x: float) -> ExactCrossings:
@@ -339,42 +328,35 @@ def solve_h_exact(x: float) -> ExactCrossings:
 
     F is strictly concave in h (its second derivative is L'' + eps'' < 0),
     positive at h=0, and heads to -inf as h grows, so each side has at most
-    one crossing.  The negative side requires F to have turned negative by
-    the domain edge x+h = 2, which first holds near x = 8.03e5; smaller x is
-    rejected.
+    one crossing.  Both lie beyond x^(3/4) in size (about 2 x^(3/4) ln^1.5 x
+    for large x), so each side is searched by doubling from there.  The
+    negative side requires F to have turned negative by the domain edge
+    x+h = 2, which first holds near x = 8.03e5; smaller x is rejected.
     """
     f = lambda h: _tangent_gap(x, h)
-    hi = _double_until(lambda h: f(h) < 0, x)
-    h_plus = _bisect(f, hi / 2.0 if hi > x else 0.0, hi)
+    start = x**0.75
+    h_plus = _bisect(f, 0.0, _double_until(lambda h: f(h) < 0, start))
 
     edge = 2.0 - x + 1e-9 * x
-    if not f(edge) < 0:
+    lo = max(_double_until(lambda h: h <= edge or f(h) < 0, -start), edge)
+    if not f(lo) < 0:
         raise ValueError(
             f"tangent does not cross on the negative side before the domain "
             f"edge at x={x}; x too small"
         )
-    h_minus = _bisect(f, edge, 0.0)
+    h_minus = _bisect(f, lo, 0.0)
     return ExactCrossings(x=x, h_minus=h_minus, h_plus=h_plus)
 
 
-def working_threshold(alpha: float = 1.0) -> float:
-    """Smallest x (to 1e-6 relative) where solve_theta's window inequalities hold.
+def working_threshold() -> float:
+    """The x where g(1) turns negative, so solve_theta's window starts to hold.
 
-    The v_i decrease beyond ~1e6, so the acceptance region is an upper ray
-    in the ranges of interest; found by doubling then bisection.
+    The v_i decrease beyond ~1e6, so the window holds on an upper ray in
+    the ranges of interest; found by doubling, then bisection on g(1) to
+    adjacent floats.
     """
-
-    def ok(x: float) -> bool:
-        return _window_holds(cubic_coeffs(x), alpha)
-
-    hi = _double_until(ok, 1e6)
+    g1 = lambda x: cubic_coeffs(x).reduced_value(1.0)
+    hi = _double_until(lambda x: g1(x) < 0.0, 1e6)
     if hi == 1e6:
         raise ValueError("threshold search must start below the acceptance region")
-    lo = hi / 2.0
-    while hi - lo > 1e-6 * lo:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(g1, hi / 2.0, hi)

@@ -131,6 +131,14 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         raise CorruptCheckpointError("checkpoint corrupt: confirmed count out of range")
     if any(u.p >= v.p or u.pi >= v.pi for u, v in zip(stack, stack[1:])):
         raise CorruptCheckpointError("checkpoint corrupt: stack not strictly increasing in p and pi")
+    # A vertex's ties are points of its incoming edge: strictly between the
+    # two vertices, in increasing order, at integer heights on the chord.
+    if (stack and stack[0].ties) or not all(
+        all(a < b for a, b in zip([u.p, *v.ties], [*v.ties, v.p]))
+        and all((t - u.p) * (v.pi - u.pi) % (v.p - u.p) == 0 for t in v.ties)
+        for u, v in zip(stack, stack[1:])
+    ):
+        raise CorruptCheckpointError("checkpoint corrupt: a tie is not a point of its vertex's incoming edge")
     if stack and (state.last_processed < stack[-1].p or state.pi_at_last < stack[-1].pi):
         raise CorruptCheckpointError("checkpoint corrupt: frontier behind the top vertex")
     if state.last_processed > MAX_LIMIT:

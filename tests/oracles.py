@@ -151,12 +151,10 @@ def mp_tangent_gap(x, h, dps: int = 40):
         return mp.li(z, offset=True) - mp.li(x, offset=True) + mp.sqrt(z) * mp.log(z) + eps - phi_p * h
 
 
-def _mp_bisect(f, lo, hi, iters: int = 140):
-    import mpmath as mp
-
+def _mp_bisect(f, lo, hi):
     flo = f(lo)
     assert (flo > 0) != (f(hi) > 0)
-    for _ in range(iters):
+    for _ in range(80):
         mid = (lo + hi) / 2
         if (f(mid) > 0) == (flo > 0):
             lo = mid
@@ -165,16 +163,31 @@ def _mp_bisect(f, lo, hi, iters: int = 140):
     return (lo + hi) / 2
 
 
-def mp_h_crossings(x, dps: int = 40):
-    """Exact tangent crossings (h-, h+) solved with mpmath bisection."""
+def mp_h_crossings(x):
+    """Exact tangent crossings (h-, h+) solved with mpmath bisection.
+
+    For x >= 1e6 both crossings lie beyond x^(3/4) in size.  Each side
+    doubles from there until the gap changes sign, clamped on the negative
+    side at the domain edge, then halves the last doubling's bracket 80
+    times: to 2^-80 of the crossing.  The precision covers the cancellation
+    in li(x+h) - li(x), about sqrt(x) relative to the gap, with 30 digits to
+    spare.
+    """
     import mpmath as mp
 
+    dps = int(math.log10(x) / 2) + 30
     with mp.workdps(dps):
         f = lambda h: mp_tangent_gap(x, h, dps)
-        hi = mp.mpf(x)
+        inner = mp.mpf(x) ** 0.75
+        hi = 2 * inner
         while f(hi) > 0:
-            hi *= 2
-        h_plus = _mp_bisect(f, mp.mpf(0), hi)
-        lo = mp.mpf(2) - x + mp.mpf(x) * mp.mpf(10) ** -9
-        h_minus = _mp_bisect(f, lo, mp.mpf(0))
+            inner, hi = hi, 2 * hi
+        h_plus = _mp_bisect(f, inner, hi)
+        edge = 2 - mp.mpf(x) + mp.mpf(x) * mp.mpf(10) ** -9
+        inner = -(mp.mpf(x) ** 0.75)
+        lo = max(2 * inner, edge)
+        while f(lo) > 0:
+            assert lo > edge, f"no negative-side crossing before the domain edge at x={x}"
+            inner, lo = lo, max(2 * lo, edge)
+        h_minus = _mp_bisect(f, lo, inner)
         return h_minus, h_plus

@@ -11,13 +11,14 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from conftest import record_criterion
 from oracles import check_concave, hull_of_primes, prime_points
 
-from primehull import analysis, lens_bounds as lb, persistence
+from primehull import analysis, cli, lens_bounds as lb, persistence
 from primehull.analysis import find_twins, records_from_state, verify_envelope
 from primehull.hull_engine import compute_extremal
 
@@ -161,9 +162,9 @@ def test_criterion_06_invariants():
             part = compute_extremal(cut)
             prefix = [v.p for v in part.state.stack[: part.state.confirmed_len]]
             assert prefix == [v[0] for v in straight_key[: len(prefix)]]
-            resumed = compute_extremal(10**6, state=part.state)
-            assert [(v.p, v.pi, tuple(v.ties)) for v in resumed.state.stack] == straight_key
-            assert resumed.state.confirmed_len == straight.state.confirmed_len
+            part.state.extend(10**6)
+            assert [(v.p, v.pi, tuple(v.ties)) for v in part.state.stack] == straight_key
+            assert part.state.confirmed_len == straight.state.confirmed_len
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
         info["detail"] = f"{elapsed:.1f}s"
@@ -178,10 +179,10 @@ def test_criterion_07_conjecture_sums(run_1e8):
         info["detail"] = "long-run targets: primehull compute --checkpoint"
 
 
-def test_criterion_08_tangent_window_numerics():
+def test_criterion_08_tangent_window_numerics(capsys):
     desc = (
-        "tangent-window numerics: domination, window roots iff x > working_threshold(1), "
-        "majorant-root sandwich, H(x)/x"
+        "tangent-window numerics: domination, window roots iff x > working_threshold(), "
+        "majorant-root sandwich, H(x)/x, lensbounds ok at every decade 1e13..1e307"
     )
     with criterion(8, desc) as info:
         t0 = time.perf_counter()
@@ -204,11 +205,11 @@ def test_criterion_08_tangent_window_numerics():
                 failures.append(f"W majorant at x={x:.3g} h={h:.3g}")
                 break
 
-        # solve_theta promises window roots only above working_threshold(1).
+        # solve_theta promises window roots only above working_threshold().
         # Below it the majorant's smallest positive root is missing (10^8) or
-        # lies beyond alpha = 1 (10^10), and solve_theta must refuse. The two
-        # points next to the threshold tie it to where that root enters [0, 1].
-        threshold = lb.working_threshold(1.0)
+        # lies beyond 1 (10^10), and solve_theta must refuse. The two points
+        # next to the threshold tie it to where that root enters [0, 1].
+        threshold = lb.working_threshold()
         edge = (threshold * (1 - 1e-3), threshold * (1 + 1e-3))
         for x in (1e8, 1e10, 1e12) + edge:
             neg, pos = lb.theta_extreme_roots(x)
@@ -256,11 +257,33 @@ def test_criterion_08_tangent_window_numerics():
         if not all(a > b for a, b in zip(ratios, ratios[1:])):
             failures.append("H(x)/x not strictly decreasing")
 
+        # Every decade from 1e13 to 1e307: each lensbounds row is ok, its
+        # majorant roots bracket the crossings, and H(x)/x strictly
+        # decreases. The cells carry 12 digits, and from about 1e44 on the
+        # roots and crossings agree to float precision (their true gap is
+        # about (h/x)^2 / 12 relative), so the printed bracket is not strict.
+        grid = ",".join(f"1e{e}" for e in range(13, 308))
+        if cli.main(["lensbounds", "--x-grid", grid]) != 0:
+            failures.append("lensbounds failed on the decade grid")
+        header, *lines = capsys.readouterr().out.splitlines()
+        widths = []
+        for line in lines:
+            *cells, status = line.split(",")
+            row = dict(zip(header.split(","), map(Decimal, cells)))
+            if status != "ok":
+                failures.append(f"lensbounds status {status} at x={row['x']}")
+                continue
+            if not row["h_star_minus"] <= row["h_minus"] < 0 < row["h_plus"] <= row["h_star_plus"]:
+                failures.append(f"lensbounds bracket violated at x={row['x']}")
+            widths.append(row["h_width_over_x"])
+        if len(widths) != 295 or not all(a > b for a, b in zip(widths, widths[1:])):
+            failures.append("lensbounds H(x)/x not strictly decreasing over the decades")
+
         elapsed = time.perf_counter() - t0
         if elapsed >= 10.0:
             failures.append(f"took {elapsed:.1f}s (budget 10s)")
         assert not failures, "; ".join(failures)
-        info["detail"] = f"working_threshold(1) = {threshold:.4e}, {elapsed * 1e3:.0f} ms"
+        info["detail"] = f"working_threshold() = {threshold:.4e}, {elapsed * 1e3:.0f} ms"
 
 
 def test_criterion_09_envelope():
@@ -290,9 +313,8 @@ def test_criterion_10_checkpoint_resume(tmp_path):
             persistence.save_checkpoint(compute_extremal(split).state, ck)
             state, _ = persistence.load_checkpoint(ck)
             out = tmp_path / f"resume{i}.csv"
-            persistence.export_csv(
-                records_from_state(compute_extremal(10**6, state=state).state), out
-            )
+            state.extend(10**6)
+            persistence.export_csv(records_from_state(state), out)
             assert out.read_bytes() == want, f"split at {split}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -171,13 +171,13 @@ def test_randomized_extension_prefix_stability(monkeypatch):
 
 def test_resume_equals_straight_run():
     straight = compute_extremal(10**6)
-    r1 = compute_extremal(314_159)
-    r2 = compute_extremal(10**6, state=r1.state)
-    assert [(v.p, v.pi, v.ties) for v in r2.state.stack] == [
+    resumed = compute_extremal(314_159).state
+    resumed.extend(10**6)
+    assert [(v.p, v.pi, v.ties) for v in resumed.stack] == [
         (v.p, v.pi, v.ties) for v in straight.state.stack
     ]
-    assert r2.state.confirmed_len == straight.state.confirmed_len
-    sums = [(r.sum_inv, r.sum_invlog) for r in records_from_state(r2.state)]
+    assert resumed.confirmed_len == straight.state.confirmed_len
+    sums = [(r.sum_inv, r.sum_invlog) for r in records_from_state(resumed)]
     assert sums == [(r.sum_inv, r.sum_invlog) for r in records_from_state(straight.state)]
 
 
@@ -196,7 +196,7 @@ def test_push_and_frontier_guard():
 def test_compute_rejects_shrinking_limit():
     r = compute_extremal(1000)
     with pytest.raises(ValueError):
-        compute_extremal(500, state=r.state)
+        r.state.extend(500)
 
 
 # Synthetic strictly-increasing integer point clouds with deliberate

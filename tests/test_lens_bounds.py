@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import mp_h_crossings, mp_tangent_gap
 from primehull import lens_bounds as lb
 
 # mpmath reference values (computed at 30-40 decimal digits):
@@ -111,22 +112,25 @@ def test_taylor_domination_random_grid():
         assert lb.taylor_upper_eps(x, h) >= ex - 1e-9 * abs(ex)
 
 
+def _w_coeffs(x):
+    """W_x's coefficients A3, A2, A1, A0 from their Taylor-sum definitions."""
+    d = lb.derivatives(x)
+    return (d.l3 + d.eps3) / 6.0, (d.l2 + d.eps2) / 2.0, 2.0 * d.eps1, 2.0 * d.eps
+
+
 def test_cubic_coeffs_consistency():
     rng = random.Random(4)
     for _ in range(60):
         x = 10 ** rng.uniform(1, 13)
         prob = lb.cubic_coeffs(x)
-        d = lb.derivatives(x)
-        # A-coefficients against their Taylor-sum definitions
-        assert prob.a3 == pytest.approx((d.l3 + d.eps3) / 6.0, rel=1e-12)
-        assert prob.a2 == pytest.approx((d.l2 + d.eps2) / 2.0, rel=1e-12)
-        assert prob.a1 == pytest.approx(2.0 * d.eps1, rel=1e-12)
-        assert prob.a0 == pytest.approx(2.0 * d.eps, rel=1e-12)
-        assert prob.a3 > 0.0
+        a3, a2, a1, a0 = _w_coeffs(x)
+        assert a3 > 0.0
         # reduced forms: v2 = 3 + A2/(A3 x), v1 = A1/(A3 x^2), v0 = A0/(A3 x^3)
-        assert prob.v2 == pytest.approx(3.0 + prob.a2 / (prob.a3 * x), rel=1e-12)
-        assert prob.v1 == pytest.approx(prob.a1 / (prob.a3 * x * x), rel=1e-12)
-        assert prob.v0 == pytest.approx(prob.a0 / (prob.a3 * x**3), rel=1e-12)
+        assert prob.v2 == pytest.approx(3.0 + a2 / (a3 * x), rel=1e-12)
+        assert prob.v1 == pytest.approx(a1 / (a3 * x * x), rel=1e-12)
+        assert prob.v0 == pytest.approx(a0 / (a3 * x**3), rel=1e-12)
+        h = x * rng.uniform(-1.0, 1.0)
+        assert prob.w_value(h) == pytest.approx(((a3 * h + a2) * h + a1) * h + a0, rel=1e-12)
 
 
 def test_w_value_and_reduced_value_agree():
@@ -137,7 +141,7 @@ def test_w_value_and_reduced_value_agree():
         theta = rng.uniform(-1.0, 1.0)
         h = theta * x
         assert prob.w_value(h) == pytest.approx(
-            prob.a3 * x**3 * prob.reduced_value(theta), rel=1e-10, abs=1e-12
+            _w_coeffs(x)[0] * x**3 * prob.reduced_value(theta), rel=1e-10, abs=1e-12
         )
 
 
@@ -162,16 +166,12 @@ def test_solve_theta_at_1e12():
 
 
 def test_solve_theta_window_rejections():
-    # The window inequalities genuinely fail below ~1.48e10 at alpha=1: the
+    # The window condition g(1) < 0 genuinely fails below ~1.48e10: the
     # v-coefficients are still too large. These are honest rejections, not
-    # tolerance artifacts (sum at 1e10 is 2.27 vs the required < 2).
+    # tolerance artifacts (v2 + v1 + v0 at 1e10 is 2.27 vs the required < 2).
     for x in (1e8, 1e10):
         with pytest.raises(lb.ThetaPreconditionError):
             lb.solve_theta(x)
-    with pytest.raises(ValueError):
-        lb.solve_theta(1e12, alpha=0.0)
-    with pytest.raises(ValueError):
-        lb.solve_theta(1e12, alpha=1.5)
 
 
 def test_theta_extreme_roots():
@@ -180,7 +180,7 @@ def test_theta_extreme_roots():
     assert pos is None
     assert neg == pytest.approx(-0.8982632226141225, rel=1e-10)
     # 1e10: positive roots exist but the smaller one exceeds theta = 1,
-    # which is why the alpha <= 1 window can never capture it.
+    # which is why the window [-1, 1] can never capture it.
     neg, pos = lb.theta_extreme_roots(1e10)
     assert neg == pytest.approx(-0.5312291816344477, rel=1e-10)
     assert pos == pytest.approx(1.156861015481545, rel=1e-10)
@@ -200,9 +200,9 @@ def test_theta_extreme_roots():
 def test_solve_h_exact_reference_values():
     for x, (hm_ref, hp_ref) in CROSSINGS_REF.items():
         c = lb.solve_h_exact(float(x))
-        assert c.h_minus == pytest.approx(hm_ref, rel=1e-9)
-        assert c.h_plus == pytest.approx(hp_ref, rel=1e-9)
-        assert c.width / x == pytest.approx(WIDTH_RATIO_REF[x], rel=1e-9)
+        assert c.h_minus == pytest.approx(hm_ref, rel=1e-14)
+        assert c.h_plus == pytest.approx(hp_ref, rel=1e-14)
+        assert c.width / x == pytest.approx(WIDTH_RATIO_REF[x], rel=1e-14)
         # residual of the tangent gap at the returned crossings
         eps_scale = math.sqrt(x) * math.log(x)
         assert abs(lb._tangent_gap(x, c.h_minus)) < 1e-6 * eps_scale
@@ -217,11 +217,57 @@ def test_width_ratio_strictly_decreasing():
 def test_sandwich_with_relaxed_roots():
     # Wherever the majorant has roots of the right sign they must bracket
     # the exact crossings (W >= F pointwise). At 1e10 the positive root
-    # exists but only outside the alpha window; the bracket still holds.
+    # exists but only outside the window [-1, 1]; the bracket still holds.
     for x in (1e10, 1e12):
         neg, pos = lb.theta_extreme_roots(x)
         c = lb.solve_h_exact(x)
         assert neg * x < c.h_minus < 0 < c.h_plus < pos * x
+
+
+def test_solve_h_exact_matches_mp_oracle():
+    # Beyond ~1e16 the cancellation in li(x+h) - li(x) - h/ln x is what
+    # the relative evaluation of the gap avoids; the oracle resolves it
+    # with mpmath at about log10(x)/2 + 30 digits.
+    for x in (1e6, 1e8, 1e12, 1e16, 1e30, 1e150, 1e300):
+        hm_ref, hp_ref = mp_h_crossings(x)
+        c = lb.solve_h_exact(x)
+        assert c.h_minus == pytest.approx(float(hm_ref), rel=2e-15), x
+        assert c.h_plus == pytest.approx(float(hp_ref), rel=2e-15), x
+
+
+def test_crossings_sign_certified_by_mpmath():
+    # The exact gap changes sign within 1e-12 relative of each crossing.
+    # mp_tangent_gap forms li(x+h) - li(x), which cancels about sqrt(x)
+    # relative to the gap, so it needs about log10(x)/2 digits, plus the
+    # 12 of the certificate and a margin.
+    for x in (1e20, 1e40, 1e100, 1e300):
+        dps = int(math.log10(x) / 2) + 30
+        c = lb.solve_h_exact(x)
+        for h in (c.h_minus, c.h_plus):
+            below = mp_tangent_gap(x, h * (1 - 1e-12), dps)
+            above = mp_tangent_gap(x, h * (1 + 1e-12), dps)
+            assert (below > 0) != (above > 0), (x, h)
+
+
+def test_every_decade_to_1e307():
+    # The majorant's roots lie beyond the exact crossings by W - F over
+    # |F'| at the crossing: with r = h/x that is about (h^4 / (12 x^3 y^2))
+    # / (h / (x y^2)), a relative gap of r^2 / 12.  Where that is far above
+    # float64's resolution it pins the gap and so the strict bracket; from
+    # about 1e44 on it is below one ulp, and the roots agree to 1e-15.
+    prev = math.inf
+    for e in range(13, 308):
+        x = 10.0**e
+        roots = lb.solve_theta(x)
+        c = lb.solve_h_exact(x)
+        assert c.h_minus < 0 < c.h_plus
+        for h, h_star in ((c.h_minus, roots.h_star_minus), (c.h_plus, roots.h_star_plus)):
+            predicted = (h / x) ** 2 / 12
+            assert abs((h_star - h) / h - predicted) <= 0.25 * predicted + 1e-15, (e, h)
+        if e <= 39:
+            assert roots.h_star_minus < c.h_minus and c.h_plus < roots.h_star_plus, e
+        assert c.width / x < prev, e
+        prev = c.width / x
 
 
 def test_solve_h_exact_rejects_small_x():
@@ -234,7 +280,7 @@ def test_solve_h_exact_rejects_small_x():
 
 
 def test_working_threshold():
-    wt = lb.working_threshold(1.0)
+    wt = lb.working_threshold()
     assert wt == pytest.approx(1.47778e10, rel=1e-4)
     lb.solve_theta(wt * 1.001)  # must succeed just above
     with pytest.raises(lb.ThetaPreconditionError):

@@ -27,7 +27,7 @@ CLI_OPTIONS = {
         "--out", "--format", "--include-provisional",
     ],
     "analyze": ["-h", "--help", "--in", "--sums", "--twins", "--ties", "--envelope-limit"],
-    "lensbounds": ["-h", "--help", "--x-grid", "--alpha", "--out"],
+    "lensbounds": ["-h", "--help", "--x-grid", "--out"],
     "mvariant": ["-h", "--help", "--limit", "--out"],
 }
 

@@ -151,10 +151,17 @@ def test_checkpoint_version_mismatch(tmp_path):
         lambda s, n: {"provisional_stack": s[:2] + [[5, 3, []]] + s[2:], "confirmed_count": n + 1},
         lambda s, n: {"confirmed_count": len(s)},
         lambda s, n: {"limit_processed": 10**400, "pi_at_limit": 10**399},
+        # The stack starts (2, 1), (3, 2), (7, 4) with tie 5, (19, 8) with
+        # tie 13, and (47, 15) with ties 23, 31, 43 at heights 9, 11, 14.
+        lambda s, n: {"provisional_stack": [[2, 1, [1]]] + s[1:]},
+        lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [5, 11]]] + s[3:]},
+        lambda s, n: {"provisional_stack": s[:4] + [[47, 15, [31, 23, 43]]] + s[5:]},
+        lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [4]]] + s[3:]},
     ],
     ids=[
         "p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top",
         "slopes-not-decreasing", "tail-confirmed", "frontier-beyond-cap",
+        "first-vertex-ties", "tie-outside-edge", "ties-not-increasing", "tie-off-lattice",
     ],
 )
 def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
@@ -162,10 +169,14 @@ def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
     # resume from the frontier-behind-top or the tail-confirmed file used to
     # pop a confirmed vertex, and one from the slopes-not-decreasing file
     # reported 5 as a confirmed extremal prime.  The frontier-beyond-cap file
-    # overflowed the float pi bound and exited as a usage error.
+    # overflowed the float pi bound and exited as a usage error.  Bad ties
+    # used to load and be written into confirmed rows.
     ck = tmp_path / "ck.json"
     assert cli.main(["compute", "--limit", "10^5", "--checkpoint", str(ck)]) == 0
     payload = json.loads(ck.read_text())
+    assert payload["provisional_stack"][:5] == [
+        [2, 1, []], [3, 2, []], [7, 4, [5]], [19, 8, [13]], [47, 15, [23, 31, 43]]
+    ]
     _rewrite_checkpoint(ck, **corrupt(payload["provisional_stack"], payload["confirmed_count"]))
     with pytest.raises(CorruptCheckpointError):
         load_checkpoint(ck)
@@ -190,9 +201,8 @@ def test_checkpoint_v1_resumes_byte_identical(tmp_path):
     )
     loaded, _ = load_checkpoint(ck)
     resumed = tmp_path / "resumed.csv"
-    persistence.export_csv(
-        analysis.records_from_state(compute_extremal(10**6, state=loaded).state), resumed
-    )
+    loaded.extend(10**6)
+    persistence.export_csv(analysis.records_from_state(loaded), resumed)
     assert resumed.read_bytes() == straight.read_bytes()
 
 
@@ -272,9 +282,9 @@ def test_resume_byte_identity(tmp_path):
         ck = tmp_path / f"ck{i}.json"
         save_checkpoint(part.state, ck)
         loaded, _ = load_checkpoint(ck)
-        full = compute_extremal(10**6, state=loaded)
+        loaded.extend(10**6)
         out = tmp_path / f"resumed{i}.csv"
-        persistence.export_csv(analysis.records_from_state(full.state), out)
+        persistence.export_csv(analysis.records_from_state(loaded), out)
         assert out.read_bytes() == straight.read_bytes(), f"split at {split}"
 
 
@@ -512,19 +522,18 @@ def test_cli_resume_errors(tmp_path, capsys):
 
 # lensbounds stdout on the grid below, pinned so that the quadrature and
 # root-finding bits cannot drift unseen.
-LENS_GRID_SHA256 = "4c6f4921022d56ea3d0c0cea05f82c30664d76ca4494e11c11a524de60dcc390"
+LENS_GRID_SHA256 = "25a9cc02b3449c74f0a4e67b54b4068a3a0e2c0d2d66d9fb66aeacd6a425f00f"
 
 
 def test_cli_lensbounds(tmp_path, capsys):
     assert cli.main(["lensbounds", "--x-grid", "1e8,1e12"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("x,alpha,v2,")
+    assert out[0].startswith("x,v2,")
     assert out[1].endswith("window-too-small")
     assert out[2].endswith("ok")
     assert cli.main(["lensbounds", "--x-grid", "1e8,1e10,1.4778e10,1.5e10,1e12"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == LENS_GRID_SHA256
-    assert cli.main(["lensbounds", "--x-grid", "1e12", "--alpha", "1.5"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "oops"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "1"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "1e309"]) == 2  # overflows a float
