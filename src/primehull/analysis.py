@@ -159,7 +159,7 @@ def verify_envelope(limit: int) -> EnvelopeReport:
             continue
         pf = primes.astype(np.float64)
         lefts = np.concatenate(([prev_p], pf[:-1]))
-        incs = lens_bounds.li_panels(lefts, pf, lens_bounds.GL12)
+        incs = lens_bounds.li_panels(lefts, pf)
         # Li at the j-th prime of the block; longdouble keeps the in-block
         # cumulative rounding far below the envelope comparison's needs.
         li_base = math.fsum(block_sums)  # Li at prev_p

@@ -194,7 +194,8 @@ def _lens_row(x: float) -> str:
         exact = lens_bounds.solve_h_exact(x)
         cells += [fmt12(exact.h_minus), fmt12(exact.h_plus), fmt12(exact.width / x)]
     except ValueError:
-        status = status if status != "ok" else "no-crossing"
+        # solve_h_exact fails only below about 8.03e5, far under the window
+        # threshold ~1.478e10, so status is already "window-too-small".
         cells += ["", "", ""]
     cells.append(status)
     return ",".join(cells)

@@ -28,20 +28,20 @@ magnitude).  With y = ln x and D = 8 sqrt(x)(y+2) + y^3 (3y-2):
     v0 = 96 y^4 / D
 
 All terms are positive, so the closed forms are cancellation-free and
-float64 evaluation is accurate to a few ulp.
+float64 evaluation is accurate to a few ulp.  The tests check the Taylor
+domination, these identities, the window roots and its threshold against
+mpmath references in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 # Gauss-Legendre (nodes, weights): 32 points for the geometric panels of
-# li_between and _tangent_gap, 12 for the short prime-gap panels of the
-# envelope scan.
+# _tangent_gap, 12 for the short prime-gap panels of the envelope scan.
 GL32 = np.polynomial.legendre.leggauss(32)
 GL12 = np.polynomial.legendre.leggauss(12)
 
@@ -50,116 +50,27 @@ class ThetaPreconditionError(ValueError):
     """x is too small for the window [-1, 1]."""
 
 
-def li_panels(lefts: np.ndarray, rights: np.ndarray, rule) -> np.ndarray:
-    """Integral of dt/ln t over each [lefts[i], rights[i]], one panel each.
+def li_panels(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Integral of dt/ln t over each [lefts[i], rights[i]], one GL12 panel each.
 
-    ``rule`` is a Gauss-Legendre (nodes, weights) pair, GL32 or GL12.  One
-    12-point panel suffices for consecutive-prime gaps: even the worst,
+    One 12-point panel suffices for consecutive-prime gaps: even the worst,
     [2, 3], is accurate to ~1e-18 relative, and long gaps sit far from the
     integrand's singularity.
     """
-    nodes, weights = rule
+    nodes, weights = GL12
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
     t = mid[:, None] + half[:, None] * nodes[None, :]
     return half * np.dot(1.0 / np.log(t), weights)
 
 
-def li_between(a: float, b: float) -> float:
-    """Integral of dt/ln t over [a, b] for 2 <= a <= b.
-
-    Panels are split geometrically with ratio 2; the integrand is analytic
-    on [2, inf) with its singularity at t=1 at least one panel-width away,
-    so each 32-point panel is accurate to far below 1e-14 relative.
-    """
-    if b < a or a < 2:
-        raise ValueError(f"need 2 <= a <= b, got a={a}, b={b}")
-    edges = [a]
-    while 2 * edges[-1] < b:
-        edges.append(2 * edges[-1])
-    edges = np.array(edges + [b], dtype=np.float64)
-    return math.fsum(li_panels(edges[:-1], edges[1:], GL32).tolist())
-
-
-def li(x: float) -> float:
-    """L(x) = integral from 2 to x of dt/ln t, relative error <= 1e-12."""
-    if x < 2:
-        raise ValueError(f"li requires x >= 2, got {x}")
-    return li_between(2.0, x)
-
-
-@dataclass(frozen=True)
-class AnalyticDerivatives:
-    """Closed-form derivatives of L and eps at one point, y = ln x.
-
-    The middle member identities (all verified against finite differences
-    in the tests):
-
-        L'   = 1/y                     eps   = sqrt(x) y
-        L''  = -1/(x y^2)              eps'  = (y+2)/(2 sqrt(x))
-        L''' = (y+2)/(x^2 y^3)         eps'' = -y/(4 x sqrt(x))
-        L'''' = -(2y^2+6y+6)/(x^3 y^4) eps''' = (3y-2)/(8 x^2 sqrt(x))
-                                       eps''''= (16-15y)/(16 x^3 sqrt(x))
-    """
-
-    x: float
-    l1: float
-    l2: float
-    l3: float
-    l4: float
-    eps: float
-    eps1: float
-    eps2: float
-    eps3: float
-    eps4: float
-
-
-def derivatives(x: float) -> AnalyticDerivatives:
-    if x < 2:
-        raise ValueError(f"derivatives require x >= 2, got {x}")
-    y = math.log(x)
-    sx = math.sqrt(x)
-    return AnalyticDerivatives(
-        x=x,
-        l1=1.0 / y,
-        l2=-1.0 / (x * y * y),
-        l3=(y + 2.0) / (x * x * y**3),
-        l4=-(2.0 * y * y + 6.0 * y + 6.0) / (x**3 * y**4),
-        eps=sx * y,
-        eps1=(y + 2.0) / (2.0 * sx),
-        eps2=-y / (4.0 * x * sx),
-        eps3=(3.0 * y - 2.0) / (8.0 * x * x * sx),
-        eps4=(16.0 - 15.0 * y) / (16.0 * x**3 * sx),
-    )
-
-
-def taylor_upper_l(x: float, h: float) -> float:
-    """Degree-3 Taylor polynomial of L at x; dominates L(x+h) since L''''<0."""
-    d = derivatives(x)
-    return li(x) + h * (d.l1 + h * (d.l2 / 2.0 + h * d.l3 / 6.0))
-
-
-def taylor_upper_eps(x: float, h: float) -> float:
-    """Degree-3 Taylor polynomial of eps at x; dominates eps(x+h) for x > e^(16/15)."""
-    d = derivatives(x)
-    return d.eps + h * (d.eps1 + h * (d.eps2 / 2.0 + h * d.eps3 / 6.0))
-
-
 @dataclass(frozen=True)
 class CubicProblem:
     """Coefficients of the reduced theta cubic at one x."""
 
-    x: float
     v2: float
     v1: float
     v0: float
-
-    def w_value(self, h: float) -> float:
-        """W_x(h), with the coefficients A3..A0 taken from ``derivatives``."""
-        d = derivatives(self.x)
-        a3 = (d.l3 + d.eps3) / 6.0
-        a2 = (d.l2 + d.eps2) / 2.0
-        return ((a3 * h + a2) * h + 2.0 * d.eps1) * h + 2.0 * d.eps
 
     def reduced_value(self, theta: float) -> float:
         return ((theta + (self.v2 - 3.0)) * theta + self.v1) * theta + self.v0
@@ -170,7 +81,7 @@ def cubic_coeffs(x: float) -> CubicProblem:
 
     They are computed symbolically (common factors cancelled by hand); the
     identities v2 = 3 + A2/(A3 x), v1 = A1/(A3 x^2) and v0 = A0/(A3 x^3)
-    are pinned to 1e-12 relative in the tests.  v1 carries the factor (y+2)
+    hold to 1e-14 relative against A3..A0 from mpmath in the tests.  v1 carries the factor (y+2)
     from A1: the identity forces it.
     """
     if x < 2:
@@ -183,7 +94,7 @@ def cubic_coeffs(x: float) -> CubicProblem:
     v2 = 3.0 * (16.0 * sx + y4 - 2.0 * y3) / d_common
     v1 = 48.0 * (y + 2.0) * y3 / d_common
     v0 = 96.0 * y4 / d_common
-    return CubicProblem(x=x, v2=v2, v1=v1, v0=v0)
+    return CubicProblem(v2=v2, v1=v1, v0=v0)
 
 
 @dataclass(frozen=True)
@@ -191,8 +102,6 @@ class ThetaRoots:
     x: float
     theta_minus: float
     theta_plus: float
-    residual_minus: float
-    residual_plus: float
 
     @property
     def h_star_minus(self) -> float:
@@ -240,8 +149,8 @@ def solve_theta(x: float) -> ThetaRoots:
     as well, while g(0) = v0 > 0, so g changes sign on both half-windows;
     its third root lies beyond 1, which leaves exactly one root in each.
     Raises ThetaPreconditionError where g(1) >= 0, that is where g has no
-    positive root or its smallest one is >= 1: below working_threshold()
-    ~ 1.478e10.
+    positive root or its smallest one is >= 1: below x ~ 1.4778e10, the
+    root of g(1) that the tests find with mpmath (mp_window_threshold).
     """
     prob = cubic_coeffs(x)
     g = prob.reduced_value
@@ -252,43 +161,11 @@ def solve_theta(x: float) -> ThetaRoots:
         )
     theta_plus = _bisect(g, 0.0, 1.0)
     theta_minus = _bisect(g, -1.0, 0.0)
-    return ThetaRoots(
-        x=x,
-        theta_minus=theta_minus,
-        theta_plus=theta_plus,
-        residual_minus=abs(g(theta_minus)),
-        residual_plus=abs(g(theta_plus)),
-    )
-
-
-def theta_extreme_roots(x: float) -> tuple[float, Optional[float]]:
-    """The cubic's negative root and smallest positive root (None if absent).
-
-    The reduced cubic always has exactly one negative root (one sign change
-    in its reflection), and zero or two positive roots.  No window
-    restriction: this is the honest "where does the majorant cross zero"
-    question, answered wherever the crossing exists.
-    """
-    prob = cubic_coeffs(x)
-    g = prob.reduced_value
-    theta_minus = _bisect(g, _double_until(lambda t: g(t) < 0.0, -1.0), 0.0)
-    # Positive side: g(0) = v0 > 0 and g'(0) = v1 > 0, so the smallest
-    # positive root, when it exists, lies between the two critical points.
-    b = prob.v2 - 3.0
-    disc = b * b - 3.0 * prob.v1
-    if disc <= 0.0:
-        return theta_minus, None
-    c_lo = (-b - math.sqrt(disc)) / 3.0
-    c_hi = (-b + math.sqrt(disc)) / 3.0
-    if c_hi <= 0.0 or g(c_hi) > 0.0:
-        return theta_minus, None
-    theta_plus = _bisect(g, max(c_lo, 0.0), c_hi)
-    return theta_minus, theta_plus
+    return ThetaRoots(x=x, theta_minus=theta_minus, theta_plus=theta_plus)
 
 
 @dataclass(frozen=True)
 class ExactCrossings:
-    x: float
     h_minus: float
     h_plus: float
 
@@ -345,18 +222,5 @@ def solve_h_exact(x: float) -> ExactCrossings:
             f"edge at x={x}; x too small"
         )
     h_minus = _bisect(f, lo, 0.0)
-    return ExactCrossings(x=x, h_minus=h_minus, h_plus=h_plus)
+    return ExactCrossings(h_minus=h_minus, h_plus=h_plus)
 
-
-def working_threshold() -> float:
-    """The x where g(1) turns negative, so solve_theta's window starts to hold.
-
-    The v_i decrease beyond ~1e6, so the window holds on an upper ray in
-    the ranges of interest; found by doubling, then bisection on g(1) to
-    adjacent floats.
-    """
-    g1 = lambda x: cubic_coeffs(x).reduced_value(1.0)
-    hi = _double_until(lambda x: g1(x) < 0.0, 1e6)
-    if hi == 1e6:
-        raise ValueError("threshold search must start below the acceptance region")
-    return _bisect(g1, hi / 2.0, hi)

@@ -191,3 +191,64 @@ def mp_h_crossings(x):
             inner, lo = lo, max(2 * lo, edge)
         h_minus = _mp_bisect(f, lo, inner)
         return h_minus, h_plus
+
+
+def mp_taylor3(x):
+    """Degree-3 Taylor coefficients [f(x), f'(x), f''(x)/2, f'''(x)/6] of L and of eps.
+
+    Each derivative is mp.diff's central difference with step x * 1e-12.
+    Its truncation error, about 1e-24 relative, is what limits it: mp.diff
+    evaluates f at several times the 30 digits asked for, so the differencing
+    loses nothing.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        step = x * mp.mpf(10) ** -12
+        return tuple(
+            [f(x)] + [mp.diff(f, x, k, h=step) / mp.factorial(k) for k in (1, 2, 3)]
+            for f in (lambda t: mp.li(t, offset=True), lambda t: mp.sqrt(t) * mp.log(t))
+        )
+
+
+def mp_w_coeffs(x):
+    """A3, A2, A1, A0 of the cubic majorant W_x(h) = T_L(x+h) + T_eps(x+h) - phi(x) - phi'(x) h.
+
+    T_L and T_eps are the degree-3 Taylor polynomials at x and phi = L - eps,
+    so the constant and linear terms of L cancel: A1 = 2 eps'(x), A0 = 2 eps(x).
+    """
+    (_, _, l2, l3), (e0, e1, e2, e3) = mp_taylor3(x)
+    return l3 + e3, l2 + e2, 2 * e1, 2 * e0
+
+
+def mp_theta_roots(v2, v1, v0):
+    """Negative root and smallest positive root (None if none) of t^3 + (v2-3) t^2 + v1 t + v0.
+
+    mp.polyroots finds all three roots of the cubic with the given
+    coefficients; a root counts as real when its imaginary part is below
+    1e-20.
+    """
+    import mpmath as mp
+
+    with mp.workdps(30):
+        roots = mp.polyroots([1, mp.mpf(v2) - 3, v1, v0], maxsteps=200, extraprec=60)
+        real = sorted(mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -20)
+        positive = [r for r in real if r > 0]
+        return real[0], positive[0] if positive else None
+
+
+def mp_window_threshold():
+    """The x near 1.478e10 where g(1) = v2 + v1 + v0 - 2 changes sign, by mp.findroot.
+
+    The v_i come from mp_w_coeffs through v2 = 3 + A2/(A3 x),
+    v1 = A1/(A3 x^2) and v0 = A0/(A3 x^3), so g(1) = W_x(x) / (A3 x^3).
+    """
+    import mpmath as mp
+
+    def g1(x):
+        a3, a2, a1, a0 = mp_w_coeffs(x)
+        return 1 + (a2 + (a1 + a0 / x) / x) / (a3 * x)
+
+    with mp.workdps(30):
+        return mp.findroot(g1, (mp.mpf(1.4e10), mp.mpf(1.6e10)), solver="anderson")

@@ -14,9 +14,18 @@ from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from conftest import record_criterion
-from oracles import check_concave, hull_of_primes, prime_points
+from oracles import (
+    check_concave,
+    hull_of_primes,
+    mp_taylor3,
+    mp_theta_roots,
+    mp_w_coeffs,
+    mp_window_threshold,
+    prime_points,
+)
 
 from primehull import analysis, cli, lens_bounds as lb, persistence
 from primehull.analysis import find_twins, records_from_state, verify_envelope
@@ -181,7 +190,7 @@ def test_criterion_07_conjecture_sums(run_1e8):
 
 def test_criterion_08_tangent_window_numerics(capsys):
     desc = (
-        "tangent-window numerics: domination, window roots iff x > working_threshold(), "
+        "tangent-window numerics against mpmath: domination, window roots iff x > threshold, "
         "majorant-root sandwich, H(x)/x, lensbounds ok at every decade 1e13..1e307"
     )
     with criterion(8, desc) as info:
@@ -192,27 +201,31 @@ def test_criterion_08_tangent_window_numerics(capsys):
         for _ in range(60):
             x = 10 ** rng.uniform(6, 12.5)
             h = x * rng.uniform(-0.9, 1.5)
-            lx = lb.li(x + h)
-            ex = math.sqrt(x + h) * math.log(x + h)
-            if not (
-                lb.taylor_upper_l(x, h) >= lx - 1e-9 * abs(lx)
-                and lb.taylor_upper_eps(x, h) >= ex - 1e-9 * abs(ex)
-            ):
-                failures.append(f"taylor domination at x={x:.3g} h={h:.3g}")
-                break
+            taylor_l, taylor_eps = mp_taylor3(x)
+            with mp.workdps(30):
+                z = mp.mpf(x) + h
+                if not (
+                    mp.polyval(taylor_l[::-1], h) >= mp.li(z, offset=True)
+                    and mp.polyval(taylor_eps[::-1], h) >= mp.sqrt(z) * mp.log(z)
+                ):
+                    failures.append(f"taylor domination at x={x:.3g} h={h:.3g}")
+                    break
             gap = lb._tangent_gap(x, h)
-            if not lb.cubic_coeffs(x).w_value(h) >= gap - 1e-9 * max(1.0, abs(gap)):
+            if not mp.polyval(mp_w_coeffs(x), h) >= gap - 1e-9 * max(1.0, abs(gap)):
                 failures.append(f"W majorant at x={x:.3g} h={h:.3g}")
                 break
 
-        # solve_theta promises window roots only above working_threshold().
-        # Below it the majorant's smallest positive root is missing (10^8) or
-        # lies beyond 1 (10^10), and solve_theta must refuse. The two points
-        # next to the threshold tie it to where that root enters [0, 1].
-        threshold = lb.working_threshold()
+        # solve_theta promises window roots only above the threshold where
+        # g(1) turns negative. Below it the majorant's smallest positive root
+        # is missing (10^8) or lies beyond 1 (10^10), and solve_theta must
+        # refuse. The two points next to the threshold tie it to where that
+        # root enters [0, 1].
+        threshold = float(mp_window_threshold())
         edge = (threshold * (1 - 1e-3), threshold * (1 + 1e-3))
+        extreme = {}
         for x in (1e8, 1e10, 1e12) + edge:
-            neg, pos = lb.theta_extreme_roots(x)
+            prob = lb.cubic_coeffs(x)
+            neg, pos = extreme[x] = mp_theta_roots(prob.v2, prob.v1, prob.v0)
             if x < threshold:
                 try:
                     lb.solve_theta(x)
@@ -228,22 +241,19 @@ def test_criterion_08_tangent_window_numerics(capsys):
             except lb.ThetaPreconditionError:
                 failures.append(f"solve_theta refuses x={x:.4g} above the threshold")
                 continue
-            if not (roots.theta_minus < 0 < roots.theta_plus):
-                failures.append(f"theta roots wrong-signed at x={x:.4g}")
-            if not (roots.residual_minus < 1e-10 and roots.residual_plus < 1e-10):
-                failures.append(f"theta residuals too large at x={x:.4g}")
             if not (
                 pos is not None
+                and roots.theta_minus < 0 < roots.theta_plus
                 and math.isclose(roots.theta_minus, neg, rel_tol=1e-12)
                 and math.isclose(roots.theta_plus, pos, rel_tol=1e-12)
             ):
-                failures.append(f"solve_theta and theta_extreme_roots disagree at x={x:.4g}")
+                failures.append(f"solve_theta and the mpmath cubic roots disagree at x={x:.4g}")
 
         # Above the threshold the extreme roots are the window roots; at 10^8
         # only the negative one exists, so only that side is bracketed.
         for x in (1e8, 1e10, 1e12):
             exact = lb.solve_h_exact(x)
-            neg, pos = lb.theta_extreme_roots(x)
+            neg, pos = extreme[x]
             plus_side_ok = pos is None or exact.h_plus < pos * x
             if not (neg * x < exact.h_minus < 0 < exact.h_plus and plus_side_ok):
                 failures.append(f"sandwich violated at x={x:.0e}")
@@ -283,7 +293,7 @@ def test_criterion_08_tangent_window_numerics(capsys):
         if elapsed >= 10.0:
             failures.append(f"took {elapsed:.1f}s (budget 10s)")
         assert not failures, "; ".join(failures)
-        info["detail"] = f"working_threshold() = {threshold:.4e}, {elapsed * 1e3:.0f} ms"
+        info["detail"] = f"window threshold {threshold:.4e}, {elapsed * 1e3:.0f} ms"
 
 
 def test_criterion_09_envelope():

@@ -1,36 +1,23 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import mp_h_crossings, mp_tangent_gap
+from oracles import (
+    mp_h_crossings,
+    mp_li,
+    mp_tangent_gap,
+    mp_taylor3,
+    mp_theta_roots,
+    mp_w_coeffs,
+    mp_window_threshold,
+)
 from primehull import lens_bounds as lb
 
-# mpmath reference values (computed at 30-40 decimal digits):
-# li via mp.li(x, offset=True); crossings via high-precision bisection on
-# the exact tangent gap; derivatives via mp.diff of li and sqrt(x) ln x.
-LI_REF = {
-    10: 5.1204357246698051527,
-    88789: 8650.0258675698066473,
-    10**6: 78626.503995682064427,
-    10**8: 5762208.3302842513501,
-    10**12: 37607950279.759701709,
-}
-LI_BETWEEN_REF = 893.16353920780602493  # integral over [1e6, 1e6 + 12345]
-
-DERIV_REF_1E6 = dict(
-    l1=0.072382413650541971,
-    l2=-5.2392138058781647e-9,
-    l3=5.9976676876795719e-15,
-    l4=-1.2918485424982777e-20,
-    eps=13815.510557964274,
-    eps1=0.0079077552789821371,
-    eps2=-3.4538776394910685e-9,
-    eps3=4.9308164592366028e-15,
-    eps4=-1.1952041148091507e-20,
-)
-
+# mpmath reference values (computed at 30-40 decimal digits): crossings via
+# high-precision bisection on the exact tangent gap.
 CROSSINGS_REF = {
     10**6: (-998973.64144881458, 32674921.278881009),
     10**8: (-83363303.252643586, 371250312.97242701),
@@ -47,26 +34,9 @@ WIDTH_RATIO_REF = {
 THETA_REF_1E12 = (-0.25738728901422609, 0.33550850843454493)
 
 
-def test_li_reference_values():
-    for x, ref in LI_REF.items():
-        assert lb.li(float(x)) == pytest.approx(ref, rel=1e-12)
-
-
-def test_li_between():
-    assert lb.li_between(1e6, 1e6 + 12345) == pytest.approx(LI_BETWEEN_REF, rel=1e-12)
-    # additivity against the anchored integral
-    for a, b in [(2.0, 97.0), (10.0, 1e6), (5e5, 2e6)]:
-        assert lb.li(a) + lb.li_between(a, b) == pytest.approx(lb.li(b), rel=1e-13)
-    assert lb.li_between(50.0, 50.0) == 0.0
-
-
-def test_li_domain_errors():
-    with pytest.raises(ValueError):
-        lb.li(1.5)
-    with pytest.raises(ValueError):
-        lb.li_between(10.0, 5.0)
-    with pytest.raises(ValueError):
-        lb.li_between(1.0, 5.0)
+def _extreme_roots(x):
+    prob = lb.cubic_coeffs(x)
+    return mp_theta_roots(prob.v2, prob.v1, prob.v0)
 
 
 def test_li_panels_match_li_between():
@@ -78,44 +48,34 @@ def test_li_panels_match_li_between():
         lefts.append(x)
         rights.append(x + rng.uniform(0.0, 90.0))
         x = rights[-1]
-    incs = lb.li_panels(np.array(lefts), np.array(rights), lb.GL12)
+    incs = lb.li_panels(np.array(lefts), np.array(rights))
     for a, b, inc in zip(lefts, rights, incs.tolist()):
-        assert inc == pytest.approx(lb.li_between(a, b), rel=1e-12, abs=1e-15)
-
-
-def test_derivatives_match_mpmath():
-    d = lb.derivatives(1e6)
-    for name, ref in DERIV_REF_1E6.items():
-        assert getattr(d, name) == pytest.approx(ref, rel=1e-10), name
+        assert inc == pytest.approx(float(mp_li(b) - mp_li(a)), rel=1e-12, abs=1e-15)
 
 
 def test_derivative_signs_large_x():
-    for x in (1e6, 1e9, 1e12):
-        d = lb.derivatives(x)
-        assert d.l1 > 0 > d.l2
-        assert d.l3 > 0 > d.l4
-        assert d.eps1 > 0 > d.eps2
-        assert d.eps3 > 0 > d.eps4  # eps'''' < 0 needs ln x > 16/15
+    # Both fourth derivatives are negative (that of eps needs ln x > 16/15),
+    # so the degree-3 Taylor polynomials of L and eps dominate them: this
+    # is why W is a majorant of the tangent gap.
+    with mp.workdps(40):
+        for x in (1e6, 1e9, 1e12):
+            for f in (lambda t: mp.li(t, offset=True), lambda t: mp.sqrt(t) * mp.log(t)):
+                d1, d2, d3, d4 = (mp.diff(f, x, k, h=x * 1e-6) for k in (1, 2, 3, 4))
+                assert d1 > 0 > d2 and d3 > 0 > d4, x
 
 
 def test_taylor_domination_random_grid():
-    # Both fourth derivatives are negative on the sampled domain, so the
-    # degree-3 Taylor polynomials dominate the functions for h of either
-    # sign. This is what makes W a majorant of the tangent gap.
+    # Each degree-3 Taylor polynomial dominates its function for h of
+    # either sign, compared in mpmath with li and sqrt(t) ln t.
     rng = random.Random(99)
     for _ in range(120):
         x = 10 ** rng.uniform(6, 12.5)
         h = x * rng.uniform(-0.9, 2.0)
-        lx = lb.li(x + h)
-        ex = math.sqrt(x + h) * math.log(x + h)
-        assert lb.taylor_upper_l(x, h) >= lx - 1e-9 * abs(lx)
-        assert lb.taylor_upper_eps(x, h) >= ex - 1e-9 * abs(ex)
-
-
-def _w_coeffs(x):
-    """W_x's coefficients A3, A2, A1, A0 from their Taylor-sum definitions."""
-    d = lb.derivatives(x)
-    return (d.l3 + d.eps3) / 6.0, (d.l2 + d.eps2) / 2.0, 2.0 * d.eps1, 2.0 * d.eps
+        taylor_l, taylor_eps = mp_taylor3(x)
+        with mp.workdps(30):
+            z = mp.mpf(x) + h
+            assert mp.polyval(taylor_l[::-1], h) >= mp.li(z, offset=True), (x, h)
+            assert mp.polyval(taylor_eps[::-1], h) >= mp.sqrt(z) * mp.log(z), (x, h)
 
 
 def test_cubic_coeffs_consistency():
@@ -123,25 +83,23 @@ def test_cubic_coeffs_consistency():
     for _ in range(60):
         x = 10 ** rng.uniform(1, 13)
         prob = lb.cubic_coeffs(x)
-        a3, a2, a1, a0 = _w_coeffs(x)
+        a3, a2, a1, a0 = mp_w_coeffs(x)
         assert a3 > 0.0
         # reduced forms: v2 = 3 + A2/(A3 x), v1 = A1/(A3 x^2), v0 = A0/(A3 x^3)
-        assert prob.v2 == pytest.approx(3.0 + a2 / (a3 * x), rel=1e-12)
-        assert prob.v1 == pytest.approx(a1 / (a3 * x * x), rel=1e-12)
-        assert prob.v0 == pytest.approx(a0 / (a3 * x**3), rel=1e-12)
-        h = x * rng.uniform(-1.0, 1.0)
-        assert prob.w_value(h) == pytest.approx(((a3 * h + a2) * h + a1) * h + a0, rel=1e-12)
+        assert prob.v2 == pytest.approx(float(3 + a2 / (a3 * x)), rel=1e-14)
+        assert prob.v1 == pytest.approx(float(a1 / (a3 * x * x)), rel=1e-14)
+        assert prob.v0 == pytest.approx(float(a0 / (a3 * x**3)), rel=1e-14)
 
 
 def test_w_value_and_reduced_value_agree():
+    # W_x(theta x) = A3 x^3 g(theta), with g the program's reduced cubic.
     rng = random.Random(12)
     for _ in range(40):
         x = 10 ** rng.uniform(4, 12)
-        prob = lb.cubic_coeffs(x)
+        coeffs = mp_w_coeffs(x)
         theta = rng.uniform(-1.0, 1.0)
-        h = theta * x
-        assert prob.w_value(h) == pytest.approx(
-            _w_coeffs(x)[0] * x**3 * prob.reduced_value(theta), rel=1e-10, abs=1e-12
+        assert float(mp.polyval(coeffs, theta * x)) == pytest.approx(
+            float(coeffs[0] * x**3) * lb.cubic_coeffs(x).reduced_value(theta), rel=1e-10, abs=1e-12
         )
 
 
@@ -149,10 +107,9 @@ def test_w_majorizes_tangent_gap():
     rng = random.Random(31)
     for _ in range(60):
         x = 10 ** rng.uniform(6, 12)
-        prob = lb.cubic_coeffs(x)
         h = x * rng.uniform(-0.9, 1.5)
         f = lb._tangent_gap(x, h)
-        assert prob.w_value(h) >= f - 1e-9 * max(1.0, abs(f))
+        assert mp.polyval(mp_w_coeffs(x), h) >= f - 1e-9 * max(1.0, abs(f))
 
 
 def test_solve_theta_at_1e12():
@@ -160,7 +117,6 @@ def test_solve_theta_at_1e12():
     assert roots.theta_minus == pytest.approx(THETA_REF_1E12[0], rel=1e-12)
     assert roots.theta_plus == pytest.approx(THETA_REF_1E12[1], rel=1e-12)
     assert roots.theta_minus < 0 < roots.theta_plus
-    assert roots.residual_minus < 1e-10 and roots.residual_plus < 1e-10
     assert roots.h_star_minus == roots.theta_minus * 1e12
     assert roots.h_star_plus == roots.theta_plus * 1e12
 
@@ -176,25 +132,20 @@ def test_solve_theta_window_rejections():
 
 def test_theta_extreme_roots():
     # 1e8: the cubic is positive for all theta > 0 (no positive root).
-    neg, pos = lb.theta_extreme_roots(1e8)
+    neg, pos = _extreme_roots(1e8)
     assert pos is None
     assert neg == pytest.approx(-0.8982632226141225, rel=1e-10)
     # 1e10: positive roots exist but the smaller one exceeds theta = 1,
     # which is why the window [-1, 1] can never capture it.
-    neg, pos = lb.theta_extreme_roots(1e10)
+    neg, pos = _extreme_roots(1e10)
     assert neg == pytest.approx(-0.5312291816344477, rel=1e-10)
     assert pos == pytest.approx(1.156861015481545, rel=1e-10)
     assert pos > 1.0
     # 1e12 agrees with the window solver
-    neg, pos = lb.theta_extreme_roots(1e12)
-    assert neg == pytest.approx(THETA_REF_1E12[0], rel=1e-12)
-    assert pos == pytest.approx(THETA_REF_1E12[1], rel=1e-12)
-    for x in (1e8, 1e10, 1e12):
-        prob = lb.cubic_coeffs(x)
-        n, p = lb.theta_extreme_roots(x)
-        assert abs(prob.reduced_value(n)) < 1e-10
-        if p is not None:
-            assert abs(prob.reduced_value(p)) < 1e-10
+    neg, pos = _extreme_roots(1e12)
+    roots = lb.solve_theta(1e12)
+    assert roots.theta_minus == pytest.approx(float(neg), rel=1e-12)
+    assert roots.theta_plus == pytest.approx(float(pos), rel=1e-12)
 
 
 def test_solve_h_exact_reference_values():
@@ -219,7 +170,7 @@ def test_sandwich_with_relaxed_roots():
     # the exact crossings (W >= F pointwise). At 1e10 the positive root
     # exists but only outside the window [-1, 1]; the bracket still holds.
     for x in (1e10, 1e12):
-        neg, pos = lb.theta_extreme_roots(x)
+        neg, pos = _extreme_roots(x)
         c = lb.solve_h_exact(x)
         assert neg * x < c.h_minus < 0 < c.h_plus < pos * x
 
@@ -280,8 +231,24 @@ def test_solve_h_exact_rejects_small_x():
 
 
 def test_working_threshold():
-    wt = lb.working_threshold()
-    assert wt == pytest.approx(1.47778e10, rel=1e-4)
+    # The program's g(1) changes sign at the mpmath threshold, so
+    # solve_theta's window opens there.
+    wt = float(mp_window_threshold())
+    assert wt == pytest.approx(1.4777809264298031e10, rel=1e-12)
+    assert lb.cubic_coeffs(wt * (1 - 1e-9)).reduced_value(1.0) > 0.0
+    assert lb.cubic_coeffs(wt * (1 + 1e-9)).reduced_value(1.0) < 0.0
     lb.solve_theta(wt * 1.001)  # must succeed just above
     with pytest.raises(lb.ThetaPreconditionError):
         lb.solve_theta(wt * 0.999)
+
+
+def test_bisect_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="does not change sign"):
+        lb._bisect(lambda t: t * t + 1.0, -1.0, 1.0)
+
+
+def test_double_until_gives_up_after_64_doublings():
+    tried = []
+    with pytest.raises(ValueError, match="64 doublings"):
+        lb._double_until(lambda t: tried.append(t), 1.0)
+    assert tried == [2.0**k for k in range(65)]

@@ -11,13 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
 PACKAGE = ROOT / "src" / "primehull"
 
-# Definitions kept without a caller in the program: acceptance criterion 8
-# checks solve_theta and solve_h_exact against these reference routines,
-# Taylor majorants and the cubic's majorant value.
-REFERENCE_ONLY = {
-    "theta_extreme_roots", "working_threshold", "taylor_upper_l", "taylor_upper_eps", "w_value",
-}
-
 # Every option string of the command and its subcommands, in parser order.
 # A new option is a deliberate edit here, not a side effect.
 CLI_OPTIONS = {
@@ -94,22 +87,17 @@ def test_every_top_level_definition_is_reached():
     # keeps them.
     trees = _trees("src", "perfbench")
     everywhere = {path: _references(tree) for path, tree in trees.items()}
-    defined = set()
     unreached = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         others = set().union(*(refs for p, refs in everywhere.items() if p != path))
         for name, node in _definitions(tree):
-            defined.add(name)
-            if name in REFERENCE_ONLY or (name.startswith("__") and name.endswith("__")):
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if name not in others | _references(tree, skip=node):
                 unreached.append(f"{path.name}:{node.lineno} {name}")
     assert unreached == []
-    assert REFERENCE_ONLY <= defined
-    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
-    assert all(re.search(rf"\b{name}\b", acceptance) for name in REFERENCE_ONLY)
 
 
 def test_no_unused_imports():

@@ -526,11 +526,15 @@ LENS_GRID_SHA256 = "25a9cc02b3449c74f0a4e67b54b4068a3a0e2c0d2d66d9fb66aeacd6a425
 
 
 def test_cli_lensbounds(tmp_path, capsys):
-    assert cli.main(["lensbounds", "--x-grid", "1e8,1e12"]) == 0
+    assert cli.main(["lensbounds", "--x-grid", "1e8,1e12,5e5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("x,v2,")
     assert out[1].endswith("window-too-small")
     assert out[2].endswith("ok")
+    # 5e5 has neither window roots nor tangent crossings (these start near 8.03e5).
+    *cells, status = out[3].split(",")
+    assert status == "window-too-small"
+    assert all(cells[:4]) and cells[4:] == [""] * 7
     assert cli.main(["lensbounds", "--x-grid", "1e8,1e10,1.4778e10,1.5e10,1e12"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == LENS_GRID_SHA256
