@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import analysis, lens_bounds, persistence
 from .hull_engine import HullState
 from .m_variant import compute_m_extremal
-from .persistence import CheckpointError, fmt12
+from .persistence import CheckpointError, fmt12, sci12
 from .prime_stream import LimitTooLargeError, SieveConfig
 
 EXIT_OK = 0
@@ -177,22 +177,22 @@ _LENS_COLUMNS = (
 
 def _lens_row(x: float) -> str:
     prob = lens_bounds.cubic_coeffs(x)
-    cells = [f"{x:.6g}", fmt12(prob.v2), fmt12(prob.v1), fmt12(prob.v0)]
+    cells = [f"{x:.6g}", sci12(prob.v2), sci12(prob.v1), sci12(prob.v0)]
     status = "ok"
     try:
         roots = lens_bounds.solve_theta(x)
         cells += [
-            fmt12(roots.theta_minus),
-            fmt12(roots.theta_plus),
-            fmt12(roots.h_star_minus),
-            fmt12(roots.h_star_plus),
+            sci12(roots.theta_minus),
+            sci12(roots.theta_plus),
+            sci12(roots.h_star_minus),
+            sci12(roots.h_star_plus),
         ]
     except lens_bounds.ThetaPreconditionError:
         status = "window-too-small"
         cells += ["", "", "", ""]
     try:
         exact = lens_bounds.solve_h_exact(x)
-        cells += [fmt12(exact.h_minus), fmt12(exact.h_plus), fmt12(exact.width / x)]
+        cells += [sci12(exact.h_minus), sci12(exact.h_plus), sci12(exact.width / x)]
     except ValueError:
         # solve_h_exact fails only below about 8.03e5, far under the window
         # threshold ~1.478e10, so status is already "window-too-small".

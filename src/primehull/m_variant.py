@@ -97,8 +97,11 @@ class MHullState(HullState):
         3. For i on edge (a, b), c_i = y_a + (y_b - y_a) * t with
            t = (p_i - p_a)/(p_b - p_a) in [0, 1], the differences exact in
            int64, each of the four operations rounded once (separate numpy
-           ufuncs, no fused multiply-add).  |y_b - y_a| <= Y and
-           C(p_i) in [0, Y] give |c_i - C(p_i)| <= 3.001uY + 1.001uY.
+           ufuncs, no fused multiply-add).  The operands p_a, p_b - p_a,
+           y_a and y_b - y_a are computed once per edge and repeated over
+           its points (``_chain``), which changes no rounding.
+           |y_b - y_a| <= Y and C(p_i) in [0, Y] give
+           |c_i - C(p_i)| <= 3.001uY + 1.001uY.
         4. delta is exact (Y times a power of two), and c_i - delta is
            rounded once, by at most 1.001uY.
 
@@ -117,16 +120,24 @@ class MHullState(HullState):
         y = primes / pis
         idx = segment_hull(primes, y)[0]
         if len(idx) > 1:
-            counts = np.diff(idx)
-            counts[-1] += 1
-            a = np.repeat(idx[:-1], counts)
-            b = np.repeat(idx[1:], counts)
-            t = (primes - primes[a]) / (primes[b] - primes[a])
-            chain = y[a] + (y[b] - y[a]) * t
-            keep = y >= chain - FILTER_MARGIN * y.max()
+            keep = y >= _chain(primes, y, idx) - FILTER_MARGIN * y.max()
             primes, pis = primes[keep], pis[keep]
         for p, pi in zip(primes.tolist(), pis.tolist()):
             self.push(p, pi)
+
+
+def _chain(primes, y, idx):
+    """c_i of ``MHullState.merge_segment`` at every point of the segment.
+
+    The operands p_a, p_b - p_a, y_a and y_b - y_a are taken once per edge
+    (a, b) of the float hull ``idx`` and repeated over the points of that
+    edge; the last point closes the last edge.
+    """
+    counts = np.diff(idx)
+    counts[-1] += 1
+    pv, yv = primes[idx], y[idx]
+    t = (primes - np.repeat(pv[:-1], counts)) / np.repeat(np.diff(pv), counts)
+    return np.repeat(yv[:-1], counts) + np.repeat(np.diff(yv), counts) * t
 
 
 @dataclass(frozen=True)

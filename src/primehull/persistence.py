@@ -55,16 +55,24 @@ class CheckpointVersionError(CheckpointError):
     pass
 
 
+def sci12(x: float) -> str:
+    """Format with exactly 12 significant digits in scientific notation.
+
+    Adding 0.0 turns -0.0 into 0.0.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot format non-finite value {x}")
+    return f"{x + 0.0:.11e}"
+
+
 def fmt12(x: float) -> str:
     """Format with exactly 12 significant digits, positional notation.
 
     f-string positional precision counts decimal places, not significant
-    digits, so the digits are rounded in scientific notation and Decimal
-    writes them out positionally.  Adding 0.0 turns -0.0 into 0.0.
+    digits, so the digits are rounded by ``sci12`` and Decimal writes them
+    out positionally: the same number, so both strings parse to one float.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"cannot format non-finite value {x}")
-    return format(Decimal(f"{x + 0.0:.11e}"), "f")
+    return format(Decimal(sci12(x)), "f")
 
 
 def _canonical_json(payload: dict) -> bytes:

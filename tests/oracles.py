@@ -112,6 +112,21 @@ def chord_dominates(vertices: Sequence[tuple[int, Fraction]], points: Sequence[t
     return True
 
 
+def m_filter_chain(P, y, idx):
+    """The M filter's float chain by the per-point formula, as a bit-exact reference.
+
+    Point i lies on the float hull edge (a, b) = (idx[j], idx[j+1]) with j
+    the last vertex position at or before i (the last point closes the
+    last edge), and c_i = y[a] + (y[b] - y[a]) * ((P - P[a]) / (P[b] - P[a]))
+    with every operand gathered per point.
+    """
+    import numpy as np
+
+    j = np.minimum(np.searchsorted(idx, np.arange(len(P)), side="right") - 1, len(idx) - 2)
+    a, b = idx[j], idx[j + 1]
+    return y[a] + (y[b] - y[a]) * ((P - P[a]) / (P[b] - P[a]))
+
+
 def check_concave(points: Sequence[tuple[int, int]]) -> tuple[bool, Optional[int]]:
     """Whether consecutive slopes of a point chain strictly decrease.
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_upper_hull, chord_dominates, hull_of_primes, prime_points
+from oracles import batch_upper_hull, chord_dominates, hull_of_primes, m_filter_chain, prime_points
 from primehull.hull_engine import (
     ExactSlope,
     HullState,
@@ -17,7 +17,7 @@ from primehull.hull_engine import (
 )
 from primehull.analysis import records_from_state
 from primehull.m_variant import MHullState
-from primehull import prime_stream
+from primehull import m_variant, prime_stream
 from primehull._seghull import BLOCK, _candidates
 
 
@@ -440,6 +440,12 @@ def test_streaming_hull_matches_fraction_oracle(pts, data):
     for lo, hi in pieces:
         m_seg.merge_segment(P[lo:hi], R[lo:hi])
     assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m_seg.stack] == m_oracle
+    # The M filter's chain over the whole cloud equals, in every bit, the
+    # per-point formula its margin proof is stated for; the hulls above
+    # would not show a chain that rounds differently.
+    y = P / R
+    idx = segment_hull(P, y)[0]
+    assert m_variant._chain(P, y, idx).tobytes() == m_filter_chain(P, y, idx).tobytes()
 
 
 def test_m_merge_matches_fraction_oracle_across_blocks():
@@ -456,8 +462,10 @@ def test_m_merge_matches_fraction_oracle_across_blocks():
         pts = pts[:n]
         P = np.array([p for p, _ in pts], dtype=np.int64)
         R = np.array([r for _, r in pts], dtype=np.int64)
-        idx = segment_hull(P, P / R)[0]
+        y = P / R
+        idx = segment_hull(P, y)[0]
         assert idx[0] == 0 and idx[-1] == n - 1 and (np.diff(idx) > 0).all()
+        assert m_variant._chain(P, y, idx).tobytes() == m_filter_chain(P, y, idx).tobytes()
         want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
         cuts = sorted(rng.sample(range(1, n), 6))
         for bounds in ([0, n], [0, *cuts, n]):

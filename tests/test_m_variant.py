@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import batch_upper_hull, chord_dominates, m_hull_of_primes, prime_points
+from oracles import batch_upper_hull, chord_dominates, m_filter_chain, m_hull_of_primes, prime_points
 from primehull import m_variant
 from primehull.analysis import records_from_state
 from primehull.hull_engine import HullVertex as P
@@ -21,10 +21,7 @@ M_FIRST_10 = [2, 29, 37, 41, 59, 97, 149, 223, 347, 557]
 # merge that pushed every point, which the filtered merge must reproduce.
 M_VERTEX_DIGESTS = [
     (10**7, 130, 59, "201714e12af8cd17640b8accf707b56b49d5285fe5e5a677869579380b8f7fc2"),
-    pytest.param(
-        10**8, 234, 110, "ada47a7cad8bfc95bb41f56cce8012f25be9ec4b40703f017b41a128ac2313ab",
-        marks=pytest.mark.extended,
-    ),
+    (10**8, 234, 110, "ada47a7cad8bfc95bb41f56cce8012f25be9ec4b40703f017b41a128ac2313ab"),
     pytest.param(
         10**9, 429, 189, "98bf6b5fc008054db19b015be43e19dc6a6636a5b36b937e9c8bab9ca59a1e28",
         marks=pytest.mark.extended,
@@ -153,3 +150,40 @@ def test_filtered_merge_keeps_rational_ties(monkeypatch):
     assert _merged(pts) == want
     monkeypatch.setattr(m_variant, "FILTER_MARGIN", 0.0)
     assert _merged(pts) != want
+
+
+def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
+    # Every segment that compute_m_extremal(10**7) merges: the chain built
+    # from per-edge operands equals the per-point formula in every bit, so
+    # the margin proof covers it as stated.  Keep masks alone would not
+    # show a change of rounding: np.interp leaves them equal here while
+    # 625 chain values differ.
+    chain = m_variant._chain
+    checked = []
+
+    def compared(primes, y, idx):
+        got = chain(primes, y, idx)
+        checked.append((len(got), got.tobytes() == m_filter_chain(primes, y, idx).tobytes()))
+        return got
+
+    monkeypatch.setattr(m_variant, "_chain", compared)
+    compute_m_extremal(10**7)
+    assert len(checked) > 1
+    assert sum(n for n, _ in checked) == 664_578
+    assert all(same for _, same in checked)
+
+
+def test_filtered_merge_pushes_167_points_to_1e7(monkeypatch):
+    # A work count: a filter that stops filtering keeps every hull right, so
+    # only the number of exact pushes shows it.  Unfiltered, all 664,579
+    # primes to 1e7 are pushed.
+    push = MHullState.push
+    pushed = []
+
+    def counted(self, p, pi, *rest):
+        pushed.append(p)
+        return push(self, p, pi, *rest)
+
+    monkeypatch.setattr(MHullState, "push", counted)
+    compute_m_extremal(10**7)
+    assert len(pushed) == 167

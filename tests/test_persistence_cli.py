@@ -4,6 +4,7 @@ import os
 import random
 import re
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from primehull.persistence import (
     load_checkpoint,
     parse_export,
     save_checkpoint,
+    sci12,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,6 +50,18 @@ def test_fmt12_pinned_strings():
         fmt12(float("nan"))
     with pytest.raises(ValueError):
         fmt12(float("inf"))
+    assert sci12(1.5) == "1.50000000000e+00"
+    assert sci12(-0.0) == "0.00000000000e+00"
+    assert sci12(5e-324) == "4.94065645841e-324"
+    with pytest.raises(ValueError):
+        sci12(float("nan"))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_sci12_is_fmt12_in_scientific_form(x):
+    # The same 12 digits, so both cells parse to the same float.
+    assert Decimal(sci12(x)) == Decimal(fmt12(x))
 
 
 @given(st.floats(min_value=1e-8, max_value=1e15))
@@ -522,7 +536,7 @@ def test_cli_resume_errors(tmp_path, capsys):
 
 # lensbounds stdout on the grid below, pinned so that the quadrature and
 # root-finding bits cannot drift unseen.
-LENS_GRID_SHA256 = "25a9cc02b3449c74f0a4e67b54b4068a3a0e2c0d2d66d9fb66aeacd6a425f00f"
+LENS_GRID_SHA256 = "0e3105e2128b773d218afdd0e19a0dd3fdb37968f47cdf8733faa77ee97306ba"
 
 
 def test_cli_lensbounds(tmp_path, capsys):
@@ -538,6 +552,12 @@ def test_cli_lensbounds(tmp_path, capsys):
     assert cli.main(["lensbounds", "--x-grid", "1e8,1e10,1.4778e10,1.5e10,1e12"]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == LENS_GRID_SHA256
+    # Reals are written in scientific form, so a row stays short at any x
+    # (written positionally, the 1e307 row was 1,550 characters).
+    assert cli.main(["lensbounds", "--x-grid", "1e307"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert len(row) < 250 and row.endswith(",ok")
+    assert row.split(",")[7] == "6.68437939696e+234"  # h_star_plus
     assert cli.main(["lensbounds", "--x-grid", "oops"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "1"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "1e309"]) == 2  # overflows a float
