@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid arguments, 3 corrupt or mismatched
-checkpoint, 4 computational range rejected (overflow-safety caps).
+checkpoint, 4 computational range rejected (overflow-safety caps), 5 a
+compute chunk ended at a published pi(x) with a different prime count.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import os
 import re
 import sys
@@ -25,12 +27,16 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_RANGE = 4
+EXIT_ANCHOR = 5
 
 # Every limit a command accepts is far below 10^LIMIT_DIGITS: compute stops
 # at 10^12, and lensbounds converts x to a float, which ends near 1.8e308.
 LIMIT_DIGITS = 400
 # compute extends and saves its state in chunks ending at multiples of this.
 CHUNK = 10**9
+# Published pi(x) at chunk ends: a compute chunk ending at one of these x
+# must have counted exactly this many primes, or the run stops unsaved.
+PI_ANCHORS = {10**10: 455052511, 10**11: 4118054813}
 
 
 def parse_limit(text: str) -> int:
@@ -79,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None, help="export path")
     c.add_argument("--format", default="csv", choices=tuple(_EXPORTERS), help="export format")
     c.add_argument("--include-provisional", action="store_true", help="add unconfirmed tail rows with a status column")
+    c.add_argument("--until-k", type=int, default=None, help="stop after the first chunk that confirms e_K")
 
     a = sub.add_parser("analyze", help="statistics over an exported record table")
     a.add_argument("--in", dest="infile", required=True, help="CSV or JSON export to read")
@@ -101,6 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     limit = parse_limit(args.limit)
     SieveConfig(limit=limit)  # refuse a limit out of range before the first chunk
+    until_k = math.inf if args.until_k is None else args.until_k
+    if until_k < 1:
+        raise ValueError(f"--until-k must be >= 1, got {until_k}")
     state = HullState()
     if args.checkpoint and os.path.exists(args.checkpoint):
         state, _echo = persistence.load_checkpoint(args.checkpoint)
@@ -108,9 +118,17 @@ def _cmd_compute(args) -> int:
     if limit < state.last_processed:
         raise ValueError(f"limit {limit} is below the checkpoint's frontier {state.last_processed}")
     records = analysis.records_from_state(state, include_provisional=True)
-    while (done := state.last_processed) < limit:
+    while (done := state.last_processed) < limit and state.confirmed_len < until_k:
         t0 = time.perf_counter()
         state.extend(min((done // CHUNK + 1) * CHUNK, limit))
+        published = PI_ANCHORS.get(state.last_processed)
+        if published is not None and state.pi_at_last != published:
+            print(
+                f"error: pi({state.last_processed}) counted {state.pi_at_last}, "
+                f"published {published}; chunk not saved",
+                file=sys.stderr,
+            )
+            return EXIT_ANCHOR
         if args.checkpoint:
             persistence.save_checkpoint(state, args.checkpoint, config_echo={"limit": limit})
         records = analysis.records_from_state(state, include_provisional=True)
@@ -124,6 +142,8 @@ def _cmd_compute(args) -> int:
             f"({seconds:.1f}s, {rate:.3g} integers/s, ETA {eta})",
             flush=True,
         )
+    if state.last_processed < limit:
+        print(f"stopped at x={state.last_processed}: e_{until_k} is confirmed")
     if args.out:
         _EXPORTERS[args.format](records, args.out, include_provisional=args.include_provisional)
         print(f"wrote {args.out}")
@@ -177,7 +197,7 @@ _LENS_COLUMNS = (
 
 def _lens_row(x: float) -> str:
     prob = lens_bounds.cubic_coeffs(x)
-    cells = [f"{x:.6g}", sci12(prob.v2), sci12(prob.v1), sci12(prob.v0)]
+    cells = [repr(x), sci12(prob.v2), sci12(prob.v1), sci12(prob.v0)]
     status = "ok"
     try:
         roots = lens_bounds.solve_theta(x)

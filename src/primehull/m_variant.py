@@ -25,8 +25,12 @@ A segment is merged through a float filter (``MHullState.merge_segment``):
 the segment kernel, run on float64 heights, gives a polyline that no point
 of the segment's exact hull lies more than ``FILTER_MARGIN`` times the
 segment's largest height below, so only the points within that margin are
-pushed.  Every decision the stack takes is still the exact ``_cross``; the
-floats only rule points out.
+kept.  The filter runs twice.  Stage 1 takes the polyline from the hull of
+the highest point of each ``BLOCK``-point block, about one point in 64,
+and keeps the points of the segment within the margin of it; stage 2
+takes it from the hull of those kept points and filters them again, and
+what is left is pushed.  Every decision the stack takes is still the exact
+``_cross``; the floats only rule points out.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._seghull import segment_hull
+from ._seghull import BLOCK, segment_hull
 from .analysis import CONFIRMED, PROVISIONAL
 from .hull_engine import HullState, HullVertex
 from .prime_stream import LimitTooLargeError
@@ -77,23 +81,35 @@ class MHullState(HullState):
     def merge_segment(self, primes, pis) -> None:
         """Push, in order, the points of one segment that can be on its hull.
 
-        The heights are y_i = fl(p_i/pi_i) in float64, and ``segment_hull``
-        on them returns indices v_0 = 0 < v_1 < ... = n - 1 of float hull
-        vertices (its ties are meaningless for floats and are ignored).  The
-        chain C is the exact polyline through (p_v, y_v).  Point i is kept
-        when y_i >= fl(c_i - delta), where c_i is C(p_i) as evaluated below
-        and delta = FILTER_MARGIN * Y, Y = max y.  The kept points are
-        pushed through the exact ``push``; the first and last are kept.
+        The heights are y_i = fl(p_i/pi_i) in float64.  The filter runs in
+        two stages, each of which keeps a subset of the points:
 
-        Soundness, with u = 2^-53, u' = u/(1 - u), h_i = p_i/pi_i and H the
-        exact upper hull of the points (p_i, h_i), a concave function:
+        - stage 1 runs ``segment_hull`` on the highest point of each block
+          of ``BLOCK`` consecutive points, plus the first and last points,
+          and evaluates its chain at every point of the segment;
+        - stage 2 runs ``segment_hull`` on the points stage 1 kept, and
+          evaluates its chain at each of them.
+
+        In each stage ``segment_hull`` returns indices v_0 = 0 < v_1 < ...
+        = n - 1 (its ties are meaningless for floats and are ignored), and
+        the chain C is the exact polyline through the (p_v, y_v).  Point i
+        is kept when y_i >= fl(c_i - delta), where c_i is C(p_i) as
+        evaluated below, delta = FILTER_MARGIN * Y and Y = max y over the
+        segment.  The points left after stage 2 are pushed through the
+        exact ``push``.
+
+        Soundness of one stage, with u = 2^-53, u' = u/(1 - u), h_i =
+        p_i/pi_i and H the exact upper hull of the stage's points (p_i,
+        h_i), a concave function:
 
         1. p_i < 2^53 (the M_MAX_LIMIT cap) converts to float exactly, and
            so does pi_i <= p_i; so y_i is h_i correctly rounded and
            |y_i - h_i| <= u h_i <= u'Y.
-        2. Each edge of C is a chord whose ends lie at most u'Y above the
-           concave H, so the whole chord does: C <= H + u'Y on [p_0, p_n-1],
-           whichever vertices the float quickhull picked.
+        2. The vertices of C are points of the stage, so each edge of C is
+           a chord whose ends lie at most u'Y above the concave H, and so
+           does the whole chord: C <= H + u'Y on [p_0, p_n-1], whichever
+           points the stage handed to the float quickhull and whichever
+           vertices it picked.
         3. For i on edge (a, b), c_i = y_a + (y_b - y_a) * t with
            t = (p_i - p_a)/(p_b - p_a) in [0, 1], the differences exact in
            int64, each of the four operations rounded once (separate numpy
@@ -110,24 +126,40 @@ class MHullState(HullState):
         is at most C(p_i) + 5.003uY - delta by 3 and 4.  So it is kept once
         delta >= 2u'Y + 5.003uY, which is below 7.004uY; FILTER_MARGIN = 8u.
 
-        A dropped point lies strictly below H, so strictly below the hull
-        of everything pushed so far.  The stack after a push sequence holds
-        the vertices of the pushed points' hull, each with the points
-        exactly on its incoming edge as ties, so pushing the kept points
-        leaves the same stack as pushing all of them.  The last point is
-        kept, so the frontier and pi_at_last are the same too.
+        Stage 1 therefore keeps every point of the segment's exact hull H,
+        the two ends among them.  Its kept points are a subset of the
+        segment that contains every vertex and tie of H, so their exact
+        hull is H again, and stage 2 is the same argument on them (their
+        largest height is at most Y, so the bounds above still hold with
+        the segment's Y).  A point dropped by either stage lies strictly
+        below H, so strictly below the hull of everything pushed so far.
+        The stack after a push sequence holds the vertices of the pushed
+        points' hull, each with the points exactly on its incoming edge as
+        ties, so pushing the kept points leaves the same stack as pushing
+        all of them.  The last point is kept, so the frontier and
+        pi_at_last are the same too.
         """
         y = primes / pis
-        idx = segment_hull(primes, y)[0]
-        if len(idx) > 1:
-            keep = y >= _chain(primes, y, idx) - FILTER_MARGIN * y.max()
+        n = len(y)
+        if n > 1:
+            delta = FILTER_MARGIN * y.max()
+            # Stage 1's points: the highest of each block (the last one may
+            # be partial) and both ends.
+            full = n - n % BLOCK
+            tops = y[:full].reshape(-1, BLOCK).argmax(1) + np.arange(0, full, BLOCK)
+            last = full + y[full:].argmax() if full < n else 0
+            sub = np.unique(np.concatenate(([0], tops, [last, n - 1])))
+            idx = sub[segment_hull(primes[sub], y[sub])[0]]
+            keep = y >= _chain(primes, y, idx) - delta
+            primes, pis, y = primes[keep], pis[keep], y[keep]
+            keep = y >= _chain(primes, y, segment_hull(primes, y)[0]) - delta
             primes, pis = primes[keep], pis[keep]
         for p, pi in zip(primes.tolist(), pis.tolist()):
             self.push(p, pi)
 
 
 def _chain(primes, y, idx):
-    """c_i of ``MHullState.merge_segment`` at every point of the segment.
+    """c_i of ``MHullState.merge_segment`` at every point a stage filters.
 
     The operands p_a, p_b - p_a, y_a and y_b - y_a are taken once per edge
     (a, b) of the float hull ``idx`` and repeated over the points of that

@@ -448,18 +448,23 @@ def test_streaming_hull_matches_fraction_oracle(pts, data):
     assert m_variant._chain(P, y, idx).tobytes() == m_filter_chain(P, y, idx).tobytes()
 
 
+def m_tie_cloud(rng, n):
+    """n points like those of m_tie_clouds: runs of one pi, a few of them tiny."""
+    p, pts = rng.randrange(10**9, 10**9 + 10**6), []
+    while len(pts) < n:
+        pi = rng.choice([3, 7, 21, rng.randrange(5 * 10**7, 5 * 10**7 + 4)])
+        for _ in range(rng.randint(2, 15)):
+            p += rng.randint(1, 40)
+            pts.append((p, pi))
+    return pts[:n]
+
+
 def test_m_merge_matches_fraction_oracle_across_blocks():
     # m_tie_clouds stop near 90 points, about two candidate blocks; these
     # clouds of the same kind span 8 to 47.
     rng = random.Random(20261019)
     for n in (500, 1200, 3000):
-        p, pts = rng.randrange(10**9, 10**9 + 10**6), []
-        while len(pts) < n:
-            pi = rng.choice([3, 7, 21, rng.randrange(5 * 10**7, 5 * 10**7 + 4)])
-            for _ in range(rng.randint(2, 15)):
-                p += rng.randint(1, 40)
-                pts.append((p, pi))
-        pts = pts[:n]
+        pts = m_tie_cloud(rng, n)
         P = np.array([p for p, _ in pts], dtype=np.int64)
         R = np.array([r for _, r in pts], dtype=np.int64)
         y = P / R
@@ -473,3 +478,38 @@ def test_m_merge_matches_fraction_oracle_across_blocks():
             for lo, hi in zip(bounds, bounds[1:]):
                 m.merge_segment(P[lo:hi], R[lo:hi])
             assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == want
+
+
+def test_m_filter_stage_one_keeps_the_fraction_hull(monkeypatch):
+    # Stage 1 of MHullState.merge_segment filters every point against the
+    # float hull of the block maxima.  What it keeps is what stage 2 hands to
+    # segment_hull, and that must hold both ends and every vertex and tie
+    # of the exact hull, also with one block, a full last block and a
+    # partial one.  The ties of pi = 3, 7 and 21 round either way of a float
+    # chain, so only the margin keeps some of them.
+    calls = []
+    hull = m_variant.segment_hull
+
+    def recorded(P, y):
+        calls.append(P.tolist())
+        return hull(P, y)
+
+    monkeypatch.setattr(m_variant, "segment_hull", recorded)
+    rng = random.Random(20261020)
+    for n in (1, 2, 63, 64, 65, 500, 3000):
+        pts = m_tie_cloud(rng, n)
+        want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
+        assert n < 500 or sum(len(t) for _, _, t in want) > 10
+        calls.clear()
+        m = MHullState()
+        m.merge_segment(
+            np.array([p for p, _ in pts], dtype=np.int64),
+            np.array([r for _, r in pts], dtype=np.int64),
+        )
+        assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == want
+        if n == 1:
+            assert calls == []
+            continue
+        assert len(calls) == 2 and len(calls[0]) <= 2 + -(-n // BLOCK)
+        on_hull = {pts[0][0], pts[-1][0]} | {q for p, _, t in want for q in (p, *t)}
+        assert on_hull <= set(calls[1])

@@ -153,11 +153,13 @@ def test_filtered_merge_keeps_rational_ties(monkeypatch):
 
 
 def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
-    # Every segment that compute_m_extremal(10**7) merges: the chain built
-    # from per-edge operands equals the per-point formula in every bit, so
-    # the margin proof covers it as stated.  Keep masks alone would not
-    # show a change of rounding: np.interp leaves them equal here while
-    # 625 chain values differ.
+    # Both filter stages of every segment that compute_m_extremal(10**7)
+    # merges: the chain built from per-edge operands equals the per-point
+    # formula in every bit, so the margin proof covers it as stated.  Keep
+    # masks alone would not show a change of rounding: np.interp leaves them
+    # equal here while 625 chain values differ.  Stage 1 evaluates its chain
+    # at all 664,578 points of the five segments after p = 2, stage 2 at
+    # the 739 that stage 1 keeps.
     chain = m_variant._chain
     checked = []
 
@@ -168,8 +170,8 @@ def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
 
     monkeypatch.setattr(m_variant, "_chain", compared)
     compute_m_extremal(10**7)
-    assert len(checked) > 1
-    assert sum(n for n, _ in checked) == 664_578
+    assert len(checked) == 10
+    assert sum(n for n, _ in checked) == 665_317
     assert all(same for _, same in checked)
 
 
@@ -187,3 +189,57 @@ def test_filtered_merge_pushes_167_points_to_1e7(monkeypatch):
     monkeypatch.setattr(MHullState, "push", counted)
     compute_m_extremal(10**7)
     assert len(pushed) == 167
+
+
+def _recorded_hulls(monkeypatch):
+    """Each segment_hull call of the M merge, as the list of its primes."""
+    calls = []
+    hull = m_variant.segment_hull
+
+    def recorded(P, y):
+        calls.append(P.tolist())
+        return hull(P, y)
+
+    monkeypatch.setattr(m_variant, "segment_hull", recorded)
+    return calls
+
+
+def test_filtered_merge_hands_11135_points_to_segment_hull_to_1e7(monkeypatch):
+    # A work count: both stages stay sound if stage 1 takes every point, or
+    # if its chain keeps too much, so only what the float kernel is given
+    # shows it.  Stage 1 gets the block maxima and ends, stage 2 what stage
+    # 1 kept; the one-stage filter handed the kernel all 664,578 points.
+    calls = _recorded_hulls(monkeypatch)
+    compute_m_extremal(10**7)
+    assert [len(c) for c in calls[::2]] == [2434, 2195, 2121, 2075, 1571]
+    assert sum(map(len, calls)) == 11_135
+
+
+@pytest.mark.parametrize("oracle", ["push", pytest.param("fraction", marks=pytest.mark.extended)])
+def test_stage_one_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
+    # On every segment that compute_m_extremal(10**7) merges, the points
+    # stage 1 keeps (stage 2's segment_hull input) hold both ends and every
+    # vertex and tie of the segment's exact hull.  The Fraction oracle takes
+    # about 20 s on these 664,579 points; tier-1 uses the exact stack fed
+    # every point, which the hypothesis test checks against that oracle.
+    calls = _recorded_hulls(monkeypatch)
+    segments = []
+    merge = MHullState.merge_segment
+
+    def recorded(self, primes, pis):
+        segments.append((primes.tolist(), pis.tolist(), len(calls)))
+        return merge(self, primes, pis)
+
+    monkeypatch.setattr(MHullState, "merge_segment", recorded)
+    compute_m_extremal(10**7)
+    assert [len(p) for p, _, _ in segments] == [1, 155_610, 140_336, 135_555, 132_661, 100_416]
+    for primes, pis, first in segments[1:]:
+        if oracle == "push":
+            exact = MHullState()
+            for p, pi in zip(primes, pis):
+                exact.push(p, pi)
+            hull = [(v.p, v.ties) for v in exact.stack]
+        else:
+            hull = [(v.p, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in zip(primes, pis)])]
+        on_hull = {primes[0], primes[-1]} | {q for p, ties in hull for q in (p, *ties)}
+        assert on_hull <= set(calls[first + 1])

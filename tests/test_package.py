@@ -1,11 +1,15 @@
 import argparse
 import ast
+import hashlib
 import pkgutil
 import re
 from pathlib import Path
 
 import primehull
 from primehull import cli
+from primehull.analysis import records_from_state
+from primehull.m_variant import compute_m_extremal
+from primehull.persistence import export_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
@@ -17,7 +21,7 @@ CLI_OPTIONS = {
     "primehull": ["-h", "--help"],
     "compute": [
         "-h", "--help", "--limit", "--checkpoint",
-        "--out", "--format", "--include-provisional",
+        "--out", "--format", "--include-provisional", "--until-k",
     ],
     "analyze": ["-h", "--help", "--in", "--sums", "--twins", "--ties", "--envelope-limit"],
     "lensbounds": ["-h", "--help", "--x-grid", "--out"],
@@ -68,6 +72,25 @@ def test_package_exports_exactly_what_the_benchmark_calls():
     submodules = {m.name for m in pkgutil.iter_modules(primehull.__path__)}
     assert set(primehull.__all__) == used - submodules - {"__file__"}
     assert all(hasattr(primehull, name) for name in used)
+
+
+def test_benchmark_digests_match_the_program(tmp_path, run_1e8):
+    # The benchmark counts a run whose output misses its pinned digests as
+    # failed; this finds such a change first.  The digests are read, not
+    # imported, so that the benchmark's module stays as it is.
+    pins = {
+        target.id: node.value.value
+        for node in ast.parse(BENCH.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_SHA256")
+    }
+    sha = lambda lines: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    m = compute_m_extremal(10**7).records
+    assert pins["M_VERTEX_SHA256"] == sha(f"{r.p},{r.pi},{';'.join(map(str, r.ties))}" for r in m)
+    path = tmp_path / "table.csv"
+    export_csv(records_from_state(run_1e8.state, include_provisional=True), path, include_provisional=True)
+    assert pins["E_CSV200_SHA256"] == sha(path.read_text().splitlines()[1:201])
 
 
 def test_cli_options_are_pinned():

@@ -348,7 +348,7 @@ def test_readme_cli_block_parses():
     # limits parse_limit takes.
     block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
     commands = [line.split()[1:] for line in block.splitlines() if line.startswith("primehull ")]
-    assert len(commands) == 5
+    assert len(commands) == 6
     parser = cli._build_parser()
     for argv in commands:
         args = parser.parse_args(argv)
@@ -382,6 +382,57 @@ def test_cli_compute_chunks_and_resumes(tmp_path, capsys, monkeypatch, run_1e6):
     assert cli.main(cmd) == 0
     assert capsys.readouterr().out.splitlines() == ["resuming from 1000000"] + lines[3:]
     assert ck.read_bytes() == straight.read_bytes()
+
+
+def test_cli_compute_until_k_stops_after_the_chunk_that_confirms_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK", 10**5)
+    monkeypatch.setattr(cli, "PI_ANCHORS", {10**6: 78498})
+    # e_63 is the last vertex confirmed at 10^6, so the run passes the
+    # anchor before it confirms e_64.
+    state = compute_extremal(10**6).state
+    while state.confirmed_len < 64:
+        state.extend(state.last_processed + 10**5)
+    stop = state.last_processed
+    assert 10**6 < stop < 2 * 10**6
+    ck = tmp_path / "run.ck"
+    cmd = ["compute", "--limit", "2*10^6", "--until-k", "64", "--checkpoint", str(ck)]
+    assert cli.main(cmd) == 0
+    lines = capsys.readouterr().out.splitlines()
+    chunks = [line.split()[0] for line in lines if line.startswith("x=")]
+    assert chunks == [f"x={x}" for x in range(10**5, stop + 1, 10**5)]
+    assert f"stopped at x={stop}: e_64 is confirmed" in lines
+    straight = tmp_path / "straight.ck"
+    save_checkpoint(state, straight, config_echo={"limit": 2 * 10**6})
+    assert ck.read_bytes() == straight.read_bytes()
+    # Rerun on the checkpoint: e_64 is already confirmed, so no chunk runs.
+    assert cli.main(cmd) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"resuming from {stop}", f"stopped at x={stop}: e_64 is confirmed"]
+    assert ck.read_bytes() == straight.read_bytes()
+    assert cli.main(["compute", "--limit", "10^3", "--until-k", "0"]) == 2
+    assert "--until-k must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_compute_stops_unsaved_at_a_wrong_anchor(tmp_path, capsys, monkeypatch):
+    # pi(10^6) = 78498; the anchor table claims one fewer.
+    monkeypatch.setattr(cli, "CHUNK", 10**5)
+    monkeypatch.setattr(cli, "PI_ANCHORS", {10**6: 78497})
+    ck = tmp_path / "run.ck"
+    out = tmp_path / "table.csv"
+    cmd = ["compute", "--limit", "2*10^6", "--checkpoint", str(ck), "--out", str(out)]
+    assert cli.main(cmd) == cli.EXIT_ANCHOR == 5
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("x=900000 ")
+    assert "pi(1000000) counted 78498, published 78497; chunk not saved" in captured.err
+    straight = tmp_path / "straight.ck"
+    save_checkpoint(compute_extremal(9 * 10**5).state, straight, config_echo={"limit": 2 * 10**6})
+    assert ck.read_bytes() == straight.read_bytes()
+    assert not out.exists()
+    # The published count passes, and the run goes on to its limit.
+    monkeypatch.setattr(cli, "PI_ANCHORS", {10**6: 78498})
+    assert cli.main(cmd) == 0
+    assert "x=2000000 " in capsys.readouterr().out
+    assert out.exists()
 
 
 def test_cli_compute_degenerate(tmp_path, capsys):
@@ -536,7 +587,7 @@ def test_cli_resume_errors(tmp_path, capsys):
 
 # lensbounds stdout on the grid below, pinned so that the quadrature and
 # root-finding bits cannot drift unseen.
-LENS_GRID_SHA256 = "0e3105e2128b773d218afdd0e19a0dd3fdb37968f47cdf8733faa77ee97306ba"
+LENS_GRID_SHA256 = "b09c33310120aa531acc60bd51a71e3455424735243924dfc91c4c8e65e41783"
 
 
 def test_cli_lensbounds(tmp_path, capsys):
@@ -565,6 +616,18 @@ def test_cli_lensbounds(tmp_path, capsys):
     path = tmp_path / "lens.csv"
     assert cli.main(["lensbounds", "--x-grid", "1e12", "--out", str(path)]) == 0
     assert path.read_text().count("\n") == 2
+
+
+def test_cli_lensbounds_labels_round_trip(capsys):
+    # Two grid points 2000 apart on either side of the window threshold
+    # 1.47778093e10: to six digits both read 1.47778e+10.
+    assert cli.main(["lensbounds", "--x-grid", "14777809000,14777811000"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [
+        ("14777809000.0", "window-too-small"),
+        ("14777811000.0", "ok"),
+    ]
+    assert [float(row[0]) for row in rows] == [14777809000.0, 14777811000.0]
 
 
 def test_cli_mvariant(tmp_path, capsys):
