@@ -39,12 +39,7 @@ time (median of 15 interleaved rounds, 2-core x86_64 VM, numpy 2.4.6)
 was 35.4, 33.5, 32.9 and 33.9 ms for BLOCK = 32, 64, 128 and 256 on the
 pi heights, and 82.6, 75.3, 74.8 and 74.8 ms on the float heights p/pi.
 The last three lie within one another's quartiles, and 32 is slower; 64
-keeps the scan of a kept block short.  The float-height timings ran the
-kernel on every point of every segment, as the M-variant's filter then
-did.  That filter (``m_variant.MHullState.merge_segment``) now hands the
-kernel only the highest point of each ``BLOCK``-point block and then the
-few hundred points that survive it, so they no longer describe what the
-M path runs.
+keeps the scan of a kept block short.
 
 Vertices are the strictly convex points.  The ties of a vertex b with hull
 predecessor a are the points strictly between a and b that lie exactly on

@@ -12,16 +12,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from .hull_engine import ExactSlope, HullState
-from . import lens_bounds
-from . import prime_stream
+if TYPE_CHECKING:
+    from .hull_engine import HullState
 
 CONFIRMED = "confirmed"
 PROVISIONAL = "provisional"
+
+
+@dataclass(frozen=True)
+class ExactSlope:
+    """Slope of a hull edge as the unreduced pair (dpi, dp), dp > 0."""
+
+    dpi: int
+    dp: int
+
+    def __post_init__(self) -> None:
+        if self.dp <= 0:
+            raise ValueError("slope denominator must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,78 +124,3 @@ def find_twins(records: Sequence[ExtremalRecord]) -> list[TwinPair]:
         if b.pi_e - a.pi_e == 1:
             out.append(TwinPair(k=a.k, e=a.e, e_next=b.e, pi_e=a.pi_e))
     return out
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    limit: int
-    checked: int
-    violations: tuple[int, ...]  # primes p >= 11 with |pi - Li| >= sqrt(p) ln p
-    boundary_flags: tuple[int, ...]  # same exceedance among p < 11
-    max_ratio: float  # max over p >= 11 of |pi - Li| / (sqrt(p) ln p)
-    argmax_p: int
-
-
-ENVELOPE_BOUNDARY = 11
-_ENVELOPE_MAX = 10**9
-
-
-def verify_envelope(limit: int) -> EnvelopeReport:
-    """Scan primes p <= limit for |pi(p) - Li(p)| < sqrt(p) ln p.
-
-    Li is accumulated incrementally with fixed-order Gauss-Legendre panels
-    per prime gap (one panel is already far below the comparison's needs;
-    the worst panel, [2,3], is still accurate to ~1e-18 relative).  The
-    inequality genuinely fails at p=2, so primes below 11 are reported as
-    boundary flags rather than counted as violations.  A limit below 11
-    leaves nothing to measure and raises ValueError; one above 10^9 raises
-    LimitTooLargeError.
-    """
-    if limit > _ENVELOPE_MAX:
-        raise prime_stream.LimitTooLargeError(f"envelope scan limited to {_ENVELOPE_MAX}, got {limit}")
-    if limit < ENVELOPE_BOUNDARY:
-        raise ValueError(f"envelope limit must be >= {ENVELOPE_BOUNDARY}, got {limit}")
-    cfg = prime_stream.SieveConfig(limit=limit)
-    block_sums: list[float] = []  # fsum of each block's Li increments
-    prev_p = 2.0
-    violations: list[int] = []
-    boundary: list[int] = []
-    max_ratio = -1.0
-    argmax_p = 2
-    checked = 0
-    for primes, pis, _high in prime_stream.iter_prime_blocks(cfg):
-        if not len(primes):
-            continue
-        pf = primes.astype(np.float64)
-        lefts = np.concatenate(([prev_p], pf[:-1]))
-        incs = lens_bounds.li_panels(lefts, pf)
-        # Li at the j-th prime of the block; longdouble keeps the in-block
-        # cumulative rounding far below the envelope comparison's needs.
-        li_base = math.fsum(block_sums)  # Li at prev_p
-        li_vals = (li_base + np.cumsum(incs.astype(np.longdouble))).astype(np.float64)
-        bounds = np.sqrt(pf) * np.log(pf)
-        ratios = np.abs(pis.astype(np.float64) - li_vals) / bounds
-        exceed = ratios >= 1.0
-        if np.any(exceed):
-            for p in primes[exceed].tolist():
-                if p < ENVELOPE_BOUNDARY:
-                    boundary.append(p)
-                else:
-                    violations.append(p)
-        big = primes >= ENVELOPE_BOUNDARY
-        if np.any(big):
-            j = int(np.argmax(np.where(big, ratios, -np.inf)))
-            if ratios[j] > max_ratio:
-                max_ratio = float(ratios[j])
-                argmax_p = int(primes[j])
-        block_sums.append(math.fsum(incs.tolist()))
-        prev_p = float(pf[-1])
-        checked += len(primes)
-    return EnvelopeReport(
-        limit=limit,
-        checked=checked,
-        violations=tuple(violations),
-        boundary_flags=tuple(boundary),
-        max_ratio=max_ratio,
-        argmax_p=argmax_p,
-    )

@@ -180,11 +180,11 @@ def _cmd_analyze(args) -> int:
             print("no ties")
     if args.envelope_limit is not None:
         limit = parse_limit(args.envelope_limit)
-        report = analysis.verify_envelope(limit)
+        report = lens_bounds.verify_envelope(limit)
         print(
             f"envelope up to {limit}: {len(report.violations)} violations, "
             f"max |pi - Li|/(sqrt(p) ln p) = {fmt12(report.max_ratio)} "
-            f"(boundary cases below {analysis.ENVELOPE_BOUNDARY}: {len(report.boundary_flags)})"
+            f"(boundary cases below {lens_bounds.ENVELOPE_BOUNDARY}: {len(report.boundary_flags)})"
         )
     return EXIT_OK
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._seghull import segment_hull
+from .analysis import ExtremalRecord, records_from_state
 from .prime_stream import SieveConfig, iter_prime_blocks
 
 RS_CONSTANT = 1.25506
@@ -55,18 +56,6 @@ def pi_bound(x: float) -> tuple[float, float]:
         x / y * (1.0 + 1.0 / y + 2.0 / (y * y) + 7.59 / (y * y * y)),
         1.0 / y + 1.59 / y4 - 30.36 / (y4 * y),
     )
-
-
-@dataclass(frozen=True)
-class ExactSlope:
-    """Slope of a hull edge as the unreduced pair (dpi, dp), dp > 0."""
-
-    dpi: int
-    dp: int
-
-    def __post_init__(self) -> None:
-        if self.dp <= 0:
-            raise ValueError("slope denominator must be positive")
 
 
 @dataclass
@@ -255,7 +244,7 @@ class HullState:
 @dataclass
 class ComputeResult:
     state: HullState
-    confirmed: list  # list[analysis.ExtremalRecord]
+    confirmed: list[ExtremalRecord]
 
 
 def compute_extremal(limit: int) -> ComputeResult:
@@ -264,8 +253,6 @@ def compute_extremal(limit: int) -> ComputeResult:
     A state to resume, e.g. one loaded from a checkpoint, continues with
     ``HullState.extend``; results are identical to an uninterrupted run.
     """
-    from .analysis import records_from_state
-
     state = HullState()
     state.extend(limit)
     return ComputeResult(state=state, confirmed=records_from_state(state))

@@ -1,4 +1,5 @@
-"""Analytic window bounds around the prime counting function.
+"""Analytic window bounds around the prime counting function, and a scan of
+the primes against them.
 
 Models the envelope phi(x) = L(x) - eps(x) with L(x) = integral from 2 to
 x of dt/ln t and eps(x) = sqrt(x) ln x, and bounds how far from x the
@@ -31,6 +32,13 @@ All terms are positive, so the closed forms are cancellation-free and
 float64 evaluation is accurate to a few ulp.  The tests check the Taylor
 domination, these identities, the window roots and its threshold against
 mpmath references in tests/oracles.py.
+
+``verify_envelope`` checks the band L - eps < pi < L + eps itself at
+every prime up to a limit: it sieves the primes, sums L over the gaps
+between consecutive primes with ``li_panels``, and reports the primes where
+|pi(p) - L(p)| >= eps(p) and the largest ratio |pi(p) - L(p)| / eps(p).
+Under RH, pi stays within a constant times eps of L (von Koch 1901;
+Schoenfeld, Math. Comp. 1976).
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .prime_stream import LimitTooLargeError, SieveConfig, iter_prime_blocks
 
 # Gauss-Legendre (nodes, weights): 32 points for the geometric panels of
 # _tangent_gap, 12 for the short prime-gap panels of the envelope scan.
@@ -224,3 +234,73 @@ def solve_h_exact(x: float) -> ExactCrossings:
     h_minus = _bisect(f, lo, 0.0)
     return ExactCrossings(h_minus=h_minus, h_plus=h_plus)
 
+
+@dataclass(frozen=True)
+class EnvelopeReport:
+    limit: int
+    checked: int
+    violations: tuple[int, ...]  # primes p >= 11 with |pi - Li| >= sqrt(p) ln p
+    boundary_flags: tuple[int, ...]  # same exceedance among p < 11
+    max_ratio: float  # max over p >= 11 of |pi - Li| / (sqrt(p) ln p)
+    argmax_p: int
+
+
+ENVELOPE_BOUNDARY = 11
+_ENVELOPE_MAX = 10**9
+
+
+def verify_envelope(limit: int) -> EnvelopeReport:
+    """Scan primes p <= limit for |pi(p) - Li(p)| < sqrt(p) ln p.
+
+    Li is accumulated incrementally, one ``li_panels`` panel per prime gap.
+    Within a sieve block the increments are summed by a float64 cumulative
+    sum onto Li at the block's first left end; that base is the ``math.fsum``
+    of every earlier block's increments, so rounding does not build up
+    across blocks.  The inequality genuinely fails at p=2, so primes below
+    11 are reported as boundary flags rather than counted as violations.  A
+    limit below 11 leaves nothing to measure and raises ValueError; one
+    above 10^9 raises LimitTooLargeError.
+    """
+    if limit > _ENVELOPE_MAX:
+        raise LimitTooLargeError(f"envelope scan limited to {_ENVELOPE_MAX}, got {limit}")
+    if limit < ENVELOPE_BOUNDARY:
+        raise ValueError(f"envelope limit must be >= {ENVELOPE_BOUNDARY}, got {limit}")
+    block_sums: list[float] = []  # fsum of each block's Li increments
+    prev_p = 2.0
+    violations: list[int] = []
+    boundary: list[int] = []
+    max_ratio = -1.0
+    argmax_p = 2
+    checked = 0
+    for primes, pis, _high in iter_prime_blocks(SieveConfig(limit=limit)):
+        if not len(primes):
+            continue
+        pf = primes.astype(np.float64)
+        lefts = np.concatenate(([prev_p], pf[:-1]))
+        incs = li_panels(lefts, pf)
+        # Li at each prime of the block, from Li at prev_p.
+        li_vals = math.fsum(block_sums) + np.cumsum(incs)
+        bounds = np.sqrt(pf) * np.log(pf)
+        ratios = np.abs(pis.astype(np.float64) - li_vals) / bounds
+        for p in primes[ratios >= 1.0].tolist():
+            if p < ENVELOPE_BOUNDARY:
+                boundary.append(p)
+            else:
+                violations.append(p)
+        big = primes >= ENVELOPE_BOUNDARY
+        if np.any(big):
+            j = int(np.argmax(np.where(big, ratios, -np.inf)))
+            if ratios[j] > max_ratio:
+                max_ratio = float(ratios[j])
+                argmax_p = int(primes[j])
+        block_sums.append(math.fsum(incs.tolist()))
+        prev_p = float(pf[-1])
+        checked += len(primes)
+    return EnvelopeReport(
+        limit=limit,
+        checked=checked,
+        violations=tuple(violations),
+        boundary_flags=tuple(boundary),
+        max_ratio=max_ratio,
+        argmax_p=argmax_p,
+    )

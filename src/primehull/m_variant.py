@@ -21,16 +21,9 @@ so no future point can reach the extended edge and v can never be popped.
 All three conditions are monotone in x, so confirmations never depend on
 where segment boundaries fall.
 
-A segment is merged through a float filter (``MHullState.merge_segment``):
-the segment kernel, run on float64 heights, gives a polyline that no point
-of the segment's exact hull lies more than ``FILTER_MARGIN`` times the
-segment's largest height below, so only the points within that margin are
-kept.  The filter runs twice.  Stage 1 takes the polyline from the hull of
-the highest point of each ``BLOCK``-point block, about one point in 64,
-and keeps the points of the segment within the margin of it; stage 2
-takes it from the hull of those kept points and filters them again, and
-what is left is pushed.  Every decision the stack takes is still the exact
-``_cross``; the floats only rule points out.
+A segment is merged through a two-stage float filter, stated and proved
+in ``MHullState.merge_segment``.  Every decision the stack takes is still
+the exact ``_cross``; the floats only rule points out.
 """
 
 from __future__ import annotations

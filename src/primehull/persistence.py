@@ -27,8 +27,8 @@ import os
 from decimal import Decimal
 from typing import Optional, Sequence, Union
 
-from .analysis import CONFIRMED, PROVISIONAL, ExtremalRecord
-from .hull_engine import ExactSlope, HullState, HullVertex
+from .analysis import CONFIRMED, PROVISIONAL, ExactSlope, ExtremalRecord
+from .hull_engine import HullState, HullVertex
 from .m_variant import MRecord
 from .prime_stream import MAX_LIMIT
 
@@ -103,6 +103,13 @@ def save_checkpoint(state: HullState, path: Union[str, os.PathLike], config_echo
         raise
 
 
+def _json_int(value) -> int:
+    """A checkpoint's integer field: a JSON integer, not a bool, float or string."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     """Read a checkpoint; returns (state, config_echo)."""
     try:
@@ -124,14 +131,14 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         )
     try:
         stack = [
-            HullVertex(p=int(p), pi=int(pi), ties=[int(t) for t in ties])
+            HullVertex(p=_json_int(p), pi=_json_int(pi), ties=[_json_int(t) for t in ties])
             for p, pi, ties in payload["provisional_stack"]
         ]
         state = HullState(
             stack=stack,
-            confirmed_len=int(payload["confirmed_count"]),
-            last_processed=int(payload["limit_processed"]),
-            pi_at_last=int(payload["pi_at_limit"]),
+            confirmed_len=_json_int(payload["confirmed_count"]),
+            last_processed=_json_int(payload["limit_processed"]),
+            pi_at_last=_json_int(payload["pi_at_limit"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint corrupt: bad field ({exc})") from exc

@@ -5,13 +5,9 @@ import random
 import pytest
 
 from oracles import check_concave, mp_li, sieve_primes
-from primehull.analysis import (
-    CONFIRMED,
-    PROVISIONAL,
-    find_twins,
-    records_from_state,
-    verify_envelope,
-)
+from primehull import prime_stream
+from primehull.analysis import CONFIRMED, PROVISIONAL, find_twins, records_from_state
+from primehull.lens_bounds import verify_envelope
 
 # Reference sums over the first 200 extremal primes, recomputed at 50
 # decimal digits with mpmath from the confirmed run at 1e8.
@@ -114,6 +110,17 @@ def test_envelope_clean_to_1e6():
     assert rep.boundary_flags == (2,)  # |pi - Li| >= sqrt(p) ln p only at p=2
     assert rep.argmax_p == 29
     assert rep.max_ratio == pytest.approx(0.09275610952168314, rel=1e-10)
+
+
+def test_envelope_is_the_same_over_small_blocks(monkeypatch):
+    # Blocks of 2^12 odd integers put 123 block boundaries below 10^6, so
+    # Li is carried from block to block 123 times, not once after 2.
+    want = verify_envelope(10**6)
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 2**12)
+    got = verify_envelope(10**6)
+    fields = lambda r: (r.checked, r.violations, r.boundary_flags, r.argmax_p)
+    assert fields(got) == fields(want) == (78498, (), (2,), 29)
+    assert got.max_ratio == pytest.approx(want.max_ratio, rel=1e-12, abs=0)
 
 
 def test_envelope_matches_mpmath_at_sampled_primes():

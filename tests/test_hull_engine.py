@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from oracles import batch_upper_hull, chord_dominates, hull_of_primes, m_filter_chain, prime_points
 from primehull.hull_engine import (
-    ExactSlope,
     HullState,
     HullVertex as P,
     compute_extremal,
     segment_hull,
 )
-from primehull.analysis import records_from_state
+from primehull.analysis import ExactSlope, records_from_state
 from primehull.m_variant import MHullState
 from primehull import m_variant, prime_stream
 from primehull._seghull import BLOCK, _candidates

@@ -158,3 +158,55 @@ def test_only_the_prime_stream_starts_threads_or_processes():
             if any(m.split(".")[0] in concurrency for m in modules):
                 importers.add(path.relative_to(PACKAGE).as_posix())
     assert importers == {"prime_stream.py"}
+
+
+def _runtime_imports(tree):
+    """Package modules a module imports when it runs: all but ``if TYPE_CHECKING:`` blocks."""
+    modules = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("primehull." if node.level else "") + (node.module or "")
+            names = [base] if node.module else [base + alias.name for alias in node.names]
+        else:
+            names = []
+        modules.update(n.split(".")[1] for n in names if n.startswith("primehull."))
+        stack.extend(ast.iter_child_nodes(node))
+    return modules
+
+
+def test_no_import_inside_a_function():
+    local = [
+        f"{path.relative_to(ROOT)}:{inner.lineno}"
+        for path, tree in _trees("src").items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []
+
+
+def test_records_import_no_package_module():
+    # The record layer sits below the engine: hull_engine, persistence and
+    # m_variant import it, so it may import none of them.
+    assert _runtime_imports(ast.parse((PACKAGE / "analysis.py").read_text())) == set()
+
+
+def test_importing_the_package_skips_lens_bounds():
+    # lens_bounds serves the lensbounds command and the envelope scan only.
+    graph = {path.stem: _runtime_imports(tree) for path, tree in _trees("src").items()}
+    seen, todo = set(), ["__init__"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph[name])
+    assert "lens_bounds" not in seen
+    assert {"analysis", "hull_engine", "prime_stream", "_seghull"} <= seen

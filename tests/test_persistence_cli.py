@@ -171,11 +171,18 @@ def test_checkpoint_version_mismatch(tmp_path):
         lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [5, 11]]] + s[3:]},
         lambda s, n: {"provisional_stack": s[:4] + [[47, 15, [31, 23, 43]]] + s[5:]},
         lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [4]]] + s[3:]},
+        # Integer fields must be JSON integers; int() would truncate 9592.9
+        # to pi(10^5) = 9592 and read "100000", true and "7" as integers.
+        lambda s, n: {"pi_at_limit": 9592.9},
+        lambda s, n: {"limit_processed": "100000"},
+        lambda s, n: {"confirmed_count": True},
+        lambda s, n: {"provisional_stack": s[:2] + [["7", 4.0, ["5"]], [19, 8, [13.0]]] + s[4:]},
     ],
     ids=[
         "p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top",
         "slopes-not-decreasing", "tail-confirmed", "frontier-beyond-cap",
         "first-vertex-ties", "tie-outside-edge", "ties-not-increasing", "tie-off-lattice",
+        "pi-float", "limit-string", "confirmed-bool", "stack-strings-and-floats",
     ],
 )
 def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
