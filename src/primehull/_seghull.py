@@ -39,7 +39,12 @@ time (median of 15 interleaved rounds, 2-core x86_64 VM, numpy 2.4.6)
 was 35.4, 33.5, 32.9 and 33.9 ms for BLOCK = 32, 64, 128 and 256 on the
 pi heights, and 82.6, 75.3, 74.8 and 74.8 ms on the float heights p/pi.
 The last three lie within one another's quartiles, and 32 is slower; 64
-keeps the scan of a kept block short.
+keeps the scan of a kept block short.  The M-variant's filter
+(``MHullState.merge_segment``) uses the same blocks but never hands the
+kernel a whole segment: it takes the hull of the block maxima of p/pi,
+drops each block whose highest point is below that hull, less a margin,
+at both of the block's ends, and runs the kernel again only on the
+points it kept.
 
 Vertices are the strictly convex points.  The ties of a vertex b with hull
 predecessor a are the points strictly between a and b that lie exactly on

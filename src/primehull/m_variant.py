@@ -21,8 +21,9 @@ so no future point can reach the extended edge and v can never be popped.
 All three conditions are monotone in x, so confirmations never depend on
 where segment boundaries fall.
 
-A segment is merged through a two-stage float filter, stated and proved
-in ``MHullState.merge_segment``.  Every decision the stack takes is still
+A segment is merged through a two-stage float filter, whose first stage
+drops whole blocks of points, stated and proved in
+``MHullState.merge_segment``.  Every decision the stack takes is still
 the exact ``_cross``; the floats only rule points out.
 """
 
@@ -78,18 +79,22 @@ class MHullState(HullState):
         two stages, each of which keeps a subset of the points:
 
         - stage 1 runs ``segment_hull`` on the highest point of each block
-          of ``BLOCK`` consecutive points, plus the first and last points,
-          and evaluates its chain at every point of the segment;
+          of ``BLOCK`` consecutive points (the last block may be partial),
+          plus the first and last points.  It tests each block's highest y
+          against its chain at the block's first and last points, and then
+          each point of the blocks it keeps;
         - stage 2 runs ``segment_hull`` on the points stage 1 kept, and
-          evaluates its chain at each of them.
+          tests each of them against its chain.
 
         In each stage ``segment_hull`` returns indices v_0 = 0 < v_1 < ...
         = n - 1 (its ties are meaningless for floats and are ignored), and
         the chain C is the exact polyline through the (p_v, y_v).  Point i
         is kept when y_i >= fl(c_i - delta), where c_i is C(p_i) as
         evaluated below, delta = FILTER_MARGIN * Y and Y = max y over the
-        segment.  The points left after stage 2 are pushed through the
-        exact ``push``.
+        segment, which is the largest block top.  Stage 1 keeps a block
+        when it holds a vertex of C, or when its top passes this test at
+        its first or its last point.  The points left after stage 2 are
+        pushed through the exact ``push``.
 
         Soundness of one stage, with u = 2^-53, u' = u/(1 - u), h_i =
         p_i/pi_i and H the exact upper hull of the stage's points (p_i,
@@ -108,7 +113,8 @@ class MHullState(HullState):
            int64, each of the four operations rounded once (separate numpy
            ufuncs, no fused multiply-add).  The operands p_a, p_b - p_a,
            y_a and y_b - y_a are computed once per edge and repeated over
-           its points (``_chain``), which changes no rounding.
+           the points where it is evaluated (``_chain``), which changes no
+           rounding.
            |y_b - y_a| <= Y and C(p_i) in [0, Y] give
            |c_i - C(p_i)| <= 3.001uY + 1.001uY.
         4. delta is exact (Y times a power of two), and c_i - delta is
@@ -118,6 +124,16 @@ class MHullState(HullState):
         y_i >= H(p_i) - u'Y >= C(p_i) - 2u'Y by 1 and 2, while the threshold
         is at most C(p_i) + 5.003uY - delta by 3 and 4.  So it is kept once
         delta >= 2u'Y + 5.003uY, which is below 7.004uY; FILTER_MARGIN = 8u.
+
+        Stage 1 drops whole blocks by the same bound.  The vertices of C are
+        points of the stage, so block tops or the segment's ends, and a
+        block that holds none of them lies strictly inside one edge of C,
+        where C is affine.  So C(p_i) >= C(p_e) on the block, with e its
+        first or its last point, whichever has the lower C.  A point i of
+        the block on H has y_i >= C(p_i) - 2u'Y >= C(p_e) - 2u'Y, and when
+        the block is dropped its top, and so y_i, is below fl(c_e - delta)
+        <= C(p_e) + 5.003uY - delta: the margin above rules this out.  The
+        points of the kept blocks are tested one by one.
 
         Stage 1 therefore keeps every point of the segment's exact hull H,
         the two ends among them.  Its kept points are a subset of the
@@ -135,33 +151,47 @@ class MHullState(HullState):
         y = primes / pis
         n = len(y)
         if n > 1:
-            delta = FILTER_MARGIN * y.max()
             # Stage 1's points: the highest of each block (the last one may
             # be partial) and both ends.
             full = n - n % BLOCK
             tops = y[:full].reshape(-1, BLOCK).argmax(1) + np.arange(0, full, BLOCK)
-            last = full + y[full:].argmax() if full < n else 0
-            sub = np.unique(np.concatenate(([0], tops, [last, n - 1])))
+            if full < n:
+                tops = np.append(tops, full + y[full:].argmax())
+            top = y[tops]
+            delta = FILTER_MARGIN * top.max()
+            sub = np.unique(np.concatenate(([0], tops, [n - 1])))
             idx = sub[segment_hull(primes[sub], y[sub])[0]]
-            keep = y >= _chain(primes, y, idx) - delta
-            primes, pis, y = primes[keep], pis[keep], y[keep]
-            keep = y >= _chain(primes, y, segment_hull(primes, y)[0]) - delta
+            # A block is kept when it holds a chain vertex or its top passes
+            # the test at its first or last point; only its points are tested.
+            ends = np.minimum(np.arange(0, n, BLOCK)[:, None] + [0, BLOCK - 1], n - 1)
+            c = _chain(primes, y, idx, ends.ravel()).reshape(-1, 2)
+            kept = (top[:, None] >= c - delta).any(1)
+            kept[idx // BLOCK] = True
+            q = (np.flatnonzero(kept)[:, None] * BLOCK + np.arange(BLOCK)).ravel()
+            q = q[q < n]
+            q = q[y[q] >= _chain(primes, y, idx, q) - delta]
+            primes, pis, y = primes[q], pis[q], y[q]
+            q = np.arange(len(y))
+            keep = y >= _chain(primes, y, segment_hull(primes, y)[0], q) - delta
             primes, pis = primes[keep], pis[keep]
         for p, pi in zip(primes.tolist(), pis.tolist()):
             self.push(p, pi)
 
 
-def _chain(primes, y, idx):
-    """c_i of ``MHullState.merge_segment`` at every point a stage filters.
+def _chain(primes, y, idx, q):
+    """c_i of ``MHullState.merge_segment`` at the indices q, nondecreasing.
 
-    The operands p_a, p_b - p_a, y_a and y_b - y_a are taken once per edge
-    (a, b) of the float hull ``idx`` and repeated over the points of that
-    edge; the last point closes the last edge.
+    Point i lies on the edge (a, b) of the float hull ``idx`` with a the
+    last vertex at or before i; the last point closes the last edge.  The
+    operands p_a, p_b - p_a, y_a and y_b - y_a are taken once per edge and
+    repeated over the indices of q on that edge, so c_i is the same float
+    whichever other points are asked for.  Stage 1 asks for its blocks'
+    ends and then the points of the blocks it keeps, stage 2 for every
+    point it filters.
     """
-    counts = np.diff(idx)
-    counts[-1] += 1
+    counts = np.diff(np.searchsorted(q, idx[:-1]), append=len(q))
     pv, yv = primes[idx], y[idx]
-    t = (primes - np.repeat(pv[:-1], counts)) / np.repeat(np.diff(pv), counts)
+    t = (primes[q] - np.repeat(pv[:-1], counts)) / np.repeat(np.diff(pv), counts)
     return np.repeat(yv[:-1], counts) + np.repeat(np.diff(yv), counts) * t
 
 

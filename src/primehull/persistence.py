@@ -231,8 +231,8 @@ def export_json(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike]
 
 
 def _int(value) -> int:
-    """An integer field: a JSON int, or a CSV cell of digits."""
-    if type(value) is int or (isinstance(value, str) and value.isdigit()):
+    """An integer field: a JSON int, or a CSV cell of ASCII digits."""
+    if type(value) is int or (isinstance(value, str) and value.isascii() and value.isdigit()):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
 

@@ -1,10 +1,11 @@
 """Independent reference implementations for cross-checking.
 
 Everything here is deliberately naive: a bytearray sieve, a batch convex
-hull using Fraction slopes (no cross products), and mpmath-based analytic
-values.  The point is that none of the production shortcuts (segmenting,
-int64 kernels, closed-form derivatives, fixed-panel quadrature) are shared
-with these implementations.
+hull over Fraction heights (the production stacks clear every denominator
+into integers), and mpmath-based analytic values.  The point is that none
+of the production shortcuts (segmenting, int64 kernels, closed-form
+derivatives, fixed-panel quadrature) are shared with these
+implementations.
 """
 
 from __future__ import annotations
@@ -54,9 +55,11 @@ class OracleVertex:
 
 
 def batch_upper_hull(points: Sequence[tuple[int, Fraction]]) -> list[OracleVertex]:
-    """Monotone-chain upper hull with Fraction slopes and tie recording.
+    """Monotone-chain upper hull over Fraction heights, with tie recording.
 
-    A new point pops the stack while slope(prev, top) <= slope(top, new);
+    A new point pops the stack while slope(prev, top) <= slope(top, new),
+    compared with both sides multiplied by the positive run lengths:
+    (top.y - prev.y)(new.p - top.p) against (new.y - top.y)(top.p - prev.p);
     an exactly-equal comparison transfers the popped vertex and its ties
     into the new point's tie list (the popped vertex lies on the new edge),
     while a strict pop on the first iteration clears any inherited ties
@@ -68,12 +71,12 @@ def batch_upper_hull(points: Sequence[tuple[int, Fraction]]) -> list[OracleVerte
         first_pop = True
         while len(stack) >= 2:
             a, b = stack[-2], stack[-1]
-            s_ab = Fraction(b.y - a.y, b.p - a.p)
-            s_bn = Fraction(y - b.y, p - b.p)
-            if s_ab > s_bn:
+            lhs = (b.y - a.y) * (p - b.p)
+            rhs = (y - b.y) * (b.p - a.p)
+            if lhs > rhs:
                 break
             popped = stack.pop()
-            if s_ab == s_bn:
+            if lhs == rhs:
                 ties = popped.ties + [popped.p] + ties
             elif first_pop:
                 ties = []

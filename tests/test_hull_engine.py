@@ -439,12 +439,16 @@ def test_streaming_hull_matches_fraction_oracle(pts, data):
     for lo, hi in pieces:
         m_seg.merge_segment(P[lo:hi], R[lo:hi])
     assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m_seg.stack] == m_oracle
-    # The M filter's chain over the whole cloud equals, in every bit, the
-    # per-point formula its margin proof is stated for; the hulls above
-    # would not show a chain that rounds differently.
+    # The M filter's chain, at every point and at any increasing choice of
+    # points (repeats included), equals in every bit the per-point formula
+    # its margin proof is stated for; the hulls above would not show a
+    # chain that rounds differently.
     y = P / R
     idx = segment_hull(P, y)[0]
-    assert m_variant._chain(P, y, idx).tobytes() == m_filter_chain(P, y, idx).tobytes()
+    want = m_filter_chain(P, y, idx)
+    q = np.array(sorted(data.draw(st.lists(st.integers(0, len(pts) - 1)))), dtype=np.int64)
+    for q in (np.arange(len(pts)), q):
+        assert m_variant._chain(P, y, idx, q).tobytes() == want[q].tobytes()
 
 
 def m_tie_cloud(rng, n):
@@ -469,7 +473,9 @@ def test_m_merge_matches_fraction_oracle_across_blocks():
         y = P / R
         idx = segment_hull(P, y)[0]
         assert idx[0] == 0 and idx[-1] == n - 1 and (np.diff(idx) > 0).all()
-        assert m_variant._chain(P, y, idx).tobytes() == m_filter_chain(P, y, idx).tobytes()
+        ends = np.minimum(np.arange(0, n, BLOCK)[:, None] + [0, BLOCK - 1], n - 1).ravel()
+        for q in (np.arange(n), ends):
+            assert m_variant._chain(P, y, idx, q).tobytes() == m_filter_chain(P, y, idx)[q].tobytes()
         want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
         cuts = sorted(rng.sample(range(1, n), 6))
         for bounds in ([0, n], [0, *cuts, n]):
@@ -512,3 +518,130 @@ def test_m_filter_stage_one_keeps_the_fraction_hull(monkeypatch):
         assert len(calls) == 2 and len(calls[0]) <= 2 + -(-n // BLOCK)
         on_hull = {pts[0][0], pts[-1][0]} | {q for p, _, t in want for q in (p, *t)}
         assert on_hull <= set(calls[1])
+
+
+def _stage_one(monkeypatch, pts, stage_one_hull=None):
+    """Merge the cloud as one segment; return the state, stage 1's chain and kept points.
+
+    The chain's vertices and the kept points are indices into the cloud.
+    ``stage_one_hull(k)``, if given, picks the chain's vertices among stage
+    1's k points in place of the float hull.
+    """
+    P = np.array([p for p, _ in pts], dtype=np.int64)
+    R = np.array([r for _, r in pts], dtype=np.int64)
+    calls = []
+    hull = m_variant.segment_hull
+
+    def recorded(Q, y):
+        out = (stage_one_hull(len(Q)),) if stage_one_hull and not calls else hull(Q, y)
+        calls.append((Q, out[0]))
+        return out
+
+    monkeypatch.setattr(m_variant, "segment_hull", recorded)
+    m = MHullState()
+    m.merge_segment(P, R)
+    (sub, verts), (kept, _) = calls
+    return m, P.searchsorted(sub[verts]), P.searchsorted(kept)
+
+
+def _end_tests(pts, verts):
+    """Whether each block's highest y passes the filter test at the block's first and last points."""
+    P = np.array([p for p, _ in pts], dtype=np.int64)
+    y = P / np.array([r for _, r in pts], dtype=np.int64)
+    starts = np.arange(0, len(P), BLOCK)
+    ends = np.minimum(starts[:, None] + [0, BLOCK - 1], len(P) - 1)
+    c = m_filter_chain(P, y, verts)
+    return np.maximum.reduceat(y, starts)[:, None] >= c[ends] - m_variant.FILTER_MARGIN * y.max()
+
+
+def _m_oracle(pts):
+    return [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
+
+
+def _m_stack(m):
+    return [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack]
+
+
+def test_m_filter_keeps_every_block_that_holds_a_chain_vertex(monkeypatch):
+    # A block with no vertex of stage 1's chain lies inside one edge, where
+    # the chain is affine, so its values at the block's ends bound it from
+    # below.  A block whose top is a vertex has no such bound, and stage 1
+    # keeps it whatever its end tests say.  The float hull is concave up to
+    # rounding, so at its vertices one end test passes anyway; but the
+    # margin proof holds for any chain through stage 1's points, and a chain
+    # through every block top dips at some of them below both ends.  Every
+    # block then holds a vertex, and stage 1 keeps what the per-point test
+    # keeps.
+    rng = random.Random(20261021)
+    dips = 0
+    for n in (500, 3000):
+        pts = m_tie_cloud(rng, n)
+        want = _m_oracle(pts)
+        m, verts, kept = _stage_one(monkeypatch, pts)
+        assert _m_stack(m) == want
+        assert any(0 < v % BLOCK < BLOCK - 1 for v in verts[1:-1])
+        assert set(verts) <= set(kept)
+        m, verts, kept = _stage_one(monkeypatch, pts, np.arange)
+        assert _m_stack(m) == want
+        dips += (~_end_tests(pts, verts).any(1)).sum()
+        P = np.array([p for p, _ in pts], dtype=np.int64)
+        y = P / np.array([r for _, r in pts], dtype=np.int64)
+        per_point = np.flatnonzero(y >= m_filter_chain(P, y, verts) - m_variant.FILTER_MARGIN * y.max())
+        assert kept.tolist() == per_point.tolist()
+    assert dips >= 3
+
+
+def _falling_line():
+    """Points (N - d, N/d - 1) at height d, exactly on y = N - p and exact in float64.
+
+    d runs over the divisors of N = 8648640 up to N/2, in decreasing order.
+    """
+    N = 8648640
+    small = [d for d in range(1, math.isqrt(N) + 1) if N % d == 0]
+    ds = sorted({*small, *(N // d for d in small)} - {N}, reverse=True)
+    return [(N - d, N // d - 1) for d in ds]
+
+
+def _one_end_clouds():
+    """Clouds on an exact line, one point per block pushed below it.
+
+    On the falling line the first point of each block is lowered, so the
+    block's top is its second point and only its last end passes; on the
+    rising line y = p the last point is, and only the first end passes.
+    Every other point is a tie of the hull's one edge, and the float chain is
+    that edge, so no block in between holds a vertex.  On the line y = p/3
+    the first point of each block is a tie, the others lie far below, and
+    some of the ties round below the float chain: at both ends of their
+    block the test passes only by the margin.
+    """
+    fall = _falling_line()
+    fall = [(p, r + (0 < i < len(fall) - 1 and i % BLOCK == 0)) for i, (p, r) in enumerate(fall)]
+    rise = [(10**9 + 3 * i, 1 + (i % BLOCK == BLOCK - 1)) for i in range(20 * BLOCK + 5)]
+    rng = random.Random(20261022)
+    third, p = [], 10**9
+    for i in range(40 * BLOCK + 1):
+        p += rng.randint(1, 40)
+        third.append((p, 3 if i % BLOCK == 0 or i == 40 * BLOCK else 7))
+    return {"falling": (fall, [False, True]), "rising": (rise, [True, False]), "thirds": (third, None)}
+
+
+@pytest.mark.parametrize("name", ["falling", "rising", "thirds"])
+def test_m_filter_tests_both_block_ends_with_the_margin(monkeypatch, name):
+    pts, one_end = _one_end_clouds()[name]
+    want = _m_oracle(pts)
+    assert len(want) == 2 and len(want[1][2]) > 30
+    m, verts, _ = _stage_one(monkeypatch, pts)
+    assert _m_stack(m) == want
+    inner = _end_tests(pts, verts)[1:-1]
+    if one_end:
+        assert verts.tolist() == [0, len(pts) - 1]
+        assert (inner == one_end).all()
+    else:
+        # Blocks that hold no chain vertex, and whose tie rounds below the
+        # chain at both of their ends.
+        P = np.array([p for p, _ in pts], dtype=np.int64)
+        y = P / 3
+        c = m_filter_chain(P, y, verts)
+        starts = np.setdiff1d(np.arange(BLOCK, len(pts) - 1, BLOCK), verts)
+        ends = starts + BLOCK - 1
+        assert ((y[starts] < c[starts]) & (y[starts] < c[ends])).sum() > 2

@@ -153,25 +153,28 @@ def test_filtered_merge_keeps_rational_ties(monkeypatch):
 
 
 def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
-    # Both filter stages of every segment that compute_m_extremal(10**7)
-    # merges: the chain built from per-edge operands equals the per-point
-    # formula in every bit, so the margin proof covers it as stated.  Keep
-    # masks alone would not show a change of rounding: np.interp leaves them
-    # equal here while 625 chain values differ.  Stage 1 evaluates its chain
-    # at all 664,578 points of the five segments after p = 2, stage 2 at
-    # the 739 that stage 1 keeps.
+    # Every chain evaluation of both filter stages of every segment that
+    # compute_m_extremal(10**7) merges: the chain built from per-edge
+    # operands equals the per-point formula in every bit, so the margin
+    # proof covers it as stated.  Keep masks alone would not show a change
+    # of rounding: np.interp leaves them equal here while 625 chain values
+    # differ.  Stage 1 evaluates its chain at the two ends of each block and
+    # at every point of the blocks it keeps, stage 2 at the 739 points that
+    # stage 1 keeps: 58,249 points in all.  A stage 1 that tested every
+    # point would evaluate it at all 664,578 points of the five segments
+    # after p = 2.
     chain = m_variant._chain
     checked = []
 
-    def compared(primes, y, idx):
-        got = chain(primes, y, idx)
-        checked.append((len(got), got.tobytes() == m_filter_chain(primes, y, idx).tobytes()))
+    def compared(primes, y, idx, q):
+        got = chain(primes, y, idx, q)
+        checked.append((len(got), got.tobytes() == m_filter_chain(primes, y, idx)[q].tobytes()))
         return got
 
     monkeypatch.setattr(m_variant, "_chain", compared)
     compute_m_extremal(10**7)
-    assert len(checked) == 10
-    assert sum(n for n, _ in checked) == 665_317
+    assert len(checked) == 15
+    assert sum(n for n, _ in checked) == 58_249
     assert all(same for _, same in checked)
 
 

@@ -509,6 +509,7 @@ _MALFORMED_EXPORTS = {
     "long-row.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + ",confirmed\n",
     "bad-cell.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,2,1,", "1,x,1,", 1) + "\n",
     "bad-ratio.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1.5", "one", 1) + "\n",
+    "non-ascii-digit.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,", "\u0661,", 1) + "\n",
     "lens-mismatch.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,1,1,1.5", "1,1,2,1.5", 1) + "\n",
     "no-sums.json": json.dumps({"records": [{**_GOOD_RECORD, "sum_inv": None}]}),
 }
