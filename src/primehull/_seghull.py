@@ -43,8 +43,8 @@ keeps the scan of a kept block short.  The M-variant's filter
 (``MHullState.merge_segment``) uses the same blocks but never hands the
 kernel a whole segment: it takes the hull of the block maxima of p/pi,
 drops each block whose highest point is below that hull, less a margin,
-at both of the block's ends, and runs the kernel again only on the
-points it kept.
+at both of the block's ends, and tests the points of the other blocks
+against the same hull.
 
 Vertices are the strictly convex points.  The ties of a vertex b with hull
 predecessor a are the points strictly between a and b that lie exactly on

@@ -21,8 +21,8 @@ so no future point can reach the extended edge and v can never be popped.
 All three conditions are monotone in x, so confirmations never depend on
 where segment boundaries fall.
 
-A segment is merged through a two-stage float filter, whose first stage
-drops whole blocks of points, stated and proved in
+A segment is merged through a float filter, which drops whole blocks of
+points and then single points, stated and proved in
 ``MHullState.merge_segment``.  Every decision the stack takes is still
 the exact ``_cross``; the floats only rule points out.
 """
@@ -75,39 +75,30 @@ class MHullState(HullState):
     def merge_segment(self, primes, pis) -> None:
         """Push, in order, the points of one segment that can be on its hull.
 
-        The heights are y_i = fl(p_i/pi_i) in float64.  The filter runs in
-        two stages, each of which keeps a subset of the points:
+        The heights are y_i = fl(p_i/pi_i) in float64.  ``segment_hull``
+        runs on the highest point of each block of ``BLOCK`` consecutive
+        points (the last block may be partial), plus the first and last
+        points.  It returns indices v_0 = 0 < v_1 < ... = n - 1 (its ties
+        are meaningless for floats and are ignored), and the chain C is the
+        exact polyline through the (p_v, y_v).  Point i passes when
+        y_i >= fl(c_i - delta), where c_i is C(p_i) as evaluated below,
+        delta = FILTER_MARGIN * Y and Y = max y over the segment, which is
+        the largest block top.  A block is kept when it holds a vertex of
+        C, or when its top passes this test at its first or its last
+        point; the points of the kept blocks that pass are pushed through
+        the exact ``push``.
 
-        - stage 1 runs ``segment_hull`` on the highest point of each block
-          of ``BLOCK`` consecutive points (the last block may be partial),
-          plus the first and last points.  It tests each block's highest y
-          against its chain at the block's first and last points, and then
-          each point of the blocks it keeps;
-        - stage 2 runs ``segment_hull`` on the points stage 1 kept, and
-          tests each of them against its chain.
-
-        In each stage ``segment_hull`` returns indices v_0 = 0 < v_1 < ...
-        = n - 1 (its ties are meaningless for floats and are ignored), and
-        the chain C is the exact polyline through the (p_v, y_v).  Point i
-        is kept when y_i >= fl(c_i - delta), where c_i is C(p_i) as
-        evaluated below, delta = FILTER_MARGIN * Y and Y = max y over the
-        segment, which is the largest block top.  Stage 1 keeps a block
-        when it holds a vertex of C, or when its top passes this test at
-        its first or its last point.  The points left after stage 2 are
-        pushed through the exact ``push``.
-
-        Soundness of one stage, with u = 2^-53, u' = u/(1 - u), h_i =
-        p_i/pi_i and H the exact upper hull of the stage's points (p_i,
-        h_i), a concave function:
+        Soundness, with u = 2^-53, u' = u/(1 - u), h_i = p_i/pi_i and H the
+        exact upper hull of the segment's points (p_i, h_i), a concave
+        function:
 
         1. p_i < 2^53 (the M_MAX_LIMIT cap) converts to float exactly, and
            so does pi_i <= p_i; so y_i is h_i correctly rounded and
            |y_i - h_i| <= u h_i <= u'Y.
-        2. The vertices of C are points of the stage, so each edge of C is
-           a chord whose ends lie at most u'Y above the concave H, and so
-           does the whole chord: C <= H + u'Y on [p_0, p_n-1], whichever
-           points the stage handed to the float quickhull and whichever
-           vertices it picked.
+        2. The vertices of C are points of the segment, so each edge of C
+           is a chord whose ends lie at most u'Y above the concave H, and
+           so does the whole chord: C <= H + u'Y on [p_0, p_n-1], whichever
+           vertices the float quickhull picked.
         3. For i on edge (a, b), c_i = y_a + (y_b - y_a) * t with
            t = (p_i - p_a)/(p_b - p_a) in [0, 1], the differences exact in
            int64, each of the four operations rounded once (separate numpy
@@ -122,37 +113,31 @@ class MHullState(HullState):
 
         A point on H, a vertex or a point exactly on an edge (a tie), has
         y_i >= H(p_i) - u'Y >= C(p_i) - 2u'Y by 1 and 2, while the threshold
-        is at most C(p_i) + 5.003uY - delta by 3 and 4.  So it is kept once
+        is at most C(p_i) + 5.003uY - delta by 3 and 4.  So it passes once
         delta >= 2u'Y + 5.003uY, which is below 7.004uY; FILTER_MARGIN = 8u.
 
-        Stage 1 drops whole blocks by the same bound.  The vertices of C are
-        points of the stage, so block tops or the segment's ends, and a
-        block that holds none of them lies strictly inside one edge of C,
-        where C is affine.  So C(p_i) >= C(p_e) on the block, with e its
-        first or its last point, whichever has the lower C.  A point i of
-        the block on H has y_i >= C(p_i) - 2u'Y >= C(p_e) - 2u'Y, and when
-        the block is dropped its top, and so y_i, is below fl(c_e - delta)
-        <= C(p_e) + 5.003uY - delta: the margin above rules this out.  The
-        points of the kept blocks are tested one by one.
+        Whole blocks are dropped by the same bound.  The vertices of C are
+        block tops or the segment's ends, and a block that holds none of
+        them lies strictly inside one edge of C, where C is affine.  So
+        C(p_i) >= C(p_e) on the block, with e its first or its last point,
+        whichever has the lower C.  A point i of the block on H has
+        y_i >= C(p_i) - 2u'Y >= C(p_e) - 2u'Y, and when the block is
+        dropped its top, and so y_i, is below fl(c_e - delta)
+        <= C(p_e) + 5.003uY - delta: the margin above rules this out.
 
-        Stage 1 therefore keeps every point of the segment's exact hull H,
-        the two ends among them.  Its kept points are a subset of the
-        segment that contains every vertex and tie of H, so their exact
-        hull is H again, and stage 2 is the same argument on them (their
-        largest height is at most Y, so the bounds above still hold with
-        the segment's Y).  A point dropped by either stage lies strictly
-        below H, so strictly below the hull of everything pushed so far.
-        The stack after a push sequence holds the vertices of the pushed
-        points' hull, each with the points exactly on its incoming edge as
-        ties, so pushing the kept points leaves the same stack as pushing
-        all of them.  The last point is kept, so the frontier and
-        pi_at_last are the same too.
+        So every vertex and tie of H is pushed, the two ends among them,
+        and a point that is not lies strictly below H, so strictly below
+        the hull of everything pushed so far.  The stack after a push
+        sequence holds the vertices of the pushed points' hull, each with
+        the points exactly on its incoming edge as ties, so pushing the
+        kept points leaves the same stack as pushing all of them.  The last
+        point is kept, so the frontier and pi_at_last are the same too.
         """
         y = primes / pis
         n = len(y)
         if n > 1:
-            # Stage 1's points: the highest of each block (the last one may
-            # be partial) and both ends.
+            # The chain's points: the highest of each block (the last one
+            # may be partial) and both ends.
             full = n - n % BLOCK
             tops = y[:full].reshape(-1, BLOCK).argmax(1) + np.arange(0, full, BLOCK)
             if full < n:
@@ -170,10 +155,7 @@ class MHullState(HullState):
             q = (np.flatnonzero(kept)[:, None] * BLOCK + np.arange(BLOCK)).ravel()
             q = q[q < n]
             q = q[y[q] >= _chain(primes, y, idx, q) - delta]
-            primes, pis, y = primes[q], pis[q], y[q]
-            q = np.arange(len(y))
-            keep = y >= _chain(primes, y, segment_hull(primes, y)[0], q) - delta
-            primes, pis = primes[keep], pis[keep]
+            primes, pis = primes[q], pis[q]
         for p, pi in zip(primes.tolist(), pis.tolist()):
             self.push(p, pi)
 
@@ -185,9 +167,8 @@ def _chain(primes, y, idx, q):
     last vertex at or before i; the last point closes the last edge.  The
     operands p_a, p_b - p_a, y_a and y_b - y_a are taken once per edge and
     repeated over the indices of q on that edge, so c_i is the same float
-    whichever other points are asked for.  Stage 1 asks for its blocks'
-    ends and then the points of the blocks it keeps, stage 2 for every
-    point it filters.
+    whichever other points are asked for.  The filter asks for its blocks'
+    ends and then for the points of the blocks it keeps.
     """
     counts = np.diff(np.searchsorted(q, idx[:-1]), append=len(q))
     pv, yv = primes[idx], y[idx]

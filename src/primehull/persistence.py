@@ -90,12 +90,15 @@ def save_checkpoint(state: HullState, path: Union[str, os.PathLike], config_echo
         "config_echo": dict(config_echo or {}),
     }
     payload["integrity"] = hashlib.sha256(_canonical_json(payload)).hexdigest()
-    # Renamed onto ``path`` only once whole: a kill mid-save keeps the old file.
+    # Renamed onto ``path`` only once whole and on disk: a kill or a power
+    # loss mid-save keeps the old file.
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -142,6 +145,12 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint corrupt: bad field ({exc})") from exc
+    # Every run pushes (2, 1) first, so only a state that has consumed
+    # nothing has an empty stack.
+    if stack and (stack[0].p, stack[0].pi) != (2, 1):
+        raise CorruptCheckpointError("checkpoint corrupt: stack does not start at (2, 1)")
+    if not stack and (state.last_processed, state.pi_at_last) != (1, 0):
+        raise CorruptCheckpointError("checkpoint corrupt: empty stack past the start frontier")
     if not 0 <= state.confirmed_len <= len(stack):
         raise CorruptCheckpointError("checkpoint corrupt: confirmed count out of range")
     if any(u.p >= v.p or u.pi >= v.pi for u, v in zip(stack, stack[1:])):

@@ -486,26 +486,32 @@ def test_m_merge_matches_fraction_oracle_across_blocks():
 
 
 def test_m_filter_stage_one_keeps_the_fraction_hull(monkeypatch):
-    # Stage 1 of MHullState.merge_segment filters every point against the
-    # float hull of the block maxima.  What it keeps is what stage 2 hands to
-    # segment_hull, and that must hold both ends and every vertex and tie
-    # of the exact hull, also with one block, a full last block and a
-    # partial one.  The ties of pi = 3, 7 and 21 round either way of a float
-    # chain, so only the margin keeps some of them.
-    calls = []
-    hull = m_variant.segment_hull
+    # MHullState.merge_segment filters every point against the float hull
+    # of the block maxima.  What it keeps is what it pushes, and that must
+    # hold both ends and every vertex and tie of the exact hull, also with
+    # one block, a full last block and a partial one.  The ties of pi = 3, 7
+    # and 21 round either way of a float chain, so only the margin keeps
+    # some of them.
+    calls, pushed = [], []
+    hull, push = m_variant.segment_hull, MHullState.push
 
     def recorded(P, y):
         calls.append(P.tolist())
         return hull(P, y)
 
+    def recorded_push(self, p, pi, *rest):
+        pushed.append(p)
+        return push(self, p, pi, *rest)
+
     monkeypatch.setattr(m_variant, "segment_hull", recorded)
+    monkeypatch.setattr(MHullState, "push", recorded_push)
     rng = random.Random(20261020)
     for n in (1, 2, 63, 64, 65, 500, 3000):
         pts = m_tie_cloud(rng, n)
         want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
         assert n < 500 or sum(len(t) for _, _, t in want) > 10
         calls.clear()
+        pushed.clear()
         m = MHullState()
         m.merge_segment(
             np.array([p for p, _ in pts], dtype=np.int64),
@@ -515,33 +521,39 @@ def test_m_filter_stage_one_keeps_the_fraction_hull(monkeypatch):
         if n == 1:
             assert calls == []
             continue
-        assert len(calls) == 2 and len(calls[0]) <= 2 + -(-n // BLOCK)
+        assert len(calls) == 1 and len(calls[0]) <= 2 + -(-n // BLOCK)
         on_hull = {pts[0][0], pts[-1][0]} | {q for p, _, t in want for q in (p, *t)}
-        assert on_hull <= set(calls[1])
+        assert on_hull <= set(pushed)
 
 
-def _stage_one(monkeypatch, pts, stage_one_hull=None):
-    """Merge the cloud as one segment; return the state, stage 1's chain and kept points.
+def _filtered(monkeypatch, pts, chain_hull=None):
+    """Merge the cloud as one segment; return the state, the filter's chain and kept points.
 
-    The chain's vertices and the kept points are indices into the cloud.
-    ``stage_one_hull(k)``, if given, picks the chain's vertices among stage
-    1's k points in place of the float hull.
+    The chain's vertices and the kept points, those the merge pushes, are
+    indices into the cloud.  ``chain_hull(k)``, if given, picks the
+    chain's vertices among the filter's k block tops and ends in place of
+    the float hull.
     """
     P = np.array([p for p, _ in pts], dtype=np.int64)
     R = np.array([r for _, r in pts], dtype=np.int64)
-    calls = []
-    hull = m_variant.segment_hull
+    calls, pushed = [], []
+    hull, push = m_variant.segment_hull, MHullState.push
 
     def recorded(Q, y):
-        out = (stage_one_hull(len(Q)),) if stage_one_hull and not calls else hull(Q, y)
+        out = (chain_hull(len(Q)),) if chain_hull else hull(Q, y)
         calls.append((Q, out[0]))
         return out
 
+    def recorded_push(self, p, pi, *rest):
+        pushed.append(p)
+        return push(self, p, pi, *rest)
+
     monkeypatch.setattr(m_variant, "segment_hull", recorded)
+    monkeypatch.setattr(MHullState, "push", recorded_push)
     m = MHullState()
     m.merge_segment(P, R)
-    (sub, verts), (kept, _) = calls
-    return m, P.searchsorted(sub[verts]), P.searchsorted(kept)
+    ((sub, verts),) = calls
+    return m, P.searchsorted(sub[verts]), P.searchsorted(pushed)
 
 
 def _end_tests(pts, verts):
@@ -563,25 +575,25 @@ def _m_stack(m):
 
 
 def test_m_filter_keeps_every_block_that_holds_a_chain_vertex(monkeypatch):
-    # A block with no vertex of stage 1's chain lies inside one edge, where
-    # the chain is affine, so its values at the block's ends bound it from
-    # below.  A block whose top is a vertex has no such bound, and stage 1
-    # keeps it whatever its end tests say.  The float hull is concave up to
-    # rounding, so at its vertices one end test passes anyway; but the
-    # margin proof holds for any chain through stage 1's points, and a chain
-    # through every block top dips at some of them below both ends.  Every
-    # block then holds a vertex, and stage 1 keeps what the per-point test
-    # keeps.
+    # A block with no vertex of the filter's chain lies inside one edge,
+    # where the chain is affine, so its values at the block's ends bound it
+    # from below.  A block whose top is a vertex has no such bound, and the
+    # filter keeps it whatever its end tests say.  The float hull is concave
+    # up to rounding, so at its vertices one end test passes anyway; but the
+    # margin proof holds for any chain through the block tops and ends, and
+    # a chain through every block top dips at some of them below both ends.
+    # Every block then holds a vertex, and the filter pushes what the
+    # per-point test keeps.
     rng = random.Random(20261021)
     dips = 0
     for n in (500, 3000):
         pts = m_tie_cloud(rng, n)
         want = _m_oracle(pts)
-        m, verts, kept = _stage_one(monkeypatch, pts)
+        m, verts, kept = _filtered(monkeypatch, pts)
         assert _m_stack(m) == want
         assert any(0 < v % BLOCK < BLOCK - 1 for v in verts[1:-1])
         assert set(verts) <= set(kept)
-        m, verts, kept = _stage_one(monkeypatch, pts, np.arange)
+        m, verts, kept = _filtered(monkeypatch, pts, np.arange)
         assert _m_stack(m) == want
         dips += (~_end_tests(pts, verts).any(1)).sum()
         P = np.array([p for p, _ in pts], dtype=np.int64)
@@ -630,7 +642,7 @@ def test_m_filter_tests_both_block_ends_with_the_margin(monkeypatch, name):
     pts, one_end = _one_end_clouds()[name]
     want = _m_oracle(pts)
     assert len(want) == 2 and len(want[1][2]) > 30
-    m, verts, _ = _stage_one(monkeypatch, pts)
+    m, verts, _ = _filtered(monkeypatch, pts)
     assert _m_stack(m) == want
     inner = _end_tests(pts, verts)[1:-1]
     if one_end:

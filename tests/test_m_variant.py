@@ -6,6 +6,7 @@ import pytest
 
 from oracles import batch_upper_hull, chord_dominates, m_filter_chain, m_hull_of_primes, prime_points
 from primehull import m_variant
+from primehull._seghull import BLOCK
 from primehull.analysis import records_from_state
 from primehull.hull_engine import HullVertex as P
 from primehull.m_variant import MHullState, compute_m_extremal
@@ -136,33 +137,33 @@ def _merged(pts):
 
 
 def test_filtered_merge_keeps_rational_ties(monkeypatch):
-    # The five pi = 3 points lie on the line y = x/3, so the middle three are
-    # ties of the edge between the outer two.  None of p/3 is dyadic, and two
-    # of the ties round below the float chain: only the filter's margin keeps
-    # them.
-    pts = [
-        (1000000064, 7),
-        (1000000073, 3), (1000000102, 3), (1000000104, 3), (1000000132, 3), (1000000133, 3),
-        (1000000145, 7),
-    ]
+    # Four blocks on consecutive integers: the first point of each block and
+    # the last point have pi = 3, the others pi = 7.  The five pi = 3 points
+    # lie on the line y = x/3, so the middle three are ties of the edge
+    # between the outer two.  Each is the top of its block, so the float
+    # chain runs through them, and the tie 1000000192 rounds below it: only
+    # the filter's margin keeps it.
+    pts = [(10**9 + i, 3 if i % BLOCK == 0 else 7) for i in range(4 * BLOCK + 1)]
     want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
-    assert want[2] == (1000000133, Fraction(1000000133, 3), [1000000102, 1000000104, 1000000132])
+    assert want == [
+        (1000000000, Fraction(1000000000, 3), []),
+        (1000000256, Fraction(1000000256, 3), [1000000064, 1000000128, 1000000192]),
+    ]
     assert _merged(pts) == want
     monkeypatch.setattr(m_variant, "FILTER_MARGIN", 0.0)
     assert _merged(pts) != want
 
 
 def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
-    # Every chain evaluation of both filter stages of every segment that
+    # Every chain evaluation of the filter of every segment that
     # compute_m_extremal(10**7) merges: the chain built from per-edge
     # operands equals the per-point formula in every bit, so the margin
     # proof covers it as stated.  Keep masks alone would not show a change
     # of rounding: np.interp leaves them equal here while 625 chain values
-    # differ.  Stage 1 evaluates its chain at the two ends of each block and
-    # at every point of the blocks it keeps, stage 2 at the 739 points that
-    # stage 1 keeps: 58,249 points in all.  A stage 1 that tested every
-    # point would evaluate it at all 664,578 points of the five segments
-    # after p = 2.
+    # differ.  The filter evaluates its chain at the two ends of each block
+    # and at every point of the blocks it keeps, two calls per segment and
+    # 57,510 points in all.  A filter that tested every point would
+    # evaluate it at all 664,578 points of the five segments after p = 2.
     chain = m_variant._chain
     checked = []
 
@@ -173,70 +174,72 @@ def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
 
     monkeypatch.setattr(m_variant, "_chain", compared)
     compute_m_extremal(10**7)
-    assert len(checked) == 15
-    assert sum(n for n, _ in checked) == 58_249
+    assert len(checked) == 10
+    assert sum(n for n, _ in checked) == 57_510
     assert all(same for _, same in checked)
 
 
-def test_filtered_merge_pushes_167_points_to_1e7(monkeypatch):
-    # A work count: a filter that stops filtering keeps every hull right, so
-    # only the number of exact pushes shows it.  Unfiltered, all 664,579
-    # primes to 1e7 are pushed.
-    push = MHullState.push
-    pushed = []
+def _recorded_merges(monkeypatch):
+    """Each merge_segment call of the M merge, as (primes, pis, hulls, pushed).
 
-    def counted(self, p, pi, *rest):
-        pushed.append(p)
-        return push(self, p, pi, *rest)
+    ``hulls`` lists the primes of each segment_hull call the merge makes,
+    ``pushed`` the primes it pushes.
+    """
+    merges = []
+    hull, merge, push = m_variant.segment_hull, MHullState.merge_segment, MHullState.push
 
-    monkeypatch.setattr(MHullState, "push", counted)
-    compute_m_extremal(10**7)
-    assert len(pushed) == 167
-
-
-def _recorded_hulls(monkeypatch):
-    """Each segment_hull call of the M merge, as the list of its primes."""
-    calls = []
-    hull = m_variant.segment_hull
-
-    def recorded(P, y):
-        calls.append(P.tolist())
+    def recorded_hull(P, y):
+        merges[-1][2].append(P.tolist())
         return hull(P, y)
 
-    monkeypatch.setattr(m_variant, "segment_hull", recorded)
-    return calls
+    def recorded_push(self, p, pi, *rest):
+        merges[-1][3].append(p)
+        return push(self, p, pi, *rest)
+
+    def recorded_merge(self, primes, pis):
+        merges.append((primes.tolist(), pis.tolist(), [], []))
+        return merge(self, primes, pis)
+
+    monkeypatch.setattr(m_variant, "segment_hull", recorded_hull)
+    monkeypatch.setattr(MHullState, "push", recorded_push)
+    monkeypatch.setattr(MHullState, "merge_segment", recorded_merge)
+    return merges
 
 
-def test_filtered_merge_hands_11135_points_to_segment_hull_to_1e7(monkeypatch):
-    # A work count: both stages stay sound if stage 1 takes every point, or
-    # if its chain keeps too much, so only what the float kernel is given
-    # shows it.  Stage 1 gets the block maxima and ends, stage 2 what stage
-    # 1 kept; the one-stage filter handed the kernel all 664,578 points.
-    calls = _recorded_hulls(monkeypatch)
+def test_filtered_merge_push_count_to_1e7(monkeypatch):
+    # A work count: a filter that stops filtering keeps every hull right, so
+    # only the number of exact pushes shows it.  Unfiltered, all 664,579
+    # primes to 1e7 are pushed; the filter pushes p = 2 and 739 others.
+    merges = _recorded_merges(monkeypatch)
     compute_m_extremal(10**7)
-    assert [len(c) for c in calls[::2]] == [2434, 2195, 2121, 2075, 1571]
-    assert sum(map(len, calls)) == 11_135
+    assert sum(len(pushed) for _, _, _, pushed in merges) == 740
+
+
+def test_filtered_merge_segment_hull_inputs_to_1e7(monkeypatch):
+    # A work count: the filter stays sound if it hands the kernel every
+    # point, so only what the float kernel is given shows it.  It gets the
+    # block maxima and ends, once per segment of two or more points; a
+    # filter that ran the kernel on every point handed it all 664,578.
+    merges = _recorded_merges(monkeypatch)
+    compute_m_extremal(10**7)
+    assert [len(hulls) for primes, _, hulls, _ in merges] == [len(primes) > 1 for primes, _, _, _ in merges]
+    calls = [c for _, _, hulls, _ in merges for c in hulls]
+    assert [len(c) for c in calls] == [2434, 2195, 2121, 2075, 1571]
+    assert sum(map(len, calls)) == 10_396
 
 
 @pytest.mark.parametrize("oracle", ["push", pytest.param("fraction", marks=pytest.mark.extended)])
 def test_stage_one_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
     # On every segment that compute_m_extremal(10**7) merges, the points
-    # stage 1 keeps (stage 2's segment_hull input) hold both ends and every
-    # vertex and tie of the segment's exact hull.  The Fraction oracle takes
-    # about 20 s on these 664,579 points; tier-1 uses the exact stack fed
-    # every point, which the hypothesis test checks against that oracle.
-    calls = _recorded_hulls(monkeypatch)
-    segments = []
-    merge = MHullState.merge_segment
-
-    def recorded(self, primes, pis):
-        segments.append((primes.tolist(), pis.tolist(), len(calls)))
-        return merge(self, primes, pis)
-
-    monkeypatch.setattr(MHullState, "merge_segment", recorded)
+    # the filter pushes hold both ends and every vertex and tie of the
+    # segment's exact hull.  The Fraction oracle takes about 20 s on these
+    # 664,579 points; tier-1 uses the exact stack fed every point, which the
+    # hypothesis test checks against that oracle.
+    merges = _recorded_merges(monkeypatch)
     compute_m_extremal(10**7)
-    assert [len(p) for p, _, _ in segments] == [1, 155_610, 140_336, 135_555, 132_661, 100_416]
-    for primes, pis, first in segments[1:]:
+    monkeypatch.undo()
+    assert [len(p) for p, _, _, _ in merges] == [1, 155_610, 140_336, 135_555, 132_661, 100_416]
+    for primes, pis, _, pushed in merges[1:]:
         if oracle == "push":
             exact = MHullState()
             for p, pi in zip(primes, pis):
@@ -245,4 +248,4 @@ def test_stage_one_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
         else:
             hull = [(v.p, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in zip(primes, pis)])]
         on_hull = {primes[0], primes[-1]} | {q for p, ties in hull for q in (p, *ties)}
-        assert on_hull <= set(calls[first + 1])
+        assert on_hull <= set(pushed)

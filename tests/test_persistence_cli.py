@@ -133,6 +133,31 @@ def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["ck.json"]
 
 
+def test_checkpoint_save_syncs_before_rename(tmp_path, monkeypatch):
+    # The temporary file is flushed and synced whole before it is renamed
+    # onto the checkpoint, so a power loss cannot leave a renamed empty file.
+    _, state = _records()
+    ck = tmp_path / "ck.json"
+    tmp = tmp_path / "ck.json.tmp"
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def synced(fd):
+        events.append(("fsync", tmp.read_text()))
+        return fsync(fd)
+
+    def renamed(src, dst):
+        events.append(("replace", os.fspath(src), os.fspath(dst)))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", synced)
+    monkeypatch.setattr(os, "replace", renamed)
+    save_checkpoint(state, ck)
+    monkeypatch.undo()
+    assert events == [("fsync", ck.read_text()), ("replace", str(tmp), str(ck))]
+    assert load_checkpoint(ck)[0] == state
+
+
 def _rewrite_checkpoint(path, **fields):
     """Change top-level checkpoint fields and reseal the integrity hash."""
     payload = json.loads(path.read_text())
@@ -177,12 +202,17 @@ def test_checkpoint_version_mismatch(tmp_path):
         lambda s, n: {"limit_processed": "100000"},
         lambda s, n: {"confirmed_count": True},
         lambda s, n: {"provisional_stack": s[:2] + [["7", 4.0, ["5"]], [19, 8, [13.0]]] + s[4:]},
+        # Every run pushes (2, 1) first.  Without it the remaining confirmed
+        # edges still test final, and (3, 2) was written as confirmed row 1.
+        lambda s, n: {"provisional_stack": s[1:], "confirmed_count": n - 1},
+        lambda s, n: {"provisional_stack": [], "confirmed_count": 0},
     ],
     ids=[
         "p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top",
         "slopes-not-decreasing", "tail-confirmed", "frontier-beyond-cap",
         "first-vertex-ties", "tie-outside-edge", "ties-not-increasing", "tie-off-lattice",
         "pi-float", "limit-string", "confirmed-bool", "stack-strings-and-floats",
+        "first-vertex-dropped", "empty-stack-past-start",
     ],
 )
 def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
