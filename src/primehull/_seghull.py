@@ -7,16 +7,37 @@ so feeding only each segment's hull vertices (plus their tie lists) into
 the global stack reproduces the full streaming hull exactly; the module
 tests pin that equivalence against the batch oracle.
 
-The kernel is quickhull (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996),
-vectorized over each edge's candidates.  Every orientation test is an
-int64 cross product of deltas from the edge's left end, never of absolute
-coordinates.  That is exact because a segment spans 2^21 integers
-(``prime_stream.SEGMENT_SIZE`` odd ones), so |delta pi| * |delta p| <
-2^20 * 2^21 = 2^41.
+The kernel drops points from a chain until only the hull is left.  The
+chain starts as ``_candidates``' output (below) plus both ends.  Each pass
+takes, at every interior point b of the chain with neighbours a and c, the
+turn (R_b - R_a)(P_c - P_b) - (R_c - R_b)(P_b - P_a), and drops at once
+every b whose turn is <= 0:
 
-Quickhull's first edge, from the first point to the last, would visit
-every point.  ``_candidates`` cuts it to the running maxima of the cross
-products c_i against that edge (c = 0 at both ends): point i is kept when
+1. Such a b lies on or below the chord a -> c of two points of the set,
+   so it is not a strict vertex.
+2. Dropping them all at once leaves the hull unchanged.  Take a run
+   b_1 .. b_m of dropped points between kept a and c (the ends are never
+   dropped), and let g_j be b_j's height above the chord a -> c, 0 at a
+   and c.  Subtracting an affine function keeps each turn, so each g_j is
+   at most the interpolation of its neighbours'; a largest g_j > 0 would
+   force its neighbours as high, out to a or c.  So every g_j <= 0.
+3. When a pass drops nothing, the slopes strictly decrease: the chain is
+   its own upper hull, by 2 that of the candidates, so of the segment.
+4. Every tie is among ``_candidates``' output (below).  ``searchsorted``
+   puts each candidate that is not a vertex on its final edge a -> b, and
+   it is a tie when its cross product against that edge is 0.
+5. Every product is of two deltas between points of one segment, which
+   spans 2^21 integers (``prime_stream.SEGMENT_SIZE`` odd ones), so
+   |delta pi| * |delta p| < 2^20 * 2^21 = 2^41 is exact in int64.
+
+Each pass but the last drops a point.  On the primes to 1e9 the E kernel
+drops points in at most 13 passes and the M filter in at most 9.  The bad
+case is a fan, a concave arc and a far, high last point, which drops one
+point per pass; the module tests time it.
+
+Every point could start in the chain, but ``_candidates`` keeps only the
+running maxima of the cross products c_i against the chord from the first
+point to the last (c = 0 at both ends): point i is kept when
 c_i >= c_j for every j on its left, or for every j on its right.  That
 keeps every vertex and every tie.  The points (p, c) are the points
 (p, R) sheared and scaled by P[-1] - P[0] > 0, which keeps the upper hull,
@@ -34,17 +55,10 @@ first, from 3, keeps 16,471 of 155,610.
 The running maxima are taken over blocks of ``BLOCK`` points: a block
 whose maximum is below max(0, every earlier block) and below max(0, every
 later block) holds no candidate, and only the kept blocks are scanned
-point by point.  Summed over the 48 segments to 1e8, the kernel's CPU
-time (median of 15 interleaved rounds, 2-core x86_64 VM, numpy 2.4.6)
-was 35.4, 33.5, 32.9 and 33.9 ms for BLOCK = 32, 64, 128 and 256 on the
-pi heights, and 82.6, 75.3, 74.8 and 74.8 ms on the float heights p/pi.
-The last three lie within one another's quartiles, and 32 is slower; 64
-keeps the scan of a kept block short.  The M-variant's filter
-(``MHullState.merge_segment``) uses the same blocks but never hands the
-kernel a whole segment: it takes the hull of the block maxima of p/pi,
-drops each block whose highest point is below that hull, less a margin,
-at both of the block's ends, and tests the points of the other blocks
-against the same hull.
+point by point.  Of BLOCK = 32, 64, 128 and 256, 32 was the slowest and
+the other three tied on the primes to 1e8; 64 keeps the scan of a kept
+block short.  The M-variant's filter (``MHullState.merge_segment``) uses
+the same blocks, and hands the kernel only their maxima and both ends.
 
 Vertices are the strictly convex points.  The ties of a vertex b with hull
 predecessor a are the points strictly between a and b that lie exactly on
@@ -99,41 +113,27 @@ def segment_hull(P: np.ndarray, R: np.ndarray):
     indices of the hull vertices in increasing order, and for vertex j the
     indices of its ties, ``tie_buf[tie_lo[j]:tie_hi[j]]``, in increasing
     order.  With R int64 the hull and its ties are exact.  R may also be
-    float64 (the M-variant's filter): then the vertices are only those of
-    a rounded hull and the ties mean nothing, but idx still starts at 0,
-    ends at n - 1 and increases.
+    float64 (the M-variant's filter): the passes still only drop points, so
+    idx still increases from 0 to n - 1, but nothing else is exact.
     """
     n = len(P)
-    verts = [0]
-    tie_hi = [0]
-    ties = []
-    # Edges still to resolve, as (left, right, candidate indices strictly
-    # between them, increasing).  Popping the left half first emits the
-    # final edges, and so the vertices, from left to right.
-    work = [(0, n - 1, _candidates(P, R))] if n > 1 else []
-    while work:
-        a, b, cand = work.pop()
-        if len(cand):
-            pa = P[a]
-            ra = R[a]
-            cross = (R[cand] - ra) * (P[b] - pa) - (P[cand] - pa) * (R[b] - ra)
-            m = int(cross.argmax())
-            if cross[m] > 0:
-                # argmax returns the leftmost of equally distant points, which
-                # is a vertex; the others on its line are ties or vertices of
-                # the right half.  Points on or below the chord a -> b lie
-                # strictly below the two new edges, so they are dropped.
-                c = cand[m]
-                keep = cand[cross > 0]
-                k = int(keep.searchsorted(c))
-                work.append((c, b, keep[k + 1 :]))
-                work.append((a, c, keep[:k]))
-                continue
-            cand = cand[cross == 0]
-            ties.append(cand)
-        verts.append(b)
-        tie_hi.append(tie_hi[-1] + len(cand))
-    tie_hi = np.array(tie_hi, dtype=np.int64)
-    tie_lo = np.concatenate(([0], tie_hi[:-1]))
-    tie_buf = np.concatenate(ties) if ties else np.empty(0, dtype=np.int64)
-    return np.array(verts, dtype=np.int64), tie_lo, tie_hi, tie_buf
+    if n == 1:
+        return (np.zeros(1, dtype=np.int64),) * 3 + (np.empty(0, dtype=np.int64),)
+    cand = _candidates(P, R)
+    idx = np.concatenate(([0], cand, [n - 1]))
+    while len(idx) > 2:
+        dp = np.diff(P[idx])
+        dr = np.diff(R[idx])
+        convex = dr[:-1] * dp[1:] > dr[1:] * dp[:-1]
+        if convex.all():
+            break
+        idx = idx[np.concatenate(([True], convex, [True]))]
+    # A candidate lies under the edge a -> b to the first vertex b at or
+    # after it; it is b itself, a tie, or strictly below.
+    j = idx.searchsorted(cand)
+    a, b = idx[j - 1], idx[j]
+    cross = (R[cand] - R[a]) * (P[b] - P[a]) - (P[cand] - P[a]) * (R[b] - R[a])
+    on = (cross == 0) & (cand != b)
+    counts = np.bincount(j[on], minlength=len(idx))
+    tie_hi = np.cumsum(counts)
+    return idx, tie_hi - counts, tie_hi, cand[on]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -61,10 +60,15 @@ class ExtremalRecord:
 def _prefix_sums(values) -> list[float]:
     """``math.fsum`` of every prefix of ``values``, in linear time.
 
-    The running sum is exact (a Fraction), so reading it as a float rounds
-    once, correctly, exactly as fsum does.
+    Every float is an integer over a power of two, so over the largest of
+    these denominators, 2^shift, the running sum is an exact integer.  Int
+    division is correctly rounded, so each total / 2^shift rounds once,
+    exactly as fsum does.
     """
-    return [float(total) for total in accumulate(map(Fraction, values))]
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    scale = 1 << shift
+    return [total / scale for total in accumulate(n << (shift - d.bit_length() + 1) for n, d in ratios)]
 
 
 def records_from_state(state: HullState, include_provisional: bool = False) -> list[ExtremalRecord]:

@@ -98,7 +98,7 @@ class MHullState(HullState):
         2. The vertices of C are points of the segment, so each edge of C
            is a chord whose ends lie at most u'Y above the concave H, and
            so does the whole chord: C <= H + u'Y on [p_0, p_n-1], whichever
-           vertices the float quickhull picked.
+           points the float passes kept.
         3. For i on edge (a, b), c_i = y_a + (y_b - y_a) * t with
            t = (p_i - p_a)/(p_b - p_a) in [0, 1], the differences exact in
            int64, each of the four operations rounded once (separate numpy
@@ -144,7 +144,9 @@ class MHullState(HullState):
                 tops = np.append(tops, full + y[full:].argmax())
             top = y[tops]
             delta = FILTER_MARGIN * top.max()
-            sub = np.unique(np.concatenate(([0], tops, [n - 1])))
+            # tops increases and may already start at 0 or end at n - 1.
+            sub = np.concatenate(([0], tops, [n - 1]))
+            sub = sub[int(tops[0] == 0) : len(sub) - int(tops[-1] == n - 1)]
             idx = sub[segment_hull(primes[sub], y[sub])[0]]
             # A block is kept when it holds a chain vertex or its top passes
             # the test at its first or last point; only its points are tested.

@@ -1,10 +1,10 @@
 """Independent reference implementations for cross-checking.
 
 Everything here is deliberately naive: a bytearray sieve, a batch convex
-hull over Fraction heights (the production stacks clear every denominator
-into integers), and mpmath-based analytic values.  The point is that none
-of the production shortcuts (segmenting, int64 kernels, closed-form
-derivatives, fixed-panel quadrature) are shared with these
+hull over Fraction heights (compared by its own cross-multiplied formula,
+not the production stacks'), and mpmath-based analytic values.  The point
+is that none of the production shortcuts (segmenting, int64 kernels,
+closed-form derivatives, fixed-panel quadrature) are shared with these
 implementations.
 """
 
@@ -57,22 +57,27 @@ class OracleVertex:
 def batch_upper_hull(points: Sequence[tuple[int, Fraction]]) -> list[OracleVertex]:
     """Monotone-chain upper hull over Fraction heights, with tie recording.
 
-    A new point pops the stack while slope(prev, top) <= slope(top, new),
-    compared with both sides multiplied by the positive run lengths:
-    (top.y - prev.y)(new.p - top.p) against (new.y - top.y)(top.p - prev.p);
-    an exactly-equal comparison transfers the popped vertex and its ties
-    into the new point's tie list (the popped vertex lies on the new edge),
-    while a strict pop on the first iteration clears any inherited ties
-    (the edge that carried them is gone).
+    A new point pops the stack while slope(prev, top) <= slope(top, new).
+    With each height written n/d in lowest terms, both sides are compared
+    as integers, multiplied by the positive run lengths and denominators:
+    (top.n prev.d - prev.n top.d) new.d (new.p - top.p) against
+    (new.n top.d - top.n new.d) prev.d (top.p - prev.p).  An exactly-equal
+    comparison transfers the popped vertex and its ties into the new
+    point's tie list (the popped vertex lies on the new edge), while a
+    strict pop on the first iteration clears any inherited ties (the edge
+    that carried them is gone).
     """
     stack: list[OracleVertex] = []
     for p, y in points:
+        n, d = y.numerator, y.denominator
         ties: list[int] = []
         first_pop = True
         while len(stack) >= 2:
             a, b = stack[-2], stack[-1]
-            lhs = (b.y - a.y) * (p - b.p)
-            rhs = (y - b.y) * (b.p - a.p)
+            an, ad = a.y.numerator, a.y.denominator
+            bn, bd = b.y.numerator, b.y.denominator
+            lhs = (bn * ad - an * bd) * d * (p - b.p)
+            rhs = (n * bd - bn * d) * ad * (b.p - a.p)
             if lhs > rhs:
                 break
             popped = stack.pop()

@@ -3,10 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import check_concave, mp_li, sieve_primes
 from primehull import prime_stream
-from primehull.analysis import CONFIRMED, PROVISIONAL, find_twins, records_from_state
+from primehull.analysis import CONFIRMED, PROVISIONAL, _prefix_sums, find_twins, records_from_state
 from primehull.lens_bounds import verify_envelope
 
 # Reference sums over the first 200 extremal primes, recomputed at 50
@@ -53,6 +55,13 @@ def test_running_sums_match_state(run_1e6):
     for k in range(1, len(recs) + 1):
         assert recs[k - 1].sum_inv == math.fsum(1.0 / r.e for r in recs[:k])
         assert recs[k - 1].sum_invlog == math.fsum(1.0 / math.log(r.e) for r in recs[:k])
+
+
+@given(st.lists(st.floats(-1e300, 1e300), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_prefix_sums_are_fsum_of_every_prefix(values):
+    # Any signs and exponents, subnormals and exact cancellations included.
+    assert _prefix_sums(values) == [math.fsum(values[:k]) for k in range(1, len(values) + 1)]
 
 
 def test_conjecture_sums_against_oracle(run_1e8):

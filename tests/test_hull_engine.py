@@ -326,6 +326,58 @@ def test_segment_hull_matches_oracle_on_random_tie_heavy_clouds():
         assert kernel_hull(pts) == oracle_hull(pts)
 
 
+FAN_END = 1 << 21
+
+
+def fan(m):
+    """A concave arc of m points, a tie before it and a far last point, all candidates.
+
+    The arc is (2i, H - i^2) for i = 1..m, falling from a first point at
+    height 0 to a last one at (FAN_END, 0).  The hull is the first point,
+    the arc's first point and the last point, with (1, (H - 1)/2) a tie on
+    the first edge; every other arc point lies under the chord from its
+    left neighbour to the last point only once its right neighbour is gone.
+    """
+    h = m * m + m + 1
+    return [(0, 0), (1, (h - 1) // 2)] + [(2 * i, h - i * i) for i in range(1, m + 1)] + [(FAN_END, 0)]
+
+
+def parabola(n):
+    """n + 1 points of a concave parabola, every one a vertex, with a tie on every 7th edge."""
+    pts = [(2 * i, 2 * i * (n - i)) for i in range(n + 1)]
+    ties = [(2 * i + 1, i * (n - i) + (i + 1) * (n - i - 1)) for i in range(0, n, 7)]
+    return sorted(pts + ties)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_segment_hull_matches_oracle_on_a_fan(mirror):
+    # The passes' bad case: each pass drops only the arc point next to the
+    # far end, so 1,500 arc points take 1,499 passes.  On a 2-core x86_64
+    # VM (Python 3.11, numpy 2.4.6) the kernel took 27 ms here (32 ms
+    # mirrored), against 0.1 ms for the quickhull work stack it replaced,
+    # which splits the fan at its first arc point and drops the rest at once.
+    pts = fan(1500)
+    if mirror:
+        pts = [(FAN_END - p, r) for p, r in reversed(pts)]
+    P = np.array([p for p, _ in pts], dtype=np.int64)
+    R = np.array([r for _, r in pts], dtype=np.int64)
+    assert len(_candidates(P, R)) == len(pts) - 2
+    want = oracle_hull(pts)
+    assert len(want) == 3 and sum(len(t) for _, _, t in want) == 1
+    assert kernel_hull(pts) == want
+
+
+def test_segment_hull_matches_oracle_on_a_parabola():
+    # Quickhull's bad case: all 20,001 points are vertices, so its work
+    # stack resolved 20,000 edges of a few numpy calls each, 281 ms on a
+    # 2-core x86_64 VM (Python 3.11, numpy 2.4.6).  The first pass drops the
+    # 2,858 ties and the second finds the chain final: 3.4 ms.
+    pts = parabola(20_000)
+    want = oracle_hull(pts)
+    assert len(want) == 20_001 and sum(len(t) for _, _, t in want) == 2858
+    assert kernel_hull(pts) == want
+
+
 def test_candidates_are_the_running_maxima():
     # The first level's contract, by a scan over Python integers: i is a
     # candidate when its cross product against the chord from the first
@@ -352,7 +404,7 @@ def test_candidates_are_the_running_maxima():
 def test_candidates_are_under_one_percent_of_a_segment():
     # A work count, so that a filter which stops filtering, while every
     # hull stays right, still fails: on the last full segment below 1e8,
-    # 361 of its 113,756 points reach quickhull.  pi is counted from 0 at
+    # 361 of its 113,756 points reach the passes.  pi is counted from 0 at
     # the segment start, which moves no cross product.
     start = 10**8 - 2 * prime_stream.SEGMENT_SIZE + 1
     cfg = prime_stream.SieveConfig(start=start, limit=10**8)
