@@ -67,8 +67,9 @@ def _prefix_sums(values) -> list[float]:
     """
     ratios = [v.as_integer_ratio() for v in values]
     shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    totals = accumulate(n << (shift - d.bit_length() + 1) for n, d in ratios)
     scale = 1 << shift
-    return [total / scale for total in accumulate(n << (shift - d.bit_length() + 1) for n, d in ratios)]
+    return [total / scale for total in totals]
 
 
 def records_from_state(state: HullState, include_provisional: bool = False) -> list[ExtremalRecord]:
