@@ -204,8 +204,8 @@ def _lens_row(x: float) -> str:
         cells += [
             sci12(roots.theta_minus),
             sci12(roots.theta_plus),
-            sci12(roots.h_star_minus),
-            sci12(roots.h_star_plus),
+            sci12(roots.theta_minus * x),
+            sci12(roots.theta_plus * x),
         ]
     except lens_bounds.ThetaPreconditionError:
         status = "window-too-small"

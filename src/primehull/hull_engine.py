@@ -103,18 +103,6 @@ class HullState:
         """
         return (v.pi - u.pi) * (p - v.p), (pi - v.pi) * (v.p - u.p)
 
-    @classmethod
-    def slope_compare(cls, a, b, c) -> int:
-        """Exact ordering of slope(a, b) versus slope(b, c) for a.p < b.p < c.p.
-
-        Slopes are of this hull's heights; returns -1, 0 or 1 as the first
-        slope is less than, equal to or greater than the second.
-        """
-        if not (a.p < b.p < c.p):
-            raise ValueError(f"points must be strictly increasing in p: {a.p}, {b.p}, {c.p}")
-        lhs, rhs = cls._cross(a, b, c.p, c.pi)
-        return (lhs > rhs) - (lhs < rhs)
-
     @staticmethod
     def _final(u: HullVertex, v: HullVertex, x: int, pi_x: int) -> bool:
         """Whether the edge u -> v is final once every prime <= x is pushed.

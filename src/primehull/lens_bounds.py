@@ -109,17 +109,8 @@ def cubic_coeffs(x: float) -> CubicProblem:
 
 @dataclass(frozen=True)
 class ThetaRoots:
-    x: float
     theta_minus: float
     theta_plus: float
-
-    @property
-    def h_star_minus(self) -> float:
-        return self.theta_minus * self.x
-
-    @property
-    def h_star_plus(self) -> float:
-        return self.theta_plus * self.x
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -171,7 +162,7 @@ def solve_theta(x: float) -> ThetaRoots:
         )
     theta_plus = _bisect(g, 0.0, 1.0)
     theta_minus = _bisect(g, -1.0, 0.0)
-    return ThetaRoots(x=x, theta_minus=theta_minus, theta_plus=theta_plus)
+    return ThetaRoots(theta_minus=theta_minus, theta_plus=theta_plus)
 
 
 @dataclass(frozen=True)
@@ -237,7 +228,6 @@ def solve_h_exact(x: float) -> ExactCrossings:
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    limit: int
     checked: int
     violations: tuple[int, ...]  # primes p >= 11 with |pi - Li| >= sqrt(p) ln p
     boundary_flags: tuple[int, ...]  # same exceedance among p < 11
@@ -297,7 +287,6 @@ def verify_envelope(limit: int) -> EnvelopeReport:
         prev_p = float(pf[-1])
         checked += len(primes)
     return EnvelopeReport(
-        limit=limit,
         checked=checked,
         violations=tuple(violations),
         boundary_flags=tuple(boundary),

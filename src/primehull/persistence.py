@@ -47,14 +47,6 @@ class CheckpointError(Exception):
     pass
 
 
-class CorruptCheckpointError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
 def sci12(x: float) -> str:
     """Format with exactly 12 significant digits in scientific notation.
 
@@ -119,16 +111,16 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpointError(f"checkpoint corrupt: {exc}") from exc
+        raise CheckpointError(f"checkpoint corrupt: {exc}") from exc
     if not isinstance(payload, dict) or "integrity" not in payload:
-        raise CorruptCheckpointError("checkpoint corrupt: missing integrity field")
+        raise CheckpointError("checkpoint corrupt: missing integrity field")
     stored = payload.pop("integrity")
     actual = hashlib.sha256(_canonical_json(payload)).hexdigest()
     if stored != actual:
-        raise CorruptCheckpointError("checkpoint corrupt: integrity checksum mismatch")
+        raise CheckpointError("checkpoint corrupt: integrity checksum mismatch")
     version = payload.get("format_version")
     if type(version) is not int or version not in _READABLE_VERSIONS:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"checkpoint format version {version} not supported "
             f"(expected one of {_READABLE_VERSIONS})"
         )
@@ -144,17 +136,17 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
             pi_at_last=_json_int(payload["pi_at_limit"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCheckpointError(f"checkpoint corrupt: bad field ({exc})") from exc
+        raise CheckpointError(f"checkpoint corrupt: bad field ({exc})") from exc
     # Every run pushes (2, 1) first, so only a state that has consumed
     # nothing has an empty stack.
     if stack and (stack[0].p, stack[0].pi) != (2, 1):
-        raise CorruptCheckpointError("checkpoint corrupt: stack does not start at (2, 1)")
+        raise CheckpointError("checkpoint corrupt: stack does not start at (2, 1)")
     if not stack and (state.last_processed, state.pi_at_last) != (1, 0):
-        raise CorruptCheckpointError("checkpoint corrupt: empty stack past the start frontier")
+        raise CheckpointError("checkpoint corrupt: empty stack past the start frontier")
     if not 0 <= state.confirmed_len <= len(stack):
-        raise CorruptCheckpointError("checkpoint corrupt: confirmed count out of range")
+        raise CheckpointError("checkpoint corrupt: confirmed count out of range")
     if any(u.p >= v.p or u.pi >= v.pi for u, v in zip(stack, stack[1:])):
-        raise CorruptCheckpointError("checkpoint corrupt: stack not strictly increasing in p and pi")
+        raise CheckpointError("checkpoint corrupt: stack not strictly increasing in p and pi")
     # A vertex's ties are points of its incoming edge: strictly between the
     # two vertices, in increasing order, at integer heights on the chord.
     if (stack and stack[0].ties) or not all(
@@ -162,19 +154,21 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         and all((t - u.p) * (v.pi - u.pi) % (v.p - u.p) == 0 for t in v.ties)
         for u, v in zip(stack, stack[1:])
     ):
-        raise CorruptCheckpointError("checkpoint corrupt: a tie is not a point of its vertex's incoming edge")
+        raise CheckpointError("checkpoint corrupt: a tie is not a point of its vertex's incoming edge")
     if stack and (state.last_processed < stack[-1].p or state.pi_at_last < stack[-1].pi):
-        raise CorruptCheckpointError("checkpoint corrupt: frontier behind the top vertex")
+        raise CheckpointError("checkpoint corrupt: frontier behind the top vertex")
     if state.last_processed > MAX_LIMIT:
-        raise CorruptCheckpointError(f"checkpoint corrupt: frontier beyond the {MAX_LIMIT} cap")
-    if any(state.slope_compare(a, b, c) <= 0 for a, b, c in zip(stack, stack[1:], stack[2:])):
-        raise CorruptCheckpointError("checkpoint corrupt: stack slopes not strictly decreasing")
+        raise CheckpointError(f"checkpoint corrupt: frontier beyond the {MAX_LIMIT} cap")
+    # With p strictly increasing, lhs > rhs exactly when slope(a, b) > slope(b, c).
+    crosses = (state._cross(a, b, c.p, c.pi) for a, b, c in zip(stack, stack[1:], stack[2:]))
+    if any(lhs <= rhs for lhs, rhs in crosses):
+        raise CheckpointError("checkpoint corrupt: stack slopes not strictly decreasing")
     # The frontier is the one the last confirmation ran at, and finality is
     # monotone in it, so every confirmed edge must still test final there.
     confirmed = stack[: state.confirmed_len]
     x, pi_x = state.last_processed, state.pi_at_last
     if not all(state._final(u, v, x, pi_x) for u, v in zip(confirmed, confirmed[1:])):
-        raise CorruptCheckpointError("checkpoint corrupt: a confirmed vertex is not final at the frontier")
+        raise CheckpointError("checkpoint corrupt: a confirmed vertex is not final at the frontier")
     return state, payload.get("config_echo", {})
 
 

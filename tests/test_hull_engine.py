@@ -20,21 +20,19 @@ from primehull import m_variant, prime_stream
 from primehull._seghull import BLOCK, _candidates
 
 
+def _slope_order(a, b, c):
+    """Sign of lhs - rhs from ``HullState._cross``: slope(a, b) vs slope(b, c)."""
+    lhs, rhs = HullState._cross(a, b, c.p, c.pi)
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def test_slope_compare_examples():
-    slope_compare = HullState.slope_compare
-    assert slope_compare(P(2, 1), P(3, 2), P(7, 4)) == 1  # 1 vs 1/2
-    assert slope_compare(P(19, 8), P(23, 9), P(47, 15)) == 0  # both 1/4
-    assert slope_compare(P(2, 1), P(5, 3), P(7, 4)) == 1  # 2/3 vs 1/2
-    assert slope_compare(P(2, 1), P(3, 2), P(5, 3)) == 1  # 1 vs 1/2
-    assert slope_compare(P(3, 2), P(5, 3), P(7, 4)) == 0  # 1/2 = 1/2
-    assert slope_compare(P(7, 4), P(11, 5), P(13, 6)) == -1  # 1/4 < 1/2
-
-
-def test_slope_compare_rejects_disorder():
-    with pytest.raises(ValueError):
-        HullState.slope_compare(P(3, 2), P(2, 1), P(7, 4))
-    with pytest.raises(ValueError):
-        HullState.slope_compare(P(2, 1), P(7, 4), P(7, 4))
+    assert _slope_order(P(2, 1), P(3, 2), P(7, 4)) == 1  # 1 vs 1/2
+    assert _slope_order(P(19, 8), P(23, 9), P(47, 15)) == 0  # both 1/4
+    assert _slope_order(P(2, 1), P(5, 3), P(7, 4)) == 1  # 2/3 vs 1/2
+    assert _slope_order(P(2, 1), P(3, 2), P(5, 3)) == 1  # 1 vs 1/2
+    assert _slope_order(P(3, 2), P(5, 3), P(7, 4)) == 0  # 1/2 = 1/2
+    assert _slope_order(P(7, 4), P(11, 5), P(13, 6)) == -1  # 1/4 < 1/2
 
 
 def test_exact_slope():

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from primehull import analysis, cli, persistence
 from primehull.hull_engine import compute_extremal
 from primehull.persistence import (
-    CheckpointVersionError,
-    CorruptCheckpointError,
+    CheckpointError,
     fmt12,
     load_checkpoint,
     parse_export,
@@ -98,7 +97,7 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(state, path)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CheckpointError, match="checkpoint corrupt"):
         load_checkpoint(path)
 
 
@@ -109,7 +108,7 @@ def test_checkpoint_tampered(tmp_path):
     payload = json.loads(path.read_text())
     payload["confirmed_count"] += 1
     path.write_text(json.dumps(payload))
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CheckpointError, match="checkpoint corrupt"):
         load_checkpoint(path)
 
 
@@ -175,53 +174,86 @@ def test_checkpoint_version_mismatch(tmp_path):
     for bad in (99, True, "2"):
         save_checkpoint(state, path)
         _rewrite_checkpoint(path, format_version=bad)
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError, match="format version"):
             load_checkpoint(path)
 
 
+_ORDER = "stack not strictly increasing in p and pi"
+_TIE = "a tie is not a point of its vertex's incoming edge"
+_BAD_FIELD = "bad field"
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda s, n: {"provisional_stack": s[:3] + [[s[2][0], s[3][1], s[3][2]]] + s[4:]},
-        lambda s, n: {"provisional_stack": s[:3] + [[s[3][0], s[2][1], s[3][2]]] + s[4:]},
-        lambda s, n: {"limit_processed": 50_000},
-        lambda s, n: {"pi_at_limit": s[-1][1] - 1},
-        # (5, 3) lies on the chord from (3, 2) to (7, 4): not a vertex.
-        lambda s, n: {"provisional_stack": s[:2] + [[5, 3, []]] + s[2:], "confirmed_count": n + 1},
-        lambda s, n: {"confirmed_count": len(s)},
-        lambda s, n: {"limit_processed": 10**400, "pi_at_limit": 10**399},
+        pytest.param(
+            lambda s, n: {"provisional_stack": s[:3] + [[s[2][0], s[3][1], s[3][2]]] + s[4:]},
+            _ORDER, id="p-repeats",
+        ),
+        pytest.param(
+            lambda s, n: {"provisional_stack": s[:3] + [[s[3][0], s[2][1], s[3][2]]] + s[4:]},
+            _ORDER, id="pi-repeats",
+        ),
+        pytest.param(lambda s, n: {"limit_processed": 50_000}, "frontier behind the top vertex", id="limit-behind-top"),
+        pytest.param(lambda s, n: {"pi_at_limit": s[-1][1] - 1}, "frontier behind the top vertex", id="pi-behind-top"),
+        # (5, 3) lies on the chord from (3, 2) to (7, 4): not a vertex.  (7, 4)
+        # drops its tie 5, which would sit on (5, 3) and fail the tie check.
+        pytest.param(
+            lambda s, n: {"provisional_stack": s[:2] + [[5, 3, []], [7, 4, []]] + s[3:], "confirmed_count": n + 1},
+            "stack slopes not strictly decreasing", id="slopes-not-decreasing",
+        ),
+        pytest.param(
+            lambda s, n: {"confirmed_count": len(s)},
+            "a confirmed vertex is not final at the frontier", id="tail-confirmed",
+        ),
+        pytest.param(
+            lambda s, n: {"limit_processed": 10**400, "pi_at_limit": 10**399},
+            "frontier beyond the 1000000000000 cap", id="frontier-beyond-cap",
+        ),
         # The stack starts (2, 1), (3, 2), (7, 4) with tie 5, (19, 8) with
         # tie 13, and (47, 15) with ties 23, 31, 43 at heights 9, 11, 14.
-        lambda s, n: {"provisional_stack": [[2, 1, [1]]] + s[1:]},
-        lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [5, 11]]] + s[3:]},
-        lambda s, n: {"provisional_stack": s[:4] + [[47, 15, [31, 23, 43]]] + s[5:]},
-        lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [4]]] + s[3:]},
+        pytest.param(lambda s, n: {"provisional_stack": [[2, 1, [1]]] + s[1:]}, _TIE, id="first-vertex-ties"),
+        pytest.param(lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [5, 11]]] + s[3:]}, _TIE, id="tie-outside-edge"),
+        pytest.param(
+            lambda s, n: {"provisional_stack": s[:4] + [[47, 15, [31, 23, 43]]] + s[5:]},
+            _TIE, id="ties-not-increasing",
+        ),
+        pytest.param(lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [4]]] + s[3:]}, _TIE, id="tie-off-lattice"),
         # Integer fields must be JSON integers; int() would truncate 9592.9
         # to pi(10^5) = 9592 and read "100000", true and "7" as integers.
-        lambda s, n: {"pi_at_limit": 9592.9},
-        lambda s, n: {"limit_processed": "100000"},
-        lambda s, n: {"confirmed_count": True},
-        lambda s, n: {"provisional_stack": s[:2] + [["7", 4.0, ["5"]], [19, 8, [13.0]]] + s[4:]},
+        pytest.param(lambda s, n: {"pi_at_limit": 9592.9}, _BAD_FIELD, id="pi-float"),
+        pytest.param(lambda s, n: {"limit_processed": "100000"}, _BAD_FIELD, id="limit-string"),
+        pytest.param(lambda s, n: {"confirmed_count": True}, _BAD_FIELD, id="confirmed-bool"),
+        pytest.param(
+            lambda s, n: {"provisional_stack": s[:2] + [["7", 4.0, ["5"]], [19, 8, [13.0]]] + s[4:]},
+            _BAD_FIELD, id="stack-strings-and-floats",
+        ),
         # Every run pushes (2, 1) first.  Without it the remaining confirmed
         # edges still test final, and (3, 2) was written as confirmed row 1.
-        lambda s, n: {"provisional_stack": s[1:], "confirmed_count": n - 1},
-        lambda s, n: {"provisional_stack": [], "confirmed_count": 0},
-    ],
-    ids=[
-        "p-repeats", "pi-repeats", "limit-behind-top", "pi-behind-top",
-        "slopes-not-decreasing", "tail-confirmed", "frontier-beyond-cap",
-        "first-vertex-ties", "tie-outside-edge", "ties-not-increasing", "tie-off-lattice",
-        "pi-float", "limit-string", "confirmed-bool", "stack-strings-and-floats",
-        "first-vertex-dropped", "empty-stack-past-start",
+        pytest.param(
+            lambda s, n: {"provisional_stack": s[1:], "confirmed_count": n - 1},
+            "stack does not start at (2, 1)", id="first-vertex-dropped",
+        ),
+        pytest.param(
+            lambda s, n: {"provisional_stack": [], "confirmed_count": 0},
+            "empty stack past the start frontier", id="empty-stack-past-start",
+        ),
+        # (6, 3) is a reflex vertex: slope 1/3 in from (3, 2), 1 out to
+        # (7, 4).  (7, 4) drops its tie 5, which would precede (6, 3).
+        pytest.param(
+            lambda s, n: {"provisional_stack": s[:2] + [[6, 3, []], [7, 4, []]] + s[3:], "confirmed_count": n + 1},
+            "stack slopes not strictly decreasing", id="reflex-vertex",
+        ),
     ],
 )
-def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
-    # Each edit is resealed, so only a consistency check can catch it.  A
-    # resume from the frontier-behind-top or the tail-confirmed file used to
-    # pop a confirmed vertex, and one from the slopes-not-decreasing file
-    # reported 5 as a confirmed extremal prime.  The frontier-beyond-cap file
-    # overflowed the float pi bound and exited as a usage error.  Bad ties
-    # used to load and be written into confirmed rows.
+def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt, message):
+    # Each edit is resealed, so only a consistency check can catch it, and
+    # the message names the check that must.  A resume from the
+    # frontier-behind-top or the tail-confirmed file used to pop a confirmed
+    # vertex, and one from the slopes-not-decreasing file reported 5 as a
+    # confirmed extremal prime.  The frontier-beyond-cap file overflowed the
+    # float pi bound and exited as a usage error.  Bad ties used to load and
+    # be written into confirmed rows.
     ck = tmp_path / "ck.json"
     assert cli.main(["compute", "--limit", "10^5", "--checkpoint", str(ck)]) == 0
     payload = json.loads(ck.read_text())
@@ -229,10 +261,10 @@ def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt):
         [2, 1, []], [3, 2, []], [7, 4, [5]], [19, 8, [13]], [47, 15, [23, 31, 43]]
     ]
     _rewrite_checkpoint(ck, **corrupt(payload["provisional_stack"], payload["confirmed_count"]))
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CheckpointError, match="^checkpoint corrupt: " + re.escape(message)):
         load_checkpoint(ck)
     assert cli.main(["compute", "--limit", "2*10^5", "--checkpoint", str(ck)]) == 3
-    assert "corrupt" in capsys.readouterr().err
+    assert "error: checkpoint corrupt: " + message in capsys.readouterr().err
 
 
 def test_checkpoint_v1_resumes_byte_identical(tmp_path):
@@ -258,7 +290,7 @@ def test_checkpoint_v1_resumes_byte_identical(tmp_path):
 
 
 def test_checkpoint_missing_file():
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CheckpointError, match="checkpoint corrupt"):
         load_checkpoint("/nonexistent/ck.json")
 
 
