@@ -69,9 +69,6 @@ def parse_limit(text: str) -> int:
     return value.numerator
 
 
-_EXPORTERS = {"csv": persistence.export_csv, "json": persistence.export_json}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primehull",
@@ -82,13 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compute", help="stream primes and compute extremal records")
     c.add_argument("--limit", required=True, help="sieve limit (e.g. 100000, 10^8, 1e8)")
     c.add_argument("--checkpoint", default=None, help="checkpoint file, resumed if present and saved after each chunk")
-    c.add_argument("--out", default=None, help="export path")
-    c.add_argument("--format", default="csv", choices=tuple(_EXPORTERS), help="export format")
+    c.add_argument("--out", default=None, help="export path (CSV)")
     c.add_argument("--include-provisional", action="store_true", help="add unconfirmed tail rows with a status column")
     c.add_argument("--until-k", type=int, default=None, help="stop after the first chunk that confirms e_K")
 
     a = sub.add_parser("analyze", help="statistics over an exported record table")
-    a.add_argument("--in", dest="infile", required=True, help="CSV or JSON export to read")
+    a.add_argument("--in", dest="infile", required=True, help="CSV export to read")
     a.add_argument("--sums", action="store_true", help="print conjecture partial sums")
     a.add_argument("--twins", action="store_true", help="print consecutive-index twin pairs")
     a.add_argument("--ties", action="store_true", help="print rows with slope ties")
@@ -139,13 +135,13 @@ def _cmd_compute(args) -> int:
         print(
             f"x={state.last_processed}  confirmed k={last.k}  "
             f"sum 1/e_k={fmt12(last.sum_inv)}  sum 1/ln e_k={fmt12(last.sum_invlog)}  "
-            f"({seconds:.1f}s, {rate:.3g} integers/s, ETA {eta})",
+            f"({seconds:.1f}s, {rate:.3g} integers/s, ETA {eta} to x={limit})",
             flush=True,
         )
     if state.last_processed < limit:
         print(f"stopped at x={state.last_processed}: e_{until_k} is confirmed")
     if args.out:
-        _EXPORTERS[args.format](records, args.out, include_provisional=args.include_provisional)
+        persistence.export_csv(records, args.out, include_provisional=args.include_provisional)
         print(f"wrote {args.out}")
     n = state.confirmed_len
     print(f"limit {limit}: {n} confirmed extremal primes, {len(records) - n} provisional")

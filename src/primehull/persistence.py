@@ -36,8 +36,6 @@ CHECKPOINT_VERSION = 2
 # Version 1 also stored the running sums, which are derived data; they are
 # ignored on load.
 _READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
-# The JSON export's schema version, independent of the checkpoint format.
-_EXPORT_VERSION = 1
 
 CSV_HEADER = "k,e_k,pi_e,delta_num,delta_den,lens_len,ratio_next,sum_inv,sum_invlog,ties"
 M_CSV_HEADER = "k,m_k,pi_m,value,ties,status"
@@ -218,83 +216,54 @@ def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike],
     _write_csv(path, header, rows)
 
 
-def export_json(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
-    rows = _exported(records, include_provisional)
-    payload = {
-        "meta": {
-            "format_version": _EXPORT_VERSION,
-            "record_count": len(rows),
-            "confirmed_count": sum(1 for r in rows if r.status == CONFIRMED),
-        },
-        "records": [_record_dict(r) for r in rows],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def _int(value) -> int:
-    """An integer field: a JSON int, or a CSV cell of ASCII digits."""
-    if type(value) is int or (isinstance(value, str) and value.isascii() and value.isdigit()):
+def _int(value: str) -> int:
+    """An integer cell: ASCII digits only."""
+    if value.isascii() and value.isdigit():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _optional(value, convert):
-    """An absent value is null in JSON and an empty cell in CSV."""
-    return None if value is None or value == "" else convert(value)
+def _optional(value: str, convert):
+    """An absent value is an empty cell."""
+    return None if value == "" else convert(value)
 
 
-def _record_from_dict(d) -> ExtremalRecord:
-    """Decode one record: a JSON object, or a CSV row keyed by its header.
+def _record_from_dict(d: dict[str, str]) -> ExtremalRecord:
+    """Decode one CSV row keyed by its header, with ties joined by ";".
 
-    CSV cells are strings, with ties joined by ";".  A missing key, a
-    value of the wrong type, a ``lens_len`` other than ``delta_den`` or a
-    confirmed record without its running sums raises ValueError.
+    A value of the wrong form, a ``lens_len`` other than ``delta_den`` or
+    a confirmed record without its running sums raises ValueError.
     """
-    try:
-        ties = d["ties"]
-        if isinstance(ties, str):
-            ties = ties.split(";") if ties else []
-        if d["status"] not in (CONFIRMED, PROVISIONAL):
-            raise ValueError(f"unknown record status {d['status']!r}")
-        dnum = _optional(d["delta_num"], _int)
-        delta = None if dnum is None else ExactSlope(dnum, _int(d["delta_den"]))
-        if _optional(d["lens_len"], _int) != (delta.dp if delta else None):
-            raise ValueError(f"lens_len {d['lens_len']!r} differs from delta_den")
-        record = ExtremalRecord(
-            k=_int(d["k"]),
-            e=_int(d["e_k"]),
-            pi_e=_int(d["pi_e"]),
-            delta=delta,
-            ratio_next=_optional(d["ratio_next"], float),
-            ties=tuple(_int(t) for t in ties),
-            status=d["status"],
-            sum_inv=_optional(d["sum_inv"], float),
-            sum_invlog=_optional(d["sum_invlog"], float),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed export record {d!r}: {exc!r}") from exc
+    ties = d["ties"].split(";") if d["ties"] else []
+    if d["status"] not in (CONFIRMED, PROVISIONAL):
+        raise ValueError(f"unknown record status {d['status']!r}")
+    dnum = _optional(d["delta_num"], _int)
+    delta = None if dnum is None else ExactSlope(dnum, _int(d["delta_den"]))
+    if _optional(d["lens_len"], _int) != (delta.dp if delta else None):
+        raise ValueError(f"lens_len {d['lens_len']!r} differs from delta_den")
+    record = ExtremalRecord(
+        k=_int(d["k"]),
+        e=_int(d["e_k"]),
+        pi_e=_int(d["pi_e"]),
+        delta=delta,
+        ratio_next=_optional(d["ratio_next"], float),
+        ties=tuple(_int(t) for t in ties),
+        status=d["status"],
+        sum_inv=_optional(d["sum_inv"], float),
+        sum_invlog=_optional(d["sum_invlog"], float),
+    )
     if record.status == CONFIRMED and None in (record.sum_inv, record.sum_invlog):
         raise ValueError(f"confirmed record k={record.k} lacks its running sums")
     return record
 
 
 def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
-    """Read back a CSV or JSON export produced by this module.
+    """Read back a CSV export produced by this module.
 
     Content that does not follow the export schema raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.lstrip().startswith("{"):
-            fh.seek(0)
-            payload = json.load(fh)
-            rows = payload.get("records") if isinstance(payload, dict) else None
-            if not isinstance(rows, list):
-                raise ValueError("JSON export has no list of records")
-            return [_record_from_dict(d) for d in rows]
-        header = first.rstrip("\n")
+        header = fh.readline().rstrip("\n")
         if header not in (CSV_HEADER, CSV_HEADER + ",status"):
             raise ValueError(f"unrecognized export header: {header!r}")
         columns = header.split(",")

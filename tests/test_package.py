@@ -21,7 +21,7 @@ CLI_OPTIONS = {
     "primehull": ["-h", "--help"],
     "compute": [
         "-h", "--help", "--limit", "--checkpoint",
-        "--out", "--format", "--include-provisional", "--until-k",
+        "--out", "--include-provisional", "--until-k",
     ],
     "analyze": ["-h", "--help", "--in", "--sums", "--twins", "--ties", "--envelope-limit"],
     "lensbounds": ["-h", "--help", "--x-grid", "--out"],

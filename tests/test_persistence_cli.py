@@ -320,18 +320,6 @@ def test_export_parse_roundtrip_csv(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_export_parse_roundtrip_json(tmp_path):
-    records, _ = _records(provisional=True)
-    path = tmp_path / "e.json"
-    persistence.export_json(records, path, include_provisional=True)
-    parsed = parse_export(path)
-    assert [(r.k, r.e, r.pi_e, r.ties) for r in parsed] == [
-        (r.k, r.e, r.pi_e, r.ties) for r in records
-    ]
-    meta = json.loads(path.read_text())["meta"]
-    assert meta["record_count"] == len(records)
-
-
 def test_export_provisional_column(tmp_path):
     records, _ = _records(provisional=True)
     with_status = tmp_path / "p.csv"
@@ -348,7 +336,7 @@ def test_export_provisional_column(tmp_path):
 
 
 def test_export_rejects_empty(tmp_path):
-    for export in (persistence.export_csv, persistence.export_json, persistence.export_m_csv):
+    for export in (persistence.export_csv, persistence.export_m_csv):
         with pytest.raises(ValueError):
             export([], tmp_path / "x.csv")
     assert not (tmp_path / "x.csv").exists()
@@ -469,6 +457,8 @@ def test_cli_compute_until_k_stops_after_the_chunk_that_confirms_it(tmp_path, ca
     lines = capsys.readouterr().out.splitlines()
     chunks = [line.split()[0] for line in lines if line.startswith("x=")]
     assert chunks == [f"x={x}" for x in range(10**5, stop + 1, 10**5)]
+    # The ETA points at the limit, not at the stop --until-k makes.
+    assert all(line.endswith(" to x=2000000)") for line in lines if line.startswith("x="))
     assert f"stopped at x={stop}: e_64 is confirmed" in lines
     straight = tmp_path / "straight.ck"
     save_checkpoint(state, straight, config_echo={"limit": 2 * 10**6})
@@ -553,27 +543,24 @@ def test_cli_analyze_missing_file(capsys):
     assert cli.main(["analyze", "--in", "/nonexistent.csv"]) == 2
 
 
-_GOOD_RECORD = {
-    "k": 1, "e_k": 2, "pi_e": 1, "delta_num": 1, "delta_den": 1, "lens_len": 1,
-    "ratio_next": "1.50000000000", "sum_inv": "0.500000000000",
-    "sum_invlog": "1.44269504089", "ties": [], "status": "confirmed",
-}
-
 _MALFORMED_EXPORTS = {
-    "no-records.json": json.dumps({"meta": {}}),
-    "missing-key.json": json.dumps({"records": [{"k": 1}]}),
-    "records-not-list.json": json.dumps({"records": _GOOD_RECORD}),
-    "record-not-object.json": json.dumps({"records": [5]}),
-    "float-k.json": json.dumps({"records": [{**_GOOD_RECORD, "k": 1.5}]}),
-    "ties-not-list.json": json.dumps({"records": [{**_GOOD_RECORD, "ties": 5}]}),
-    "bad-status.json": json.dumps({"records": [{**_GOOD_RECORD, "status": "maybe"}]}),
     "short-row.csv": persistence.CSV_HEADER + "\n1,2,1\n",
     "long-row.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + ",confirmed\n",
     "bad-cell.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,2,1,", "1,x,1,", 1) + "\n",
     "bad-ratio.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1.5", "one", 1) + "\n",
     "non-ascii-digit.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,", "\u0661,", 1) + "\n",
     "lens-mismatch.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,1,1,1.5", "1,1,2,1.5", 1) + "\n",
-    "no-sums.json": json.dumps({"records": [{**_GOOD_RECORD, "sum_inv": None}]}),
+    "bad-status.csv": persistence.CSV_HEADER + ",status\n" + FIRST_ROWS[0] + ",maybe\n",
+    "no-sums.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace(",0.500000000000,", ",,", 1) + "\n",
+    "bad-header.csv": "k,e_k,pi_e\n1,2,1\n",
+    "json-export.json": json.dumps({
+        "meta": {"format_version": 1, "record_count": 1, "confirmed_count": 1},
+        "records": [{
+            "k": 1, "e_k": 2, "pi_e": 1, "delta_num": 1, "delta_den": 1, "lens_len": 1,
+            "ratio_next": "1.50000000000", "sum_inv": "0.500000000000",
+            "sum_invlog": "1.44269504089", "ties": [], "status": "confirmed",
+        }],
+    }, indent=1),
 }
 
 
