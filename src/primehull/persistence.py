@@ -15,7 +15,8 @@ with lens_len repeating delta_den, ties semicolon-joined, empty cells for
 absent values, reals printed with exactly 12 significant digits, and a
 single line feed per row.  A ``status`` column is appended only when
 provisional rows are included, so confirmed-only regression fixtures never
-change shape.
+change shape.  ``parse_export`` accepts a row only when encoding the record
+it decodes gives back exactly the row's cells.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import math
 import os
 from decimal import Decimal
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .analysis import CONFIRMED, PROVISIONAL, ExactSlope, ExtremalRecord
 from .hull_engine import HullState, HullVertex
@@ -170,50 +171,29 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     return state, payload.get("config_echo", {})
 
 
-def _record_dict(r: ExtremalRecord) -> dict:
-    """One record in export form; its keys, in order, are the export schema."""
-    return {
-        "k": r.k,
-        "e_k": r.e,
-        "pi_e": r.pi_e,
-        "delta_num": r.delta.dpi if r.delta else None,
-        "delta_den": r.delta.dp if r.delta else None,
-        "lens_len": r.delta.dp if r.delta else None,
-        "ratio_next": None if r.ratio_next is None else fmt12(r.ratio_next),
-        "sum_inv": None if r.sum_inv is None else fmt12(r.sum_inv),
-        "sum_invlog": None if r.sum_invlog is None else fmt12(r.sum_invlog),
-        "ties": list(r.ties),
-        "status": r.status,
-    }
+def _cells(r: ExtremalRecord) -> list[str]:
+    """One record's cells in export schema order, ``status`` last."""
+    d = r.delta
+    lens = ["", "", ""] if d is None else [str(d.dpi), str(d.dp), str(d.dp)]
+    reals = ["" if x is None else fmt12(x) for x in (r.ratio_next, r.sum_inv, r.sum_invlog)]
+    return [str(r.k), str(r.e), str(r.pi_e), *lens, *reals, ";".join(map(str, r.ties)), r.status]
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, list):
-        return ";".join(str(t) for t in value)
-    return str(value)
-
-
-def _exported(records: Sequence, include_provisional: bool) -> list:
-    """The records an export writes; an empty input is refused."""
+def _write_csv(path: Union[str, os.PathLike], header: str, records: Sequence, include_provisional: bool, cells: Callable) -> None:
+    """Write ``cells(r)`` for each exported record; an empty input is refused."""
     if not records:
         raise ValueError("refusing to export an empty record list")
-    return [r for r in records if include_provisional or r.status == CONFIRMED]
-
-
-def _write_csv(path: Union[str, os.PathLike], header: str, rows: Sequence[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+        for r in records:
+            if include_provisional or r.status == CONFIRMED:
+                fh.write(",".join(cells(r)) + "\n")
 
 
 def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
     header = CSV_HEADER + (",status" if include_provisional else "")
     width = header.count(",") + 1
-    rows = [list(_record_dict(r).values())[:width] for r in _exported(records, include_provisional)]
-    _write_csv(path, header, rows)
+    _write_csv(path, header, records, include_provisional, lambda r: _cells(r)[:width])
 
 
 def _int(value: str) -> int:
@@ -223,65 +203,67 @@ def _int(value: str) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _optional(value: str, convert):
-    """An absent value is an empty cell."""
-    return None if value == "" else convert(value)
+def _record(cells: list[str]) -> ExtremalRecord:
+    """Decode one CSV row's cells, ``status`` last.
 
-
-def _record_from_dict(d: dict[str, str]) -> ExtremalRecord:
-    """Decode one CSV row keyed by its header, with ties joined by ";".
-
-    A value of the wrong form, a ``lens_len`` other than ``delta_den`` or
-    a confirmed record without its running sums raises ValueError.
+    A row is accepted only when ``_cells`` gives it back unchanged, so each
+    cell must be in the one form ``export_csv`` writes.  A value of the
+    wrong form or a confirmed record without its running sums raises
+    ValueError.
     """
-    ties = d["ties"].split(";") if d["ties"] else []
-    if d["status"] not in (CONFIRMED, PROVISIONAL):
-        raise ValueError(f"unknown record status {d['status']!r}")
-    dnum = _optional(d["delta_num"], _int)
-    delta = None if dnum is None else ExactSlope(dnum, _int(d["delta_den"]))
-    if _optional(d["lens_len"], _int) != (delta.dp if delta else None):
-        raise ValueError(f"lens_len {d['lens_len']!r} differs from delta_den")
+    k, e, pi_e, dnum, dden, _lens_len, *reals, ties, status = cells
+    if status not in (CONFIRMED, PROVISIONAL):
+        raise ValueError(f"unknown record status {status!r}")
+    ratio_next, sum_inv, sum_invlog = (float(c) if c else None for c in reals)
     record = ExtremalRecord(
-        k=_int(d["k"]),
-        e=_int(d["e_k"]),
-        pi_e=_int(d["pi_e"]),
-        delta=delta,
-        ratio_next=_optional(d["ratio_next"], float),
-        ties=tuple(_int(t) for t in ties),
-        status=d["status"],
-        sum_inv=_optional(d["sum_inv"], float),
-        sum_invlog=_optional(d["sum_invlog"], float),
+        k=_int(k),
+        e=_int(e),
+        pi_e=_int(pi_e),
+        delta=None if dnum == "" else ExactSlope(_int(dnum), _int(dden)),
+        ratio_next=ratio_next,
+        ties=tuple(_int(t) for t in ties.split(";") if t),
+        status=status,
+        sum_inv=sum_inv,
+        sum_invlog=sum_invlog,
     )
-    if record.status == CONFIRMED and None in (record.sum_inv, record.sum_invlog):
+    if status == CONFIRMED and None in (sum_inv, sum_invlog):
         raise ValueError(f"confirmed record k={record.k} lacks its running sums")
+    if _cells(record) != cells:
+        raise ValueError(f"export row is not as export_csv writes it: {','.join(cells)!r}")
     return record
 
 
 def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
     """Read back a CSV export produced by this module.
 
-    Content that does not follow the export schema raises ValueError.
+    Rows must carry k = 1, 2, ... in order, with every confirmed row before
+    the provisional ones.  Content that does not follow the export schema
+    raises ValueError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         header = fh.readline().rstrip("\n")
         if header not in (CSV_HEADER, CSV_HEADER + ",status"):
             raise ValueError(f"unrecognized export header: {header!r}")
-        columns = header.split(",")
-        records = []
+        width = header.count(",") + 1
+        # A row without a status column is a confirmed row.
+        pad = [] if header.endswith(",status") else [CONFIRMED]
+        records: list[ExtremalRecord] = []
         for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise ValueError(f"export row has {len(cells)} cells, expected {len(columns)}: {line!r}")
-            records.append(_record_from_dict({"status": CONFIRMED, **dict(zip(columns, cells))}))
+            if not line.endswith("\n"):
+                raise ValueError(f"export row lacks its line feed: {line!r}")
+            cells = line[:-1].split(",")
+            if len(cells) != width:
+                raise ValueError(f"export row has {len(cells)} cells, expected {width}: {line!r}")
+            record = _record(cells + pad)
+            if record.k != len(records) + 1:
+                raise ValueError(f"export row {len(records) + 1} has k={record.k}")
+            if records and (records[-1].status, record.status) == (PROVISIONAL, CONFIRMED):
+                raise ValueError(f"confirmed row k={record.k} follows a provisional row")
+            records.append(record)
         return records
 
 
 def export_m_csv(records: Sequence[MRecord], path: Union[str, os.PathLike]) -> None:
-    rows = [
-        (r.k, r.p, r.pi, f"{r.value.numerator}/{r.value.denominator}", list(r.ties), r.status)
-        for r in _exported(records, include_provisional=True)
-    ]
-    _write_csv(path, M_CSV_HEADER, rows)
+    _write_csv(path, M_CSV_HEADER, records, True, lambda r: [
+        str(r.k), str(r.p), str(r.pi), f"{r.value.numerator}/{r.value.denominator}", ";".join(map(str, r.ties)), r.status
+    ])

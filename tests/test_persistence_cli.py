@@ -320,6 +320,39 @@ def test_export_parse_roundtrip_csv(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+# FIRST_ROWS as files: without a status column, and with one whose last row
+# is provisional.
+_ROW_FILES = {
+    False: persistence.CSV_HEADER + "\n" + "".join(row + "\n" for row in FIRST_ROWS),
+    True: persistence.CSV_HEADER + ",status\n"
+    + "".join(row + ",confirmed\n" for row in FIRST_ROWS[:3])
+    + "4,19,8,7,28,28,2.47368421053,,,23;31;43,provisional\n",
+}
+
+
+@pytest.mark.parametrize("include_provisional", sorted(_ROW_FILES))
+def test_parse_export_accepts_only_what_export_writes(tmp_path, include_provisional):
+    # Every single-character deletion, and every substitution by a character
+    # of "019.-_;e +", is refused or re-exports to exactly the edited file.
+    text = _ROW_FILES[include_provisional].encode()
+    edited, out = tmp_path / "edited.csv", tmp_path / "out.csv"
+    chars = [b""] + [bytes([c]) for c in b"019.-_;e +"]
+    edits = {text[:i] + c + text[i + 1:] for i in range(len(text)) for c in chars} - {text}
+    edited.write_bytes(text)
+    assert len(parse_export(edited)) == len(FIRST_ROWS)
+    violations = []
+    for edit in sorted(edits):
+        edited.write_bytes(edit)
+        try:
+            records = parse_export(edited)
+        except ValueError:
+            continue
+        persistence.export_csv(records, out, include_provisional=include_provisional)
+        if out.read_bytes() != edit:
+            violations.append(edit)
+    assert violations == []
+
+
 def test_export_provisional_column(tmp_path):
     records, _ = _records(provisional=True)
     with_status = tmp_path / "p.csv"
@@ -553,6 +586,16 @@ _MALFORMED_EXPORTS = {
     "bad-status.csv": persistence.CSV_HEADER + ",status\n" + FIRST_ROWS[0] + ",maybe\n",
     "no-sums.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace(",0.500000000000,", ",,", 1) + "\n",
     "bad-header.csv": "k,e_k,pi_e\n1,2,1\n",
+    "gap.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + "\n" + FIRST_ROWS[2] + "\n",
+    "provisional-first.csv": persistence.CSV_HEADER + ",status\n"
+    + "1,2,1,1,1,1,1.50000000000,,,,provisional\n" + FIRST_ROWS[1] + ",confirmed\n",
+    "underscore-real.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1.50000000000", "1_5", 1) + "\n",
+    "nan-sum.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("0.500000000000", "nan", 1) + "\n",
+    "spaced-real.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1.44269504089", " 1.44269504089 ", 1) + "\n",
+    "short-real.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1.50000000000", "1.5", 1) + "\n",
+    "leading-zero.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,2,1,", "1,02,1,", 1) + "\n",
+    "crlf.csv": persistence.CSV_HEADER + "\r\n" + FIRST_ROWS[0] + "\r\n",
+    "blank-line.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + "\n\n",
     "json-export.json": json.dumps({
         "meta": {"format_version": 1, "record_count": 1, "confirmed_count": 1},
         "records": [{

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from primehull import cli
 from primehull.analysis import records_from_state
 from primehull.hull_engine import compute_extremal
 from primehull.persistence import export_csv, load_checkpoint
@@ -47,6 +48,38 @@ def _assert_slopes_strictly_decrease(path, rows, last_e):
     assert table[-1]["e_k"] == last_e
     slopes = [(int(r["delta_num"]), int(r["delta_den"])) for r in table]
     assert all(a * d > c * b for (a, b), (c, d) in zip(slopes, slopes[1:]))
+
+
+# The three twin pairs and the ties of the first lenses, in both tables.
+_TWINS_AND_TIES = [
+    "twin at k=1: (2, 3), pi(2) = 1",
+    "twin at k=116: (8787901, 8787917), pi(8787901) = 589274",
+    "twin at k=976: (26554262369, 26554262393), pi(26554262369) = 1156822345",
+    "k=2 e_k=3 ties: 5",
+    "k=3 e_k=7 ties: 13",
+    "k=4 e_k=19 ties: 23;31;43",
+]
+
+
+@pytest.mark.parametrize(
+    "path, head",
+    [
+        (CSV_1E11, [
+            "1395 records (1395 confirmed)",
+            "sum 1/e_k      = 1.09029808716  (k <= 1395)",
+            "sum 1/ln e_k   = 70.7549258558  (k <= 1395)",
+        ]),
+        (CSV_FINAL, [
+            "2200 records (2200 confirmed)",
+            "sum 1/e_k      = 1.09029809099  (k <= 2200)",
+            "sum 1/ln e_k   = 101.504630742  (k <= 2200)",
+        ]),
+    ],
+    ids=["1e11", "5.44e11"],
+)
+def test_analyze_reports_the_checked_in_tables(capsys, path, head):
+    assert cli.main(["analyze", "--in", str(path), "--sums", "--twins", "--ties"]) == 0
+    assert capsys.readouterr().out.splitlines() == head + _TWINS_AND_TIES
 
 
 def test_1e11_rows_start_as_a_fresh_1e8_compute(run_1e8, tmp_path):
