@@ -15,8 +15,10 @@ with lens_len repeating delta_den, ties semicolon-joined, empty cells for
 absent values, reals printed with exactly 12 significant digits, and a
 single line feed per row.  A ``status`` column is appended only when
 provisional rows are included, so confirmed-only regression fixtures never
-change shape.  ``parse_export`` accepts a row only when encoding the record
-it decodes gives back exactly the row's cells.
+change shape.  ``parse_export`` is the inverse of ``export_csv``: it rebuilds
+the hull stack from the rows' vertices and ties, checks its shape as a
+checkpoint's stack is checked, and accepts the file only when ``export_csv``
+writes exactly its text for that stack.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import json
 import math
 import os
 from decimal import Decimal
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence, Union
 
-from .analysis import CONFIRMED, PROVISIONAL, ExactSlope, ExtremalRecord
+from .analysis import CONFIRMED, ExtremalRecord, records_from_state
 from .hull_engine import HullState, HullVertex
 from .m_variant import MRecord
 from .prime_stream import MAX_LIMIT
@@ -104,6 +107,32 @@ def _json_int(value) -> int:
     return value
 
 
+def _check_stack(stack: Sequence[HullVertex]) -> None:
+    """Raise ValueError naming the first way ``stack`` is not a hull stack.
+
+    Both readers call this before using a stack they rebuilt: the stack
+    starts at (2, 1), which every run pushes first; p and pi strictly
+    increase; each vertex's ties lie on its incoming edge; and the edge
+    slopes strictly decrease.
+    """
+    if stack and (stack[0].p, stack[0].pi) != (2, 1):
+        raise ValueError("stack does not start at (2, 1)")
+    if any(u.p >= v.p or u.pi >= v.pi for u, v in zip(stack, stack[1:])):
+        raise ValueError("stack not strictly increasing in p and pi")
+    # A vertex's ties are points of its incoming edge: strictly between the
+    # two vertices, in increasing order, at integer heights on the chord.
+    if (stack and stack[0].ties) or not all(
+        all(a < b for a, b in zip([u.p, *v.ties], [*v.ties, v.p]))
+        and all((t - u.p) * (v.pi - u.pi) % (v.p - u.p) == 0 for t in v.ties)
+        for u, v in zip(stack, stack[1:])
+    ):
+        raise ValueError("a tie is not a point of its vertex's incoming edge")
+    # With p strictly increasing, lhs > rhs exactly when slope(a, b) > slope(b, c).
+    crosses = (HullState._cross(a, b, c.p, c.pi) for a, b, c in zip(stack, stack[1:], stack[2:]))
+    if any(lhs <= rhs for lhs, rhs in crosses):
+        raise ValueError("stack slopes not strictly decreasing")
+
+
 def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     """Read a checkpoint; returns (state, config_echo)."""
     try:
@@ -136,32 +165,20 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint corrupt: bad field ({exc})") from exc
+    try:
+        _check_stack(stack)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint corrupt: {exc}") from exc
     # Every run pushes (2, 1) first, so only a state that has consumed
     # nothing has an empty stack.
-    if stack and (stack[0].p, stack[0].pi) != (2, 1):
-        raise CheckpointError("checkpoint corrupt: stack does not start at (2, 1)")
     if not stack and (state.last_processed, state.pi_at_last) != (1, 0):
         raise CheckpointError("checkpoint corrupt: empty stack past the start frontier")
     if not 0 <= state.confirmed_len <= len(stack):
         raise CheckpointError("checkpoint corrupt: confirmed count out of range")
-    if any(u.p >= v.p or u.pi >= v.pi for u, v in zip(stack, stack[1:])):
-        raise CheckpointError("checkpoint corrupt: stack not strictly increasing in p and pi")
-    # A vertex's ties are points of its incoming edge: strictly between the
-    # two vertices, in increasing order, at integer heights on the chord.
-    if (stack and stack[0].ties) or not all(
-        all(a < b for a, b in zip([u.p, *v.ties], [*v.ties, v.p]))
-        and all((t - u.p) * (v.pi - u.pi) % (v.p - u.p) == 0 for t in v.ties)
-        for u, v in zip(stack, stack[1:])
-    ):
-        raise CheckpointError("checkpoint corrupt: a tie is not a point of its vertex's incoming edge")
     if stack and (state.last_processed < stack[-1].p or state.pi_at_last < stack[-1].pi):
         raise CheckpointError("checkpoint corrupt: frontier behind the top vertex")
     if state.last_processed > MAX_LIMIT:
         raise CheckpointError(f"checkpoint corrupt: frontier beyond the {MAX_LIMIT} cap")
-    # With p strictly increasing, lhs > rhs exactly when slope(a, b) > slope(b, c).
-    crosses = (state._cross(a, b, c.p, c.pi) for a, b, c in zip(stack, stack[1:], stack[2:]))
-    if any(lhs <= rhs for lhs, rhs in crosses):
-        raise CheckpointError("checkpoint corrupt: stack slopes not strictly decreasing")
     # The frontier is the one the last confirmation ran at, and finality is
     # monotone in it, so every confirmed edge must still test final there.
     confirmed = stack[: state.confirmed_len]
@@ -196,71 +213,50 @@ def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike],
     _write_csv(path, header, records, include_provisional, lambda r: _cells(r)[:width])
 
 
-def _int(value: str) -> int:
-    """An integer cell: ASCII digits only."""
-    if value.isascii() and value.isdigit():
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _record(cells: list[str]) -> ExtremalRecord:
-    """Decode one CSV row's cells, ``status`` last.
-
-    A row is accepted only when ``_cells`` gives it back unchanged, so each
-    cell must be in the one form ``export_csv`` writes.  A value of the
-    wrong form or a confirmed record without its running sums raises
-    ValueError.
-    """
-    k, e, pi_e, dnum, dden, _lens_len, *reals, ties, status = cells
-    if status not in (CONFIRMED, PROVISIONAL):
-        raise ValueError(f"unknown record status {status!r}")
-    ratio_next, sum_inv, sum_invlog = (float(c) if c else None for c in reals)
-    record = ExtremalRecord(
-        k=_int(k),
-        e=_int(e),
-        pi_e=_int(pi_e),
-        delta=None if dnum == "" else ExactSlope(_int(dnum), _int(dden)),
-        ratio_next=ratio_next,
-        ties=tuple(_int(t) for t in ties.split(";") if t),
-        status=status,
-        sum_inv=sum_inv,
-        sum_invlog=sum_invlog,
-    )
-    if status == CONFIRMED and None in (sum_inv, sum_invlog):
-        raise ValueError(f"confirmed record k={record.k} lacks its running sums")
-    if _cells(record) != cells:
-        raise ValueError(f"export row is not as export_csv writes it: {','.join(cells)!r}")
-    return record
-
-
 def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
     """Read back a CSV export produced by this module.
 
-    Rows must carry k = 1, 2, ... in order, with every confirmed row before
-    the provisional ones.  Content that does not follow the export schema
-    raises ValueError.
+    Only the ``e_k``, ``pi_e`` and ``ties`` cells are read.  They rebuild
+    the hull stack: row k gives vertex k, its ties belong to vertex k+1,
+    and a delta on the last row adds the vertex its edge runs to.  Every
+    row of a file without a ``status`` column is confirmed; otherwise the
+    ``confirmed`` cells count the confirmed prefix.  The stack must pass the
+    checkpoint's shape checks, and the file is accepted only when
+    ``export_csv`` writes exactly its text for the records of that stack.
+    Anything else raises ValueError naming the fault or the first row that
+    differs.
     """
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        header = fh.readline().rstrip("\n")
-        if header not in (CSV_HEADER, CSV_HEADER + ",status"):
-            raise ValueError(f"unrecognized export header: {header!r}")
-        width = header.count(",") + 1
-        # A row without a status column is a confirmed row.
-        pad = [] if header.endswith(",status") else [CONFIRMED]
-        records: list[ExtremalRecord] = []
-        for line in fh:
-            if not line.endswith("\n"):
-                raise ValueError(f"export row lacks its line feed: {line!r}")
-            cells = line[:-1].split(",")
-            if len(cells) != width:
-                raise ValueError(f"export row has {len(cells)} cells, expected {width}: {line!r}")
-            record = _record(cells + pad)
-            if record.k != len(records) + 1:
-                raise ValueError(f"export row {len(records) + 1} has k={record.k}")
-            if records and (records[-1].status, record.status) == (PROVISIONAL, CONFIRMED):
-                raise ValueError(f"confirmed row k={record.k} follows a provisional row")
-            records.append(record)
-        return records
+        text = fh.read()
+    header, *rows = text.removesuffix("\n").split("\n")
+    if header not in (CSV_HEADER, CSV_HEADER + ",status"):
+        raise ValueError(f"unrecognized export header: {header!r}")
+    width = header.count(",") + 1
+    has_status = width > 10
+    stack: list[HullVertex] = []
+    ties: list[int] = []
+    confirmed = 0
+    for n, row in enumerate(rows, 1):
+        cells = row.split(",")
+        if len(cells) != width:
+            raise ValueError(f"export row {n} has {len(cells)} cells, expected {width}")
+        stack.append(HullVertex(int(cells[1]), int(cells[2]), ties))
+        ties = [int(t) for t in cells[9].split(";") if t]
+        confirmed += not has_status or cells[-1] == CONFIRMED
+    if rows and cells[3]:
+        top = stack[-1]
+        stack.append(HullVertex(top.p + int(cells[4]), top.pi + int(cells[3]), ties))
+    _check_stack(stack)
+    if stack and stack[-1].p > MAX_LIMIT:
+        raise ValueError(f"export vertex beyond the {MAX_LIMIT} cap")
+    state = HullState(stack=stack, confirmed_len=confirmed)
+    records = records_from_state(state, include_provisional=True)[: len(rows)]
+    written = [header + "\n"] + [",".join(_cells(r)[:width]) + "\n" for r in records]
+    if "".join(written) != text:
+        lines = zip_longest(text.splitlines(keepends=True), written)
+        n, line = next((n, got) for n, (got, want) in enumerate(lines) if got != want)
+        raise ValueError(f"export row {n} is not as export_csv writes it: {line!r}")
+    return records
 
 
 def export_m_csv(records: Sequence[MRecord], path: Union[str, os.PathLike]) -> None:

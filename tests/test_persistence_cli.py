@@ -183,69 +183,71 @@ _TIE = "a tie is not a point of its vertex's incoming edge"
 _BAD_FIELD = "bad field"
 
 
-@pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        pytest.param(
-            lambda s, n: {"provisional_stack": s[:3] + [[s[2][0], s[3][1], s[3][2]]] + s[4:]},
-            _ORDER, id="p-repeats",
-        ),
-        pytest.param(
-            lambda s, n: {"provisional_stack": s[:3] + [[s[3][0], s[2][1], s[3][2]]] + s[4:]},
-            _ORDER, id="pi-repeats",
-        ),
-        pytest.param(lambda s, n: {"limit_processed": 50_000}, "frontier behind the top vertex", id="limit-behind-top"),
-        pytest.param(lambda s, n: {"pi_at_limit": s[-1][1] - 1}, "frontier behind the top vertex", id="pi-behind-top"),
-        # (5, 3) lies on the chord from (3, 2) to (7, 4): not a vertex.  (7, 4)
-        # drops its tie 5, which would sit on (5, 3) and fail the tie check.
-        pytest.param(
-            lambda s, n: {"provisional_stack": s[:2] + [[5, 3, []], [7, 4, []]] + s[3:], "confirmed_count": n + 1},
-            "stack slopes not strictly decreasing", id="slopes-not-decreasing",
-        ),
-        pytest.param(
-            lambda s, n: {"confirmed_count": len(s)},
-            "a confirmed vertex is not final at the frontier", id="tail-confirmed",
-        ),
-        pytest.param(
-            lambda s, n: {"limit_processed": 10**400, "pi_at_limit": 10**399},
-            "frontier beyond the 1000000000000 cap", id="frontier-beyond-cap",
-        ),
-        # The stack starts (2, 1), (3, 2), (7, 4) with tie 5, (19, 8) with
-        # tie 13, and (47, 15) with ties 23, 31, 43 at heights 9, 11, 14.
-        pytest.param(lambda s, n: {"provisional_stack": [[2, 1, [1]]] + s[1:]}, _TIE, id="first-vertex-ties"),
-        pytest.param(lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [5, 11]]] + s[3:]}, _TIE, id="tie-outside-edge"),
-        pytest.param(
-            lambda s, n: {"provisional_stack": s[:4] + [[47, 15, [31, 23, 43]]] + s[5:]},
-            _TIE, id="ties-not-increasing",
-        ),
-        pytest.param(lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [4]]] + s[3:]}, _TIE, id="tie-off-lattice"),
-        # Integer fields must be JSON integers; int() would truncate 9592.9
-        # to pi(10^5) = 9592 and read "100000", true and "7" as integers.
-        pytest.param(lambda s, n: {"pi_at_limit": 9592.9}, _BAD_FIELD, id="pi-float"),
-        pytest.param(lambda s, n: {"limit_processed": "100000"}, _BAD_FIELD, id="limit-string"),
-        pytest.param(lambda s, n: {"confirmed_count": True}, _BAD_FIELD, id="confirmed-bool"),
-        pytest.param(
-            lambda s, n: {"provisional_stack": s[:2] + [["7", 4.0, ["5"]], [19, 8, [13.0]]] + s[4:]},
-            _BAD_FIELD, id="stack-strings-and-floats",
-        ),
-        # Every run pushes (2, 1) first.  Without it the remaining confirmed
-        # edges still test final, and (3, 2) was written as confirmed row 1.
-        pytest.param(
-            lambda s, n: {"provisional_stack": s[1:], "confirmed_count": n - 1},
-            "stack does not start at (2, 1)", id="first-vertex-dropped",
-        ),
-        pytest.param(
-            lambda s, n: {"provisional_stack": [], "confirmed_count": 0},
-            "empty stack past the start frontier", id="empty-stack-past-start",
-        ),
-        # (6, 3) is a reflex vertex: slope 1/3 in from (3, 2), 1 out to
-        # (7, 4).  (7, 4) drops its tie 5, which would precede (6, 3).
-        pytest.param(
-            lambda s, n: {"provisional_stack": s[:2] + [[6, 3, []], [7, 4, []]] + s[3:], "confirmed_count": n + 1},
-            "stack slopes not strictly decreasing", id="reflex-vertex",
-        ),
-    ],
-)
+# Edits of a checkpoint at 10^5: each takes its stack s and confirmed count n
+# and returns the fields to rewrite, with the message that must refuse them.
+_CHECKPOINT_FAULTS = [
+    pytest.param(
+        lambda s, n: {"provisional_stack": s[:3] + [[s[2][0], s[3][1], s[3][2]]] + s[4:]},
+        _ORDER, id="p-repeats",
+    ),
+    pytest.param(
+        lambda s, n: {"provisional_stack": s[:3] + [[s[3][0], s[2][1], s[3][2]]] + s[4:]},
+        _ORDER, id="pi-repeats",
+    ),
+    pytest.param(lambda s, n: {"limit_processed": 50_000}, "frontier behind the top vertex", id="limit-behind-top"),
+    pytest.param(lambda s, n: {"pi_at_limit": s[-1][1] - 1}, "frontier behind the top vertex", id="pi-behind-top"),
+    # (5, 3) lies on the chord from (3, 2) to (7, 4): not a vertex.  (7, 4)
+    # drops its tie 5, which would sit on (5, 3) and fail the tie check.
+    pytest.param(
+        lambda s, n: {"provisional_stack": s[:2] + [[5, 3, []], [7, 4, []]] + s[3:], "confirmed_count": n + 1},
+        "stack slopes not strictly decreasing", id="slopes-not-decreasing",
+    ),
+    pytest.param(
+        lambda s, n: {"confirmed_count": len(s)},
+        "a confirmed vertex is not final at the frontier", id="tail-confirmed",
+    ),
+    pytest.param(
+        lambda s, n: {"limit_processed": 10**400, "pi_at_limit": 10**399},
+        "frontier beyond the 1000000000000 cap", id="frontier-beyond-cap",
+    ),
+    # The stack starts (2, 1), (3, 2), (7, 4) with tie 5, (19, 8) with
+    # tie 13, and (47, 15) with ties 23, 31, 43 at heights 9, 11, 14.
+    pytest.param(lambda s, n: {"provisional_stack": [[2, 1, [1]]] + s[1:]}, _TIE, id="first-vertex-ties"),
+    pytest.param(lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [5, 11]]] + s[3:]}, _TIE, id="tie-outside-edge"),
+    pytest.param(
+        lambda s, n: {"provisional_stack": s[:4] + [[47, 15, [31, 23, 43]]] + s[5:]},
+        _TIE, id="ties-not-increasing",
+    ),
+    pytest.param(lambda s, n: {"provisional_stack": s[:2] + [[7, 4, [4]]] + s[3:]}, _TIE, id="tie-off-lattice"),
+    # Integer fields must be JSON integers; int() would truncate 9592.9
+    # to pi(10^5) = 9592 and read "100000", true and "7" as integers.
+    pytest.param(lambda s, n: {"pi_at_limit": 9592.9}, _BAD_FIELD, id="pi-float"),
+    pytest.param(lambda s, n: {"limit_processed": "100000"}, _BAD_FIELD, id="limit-string"),
+    pytest.param(lambda s, n: {"confirmed_count": True}, _BAD_FIELD, id="confirmed-bool"),
+    pytest.param(
+        lambda s, n: {"provisional_stack": s[:2] + [["7", 4.0, ["5"]], [19, 8, [13.0]]] + s[4:]},
+        _BAD_FIELD, id="stack-strings-and-floats",
+    ),
+    # Every run pushes (2, 1) first.  Without it the remaining confirmed
+    # edges still test final, and (3, 2) was written as confirmed row 1.
+    pytest.param(
+        lambda s, n: {"provisional_stack": s[1:], "confirmed_count": n - 1},
+        "stack does not start at (2, 1)", id="first-vertex-dropped",
+    ),
+    pytest.param(
+        lambda s, n: {"provisional_stack": [], "confirmed_count": 0},
+        "empty stack past the start frontier", id="empty-stack-past-start",
+    ),
+    # (6, 3) is a reflex vertex: slope 1/3 in from (3, 2), 1 out to
+    # (7, 4).  (7, 4) drops its tie 5, which would precede (6, 3).
+    pytest.param(
+        lambda s, n: {"provisional_stack": s[:2] + [[6, 3, []], [7, 4, []]] + s[3:], "confirmed_count": n + 1},
+        "stack slopes not strictly decreasing", id="reflex-vertex",
+    ),
+]
+
+
+@pytest.mark.parametrize("corrupt, message", _CHECKPOINT_FAULTS)
 def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt, message):
     # Each edit is resealed, so only a consistency check can catch it, and
     # the message names the check that must.  A resume from the
@@ -351,6 +353,66 @@ def test_parse_export_accepts_only_what_export_writes(tmp_path, include_provisio
         if out.read_bytes() != edit:
             violations.append(edit)
     assert violations == []
+
+
+
+# The checkpoint faults a CSV can hold.  first-vertex-ties cannot be written:
+# the ties on row k belong to vertex k+1, so no cell holds vertex 1's ties.
+_CSV_STACK_FAULTS = [
+    fault for fault in _CHECKPOINT_FAULTS
+    if fault.id in {
+        "first-vertex-dropped", "p-repeats", "pi-repeats", "tie-outside-edge", "ties-not-increasing",
+        "tie-off-lattice", "slopes-not-decreasing", "reflex-vertex",
+    }
+]
+
+
+@pytest.mark.parametrize("corrupt, message", _CSV_STACK_FAULTS)
+def test_parse_export_refuses_checkpoint_stack_faults(tmp_path, run_1e5, corrupt, message):
+    # The faulty stack goes in as a status-column export, written by hand:
+    # records_from_state cannot write the zero dp of p-repeats.  The reals
+    # stay empty, as parse_export checks the stack before any other cell.
+    state = run_1e5.state
+    edit = corrupt([[v.p, v.pi, list(v.ties)] for v in state.stack], state.confirmed_len)
+    stack, confirmed = edit["provisional_stack"], edit.get("confirmed_count", state.confirmed_len)
+    lines = [persistence.CSV_HEADER + ",status"]
+    for k, ((p, pi, _), (q, qi, ties)) in enumerate(zip(stack, stack[1:]), 1):
+        status = "confirmed" if k <= confirmed else "provisional"
+        lines.append(f"{k},{p},{pi},{qi - pi},{q - p},{q - p},,,,{';'.join(map(str, ties))},{status}")
+    p, pi, _ = stack[-1]
+    lines.append(f"{len(stack)},{p},{pi},,,,,,,,provisional")
+    path = tmp_path / "faulty.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_export(path)
+
+
+def test_parse_export_refuses_a_vertex_beyond_the_cap(tmp_path):
+    # Consistent apart from size: the edge from (2, 1) runs to (10^400, 2).
+    # Rebuilding its record would turn 10^400 / 2 into a float and raise
+    # OverflowError, which the CLI also maps to exit 2, so parse_export is
+    # called directly.
+    dp = 10**400 - 2
+    path = tmp_path / "huge.csv"
+    path.write_text(persistence.CSV_HEADER + f"\n1,2,1,1,{dp},{dp},inf,0.500000000000,1.44269504089,\n")
+    with pytest.raises(ValueError, match="beyond the 1000000000000 cap"):
+        parse_export(path)
+
+
+def test_parse_export_reads_every_prefix(tmp_path):
+    # The header plus the first n rows of either export form is itself an
+    # export: it parses to the first n records, whatever n is.
+    path = tmp_path / "e.csv"
+    for limit in (10**3, 10**5, 10**6):
+        state = compute_extremal(limit).state
+        for include_provisional in (False, True):
+            records = analysis.records_from_state(state, include_provisional=include_provisional)
+            persistence.export_csv(records, path, include_provisional=include_provisional)
+            header, *rows = path.read_text().splitlines(keepends=True)
+            assert parse_export(path) == records
+            for n in range(len(rows) + 1):
+                path.write_text(header + "".join(rows[:n]))
+                assert parse_export(path) == records[:n]
 
 
 def test_export_provisional_column(tmp_path):
@@ -596,6 +658,14 @@ _MALFORMED_EXPORTS = {
     "leading-zero.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,2,1,", "1,02,1,", 1) + "\n",
     "crlf.csv": persistence.CSV_HEADER + "\r\n" + FIRST_ROWS[0] + "\r\n",
     "blank-line.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + "\n\n",
+    # Each row alone is as export_csv writes it, but not the file: e_2 = 9 is
+    # no vertex after (2, 1), a provisional row carries running sums, and
+    # e_1 = 0 is not the stack's first vertex (2, 1).
+    "e2-not-a-vertex.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0] + "\n"
+    + "2,9,2,2,4,4,2.33333333333,0.833333333333,2.35293426752,13\n",
+    "provisional-with-sums.csv": persistence.CSV_HEADER + ",status\n" + FIRST_ROWS[0] + ",confirmed\n"
+    + "2,3,2,2,4,4,2.33333333333,0.833333333333,2.35293426752,5,provisional\n",
+    "e1-zero.csv": persistence.CSV_HEADER + "\n" + FIRST_ROWS[0].replace("1,2,1,", "1,0,1,", 1) + "\n",
     "json-export.json": json.dumps({
         "meta": {"format_version": 1, "record_count": 1, "confirmed_count": 1},
         "records": [{
