@@ -83,11 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--include-provisional", action="store_true", help="add unconfirmed tail rows with a status column")
     c.add_argument("--until-k", type=int, default=None, help="stop after the first chunk that confirms e_K")
 
-    a = sub.add_parser("analyze", help="statistics over an exported record table")
+    a = sub.add_parser("analyze", help="report sums, twin pairs and ties of an exported record table")
     a.add_argument("--in", dest="infile", required=True, help="CSV export to read")
-    a.add_argument("--sums", action="store_true", help="print conjecture partial sums")
-    a.add_argument("--twins", action="store_true", help="print consecutive-index twin pairs")
-    a.add_argument("--ties", action="store_true", help="print rows with slope ties")
     a.add_argument("--envelope-limit", default=None, help="re-sieve and check |pi - Li| < sqrt(p) ln p up to N")
 
     l = sub.add_parser("lensbounds", help="tangent-window bounds at given x values")
@@ -155,25 +152,19 @@ def _cmd_analyze(args) -> int:
     records = persistence.parse_export(args.infile)
     confirmed = [r for r in records if r.status == analysis.CONFIRMED]
     print(f"{len(records)} records ({len(confirmed)} confirmed)")
-    if args.sums:
-        sum_inv, sum_invlog = (confirmed[-1].sum_inv, confirmed[-1].sum_invlog) if confirmed else (0.0, 0.0)
-        print(f"sum 1/e_k      = {fmt12(sum_inv)}  (k <= {len(confirmed)})")
-        print(f"sum 1/ln e_k   = {fmt12(sum_invlog)}  (k <= {len(confirmed)})")
-    if args.twins:
-        twins = analysis.find_twins(records)
-        if twins:
-            for t in twins:
-                print(f"twin at k={t.k}: ({t.e}, {t.e_next}), pi({t.e}) = {t.pi_e}")
-        else:
-            print("no twin pairs")
-    if args.ties:
-        any_ties = False
-        for r in records:
-            if r.ties:
-                any_ties = True
-                print(f"k={r.k} e_k={r.e} ties: {';'.join(str(t) for t in r.ties)}")
-        if not any_ties:
-            print("no ties")
+    sum_inv, sum_invlog = (confirmed[-1].sum_inv, confirmed[-1].sum_invlog) if confirmed else (0.0, 0.0)
+    print(f"sum 1/e_k      = {fmt12(sum_inv)}  (k <= {len(confirmed)})")
+    print(f"sum 1/ln e_k   = {fmt12(sum_invlog)}  (k <= {len(confirmed)})")
+    twins = analysis.find_twins(records)
+    for t in twins:
+        print(f"twin at k={t.k}: ({t.e}, {t.e_next}), pi({t.e}) = {t.pi_e}")
+    if not twins:
+        print("no twin pairs")
+    tied = [r for r in records if r.ties]
+    for r in tied:
+        print(f"k={r.k} e_k={r.e} ties: {';'.join(str(t) for t in r.ties)}")
+    if not tied:
+        print("no ties")
     if args.envelope_limit is not None:
         limit = parse_limit(args.envelope_limit)
         report = lens_bounds.verify_envelope(limit)

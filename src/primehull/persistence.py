@@ -179,6 +179,9 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
         raise CheckpointError("checkpoint corrupt: frontier behind the top vertex")
     if state.last_processed > MAX_LIMIT:
         raise CheckpointError(f"checkpoint corrupt: frontier beyond the {MAX_LIMIT} cap")
+    # The last prime at or below the frontier is always the top vertex.
+    if stack and state.pi_at_last != stack[-1].pi:
+        raise CheckpointError("checkpoint corrupt: frontier count is not the top vertex's pi")
     # The frontier is the one the last confirmation ran at, and finality is
     # monotone in it, so every confirmed edge must still test final there.
     confirmed = stack[: state.confirmed_len]

@@ -23,7 +23,7 @@ CLI_OPTIONS = {
         "-h", "--help", "--limit", "--checkpoint",
         "--out", "--include-provisional", "--until-k",
     ],
-    "analyze": ["-h", "--help", "--in", "--sums", "--twins", "--ties", "--envelope-limit"],
+    "analyze": ["-h", "--help", "--in", "--envelope-limit"],
     "lensbounds": ["-h", "--help", "--x-grid", "--out"],
     "mvariant": ["-h", "--help", "--limit", "--out"],
 }

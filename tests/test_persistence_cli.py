@@ -196,6 +196,9 @@ _CHECKPOINT_FAULTS = [
     ),
     pytest.param(lambda s, n: {"limit_processed": 50_000}, "frontier behind the top vertex", id="limit-behind-top"),
     pytest.param(lambda s, n: {"pi_at_limit": s[-1][1] - 1}, "frontier behind the top vertex", id="pi-behind-top"),
+    pytest.param(
+        lambda s, n: {"pi_at_limit": s[-1][1] + 1}, "frontier count is not the top vertex's pi", id="pi-past-top",
+    ),
     # (5, 3) lies on the chord from (3, 2) to (7, 4): not a vertex.  (7, 4)
     # drops its tie 5, which would sit on (5, 3) and fail the tie check.
     pytest.param(
@@ -336,6 +339,8 @@ _ROW_FILES = {
 def test_parse_export_accepts_only_what_export_writes(tmp_path, include_provisional):
     # Every single-character deletion, and every substitution by a character
     # of "019.-_;e +", is refused or re-exports to exactly the edited file.
+    # Each file is unlinked before it is rewritten: truncating a file just
+    # written can wait tens of ms for the filesystem to flush it.
     text = _ROW_FILES[include_provisional].encode()
     edited, out = tmp_path / "edited.csv", tmp_path / "out.csv"
     chars = [b""] + [bytes([c]) for c in b"019.-_;e +"]
@@ -344,11 +349,13 @@ def test_parse_export_accepts_only_what_export_writes(tmp_path, include_provisio
     assert len(parse_export(edited)) == len(FIRST_ROWS)
     violations = []
     for edit in sorted(edits):
+        edited.unlink()
         edited.write_bytes(edit)
         try:
             records = parse_export(edited)
         except ValueError:
             continue
+        out.unlink(missing_ok=True)
         persistence.export_csv(records, out, include_provisional=include_provisional)
         if out.read_bytes() != edit:
             violations.append(edit)
@@ -401,16 +408,19 @@ def test_parse_export_refuses_a_vertex_beyond_the_cap(tmp_path):
 
 def test_parse_export_reads_every_prefix(tmp_path):
     # The header plus the first n rows of either export form is itself an
-    # export: it parses to the first n records, whatever n is.
+    # export: it parses to the first n records, whatever n is.  Each file
+    # is unlinked before it is rewritten, as above.
     path = tmp_path / "e.csv"
     for limit in (10**3, 10**5, 10**6):
         state = compute_extremal(limit).state
         for include_provisional in (False, True):
             records = analysis.records_from_state(state, include_provisional=include_provisional)
+            path.unlink(missing_ok=True)
             persistence.export_csv(records, path, include_provisional=include_provisional)
             header, *rows = path.read_text().splitlines(keepends=True)
             assert parse_export(path) == records
             for n in range(len(rows) + 1):
+                path.unlink()
                 path.write_text(header + "".join(rows[:n]))
                 assert parse_export(path) == records[:n]
 
@@ -615,12 +625,7 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
     assert cli.main(["compute", "--limit", "100000", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[1].startswith("1,2,1,")
-    assert (
-        cli.main(
-            ["analyze", "--in", str(out), "--sums", "--twins", "--ties", "--envelope-limit", "10^4"]
-        )
-        == 0
-    )
+    assert cli.main(["analyze", "--in", str(out), "--envelope-limit", "10^4"]) == 0
     text = capsys.readouterr().out
     assert "sum 1/e_k" in text
     assert "twin at k=1" in text
@@ -688,11 +693,30 @@ def test_cli_analyze_malformed_export(tmp_path, capsys, name):
 def test_cli_analyze_header_only_export(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text(persistence.CSV_HEADER + "\n")
-    assert cli.main(["analyze", "--in", str(path), "--sums"]) == 0
+    assert cli.main(["analyze", "--in", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "0 records (0 confirmed)",
         "sum 1/e_k      = 0.00000000000  (k <= 0)",
         "sum 1/ln e_k   = 0.00000000000  (k <= 0)",
+        "no twin pairs",
+        "no ties",
+    ]
+
+
+def test_cli_analyze_status_column_export(tmp_path, capsys):
+    # The sums are row 35's, the last confirmed; rows 36 to 39 are provisional.
+    path = tmp_path / "p.csv"
+    assert cli.main(["compute", "--limit", "10^5", "--include-provisional", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "39 records (35 confirmed)",
+        "sum 1/e_k      = 1.09016166583  (k <= 35)",
+        "sum 1/ln e_k   = 7.23658370300  (k <= 35)",
+        "twin at k=1: (2, 3), pi(2) = 1",
+        "k=2 e_k=3 ties: 5",
+        "k=3 e_k=7 ties: 13",
+        "k=4 e_k=19 ties: 23;31;43",
     ]
 
 

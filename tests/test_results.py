@@ -78,7 +78,7 @@ _TWINS_AND_TIES = [
     ids=["1e11", "5.44e11"],
 )
 def test_analyze_reports_the_checked_in_tables(capsys, path, head):
-    assert cli.main(["analyze", "--in", str(path), "--sums", "--twins", "--ties"]) == 0
+    assert cli.main(["analyze", "--in", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == head + _TWINS_AND_TIES
 
 
