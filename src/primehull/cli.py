@@ -214,8 +214,7 @@ def _cmd_lensbounds(args) -> int:
         raise ValueError("empty x grid")
     lines = [_LENS_COLUMNS] + [_lens_row(x) for x in grid]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        persistence.write_csv(args.out, _LENS_COLUMNS, lines[1:], lambda row: [row])
         print(f"wrote {args.out}")
     else:
         for line in lines:

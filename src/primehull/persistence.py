@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 from decimal import Decimal
 from itertools import zip_longest
 from typing import Callable, Optional, Sequence, Union
@@ -199,10 +200,23 @@ def _cells(r: ExtremalRecord) -> list[str]:
     return [str(r.k), str(r.e), str(r.pi_e), *lens, *reals, ";".join(map(str, r.ties)), r.status]
 
 
-def _write_csv(path: Union[str, os.PathLike], header: str, records: Sequence, include_provisional: bool, cells: Callable) -> None:
-    """Write ``cells(r)`` for each exported record; an empty input is refused."""
+def write_csv(path: Union[str, os.PathLike], header: str, records: Sequence, cells: Callable, include_provisional: bool = True) -> None:
+    """Write the header, then ``cells(r)`` for each record, to ``path``.
+
+    A record that is not confirmed is written only with
+    ``include_provisional``.  An empty input is refused before ``path`` is
+    touched.  A regular file at ``path`` is removed and a new one written:
+    truncating a file written moments before waits for its data to reach
+    the disk on some filesystems, and unlinking it does not.  A symlink or a
+    device is written through and kept.
+    """
     if not records:
         raise ValueError("refusing to export an empty record list")
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for r in records:
@@ -213,7 +227,7 @@ def _write_csv(path: Union[str, os.PathLike], header: str, records: Sequence, in
 def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
     header = CSV_HEADER + (",status" if include_provisional else "")
     width = header.count(",") + 1
-    _write_csv(path, header, records, include_provisional, lambda r: _cells(r)[:width])
+    write_csv(path, header, records, lambda r: _cells(r)[:width], include_provisional)
 
 
 def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
@@ -263,6 +277,6 @@ def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
 
 
 def export_m_csv(records: Sequence[MRecord], path: Union[str, os.PathLike]) -> None:
-    _write_csv(path, M_CSV_HEADER, records, True, lambda r: [
+    write_csv(path, M_CSV_HEADER, records, lambda r: [
         str(r.k), str(r.p), str(r.pi), f"{r.value.numerator}/{r.value.denominator}", ";".join(map(str, r.ties)), r.status
     ])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from primehull import analysis, cli, persistence
 from primehull.hull_engine import compute_extremal
+from primehull.m_variant import compute_m_extremal
 from primehull.persistence import (
     CheckpointError,
     fmt12,
@@ -339,8 +340,8 @@ _ROW_FILES = {
 def test_parse_export_accepts_only_what_export_writes(tmp_path, include_provisional):
     # Every single-character deletion, and every substitution by a character
     # of "019.-_;e +", is refused or re-exports to exactly the edited file.
-    # Each file is unlinked before it is rewritten: truncating a file just
-    # written can wait tens of ms for the filesystem to flush it.
+    # The edited file is unlinked before it is rewritten: truncating a file
+    # just written can wait tens of ms for the filesystem to flush it.
     text = _ROW_FILES[include_provisional].encode()
     edited, out = tmp_path / "edited.csv", tmp_path / "out.csv"
     chars = [b""] + [bytes([c]) for c in b"019.-_;e +"]
@@ -355,7 +356,6 @@ def test_parse_export_accepts_only_what_export_writes(tmp_path, include_provisio
             records = parse_export(edited)
         except ValueError:
             continue
-        out.unlink(missing_ok=True)
         persistence.export_csv(records, out, include_provisional=include_provisional)
         if out.read_bytes() != edit:
             violations.append(edit)
@@ -408,14 +408,13 @@ def test_parse_export_refuses_a_vertex_beyond_the_cap(tmp_path):
 
 def test_parse_export_reads_every_prefix(tmp_path):
     # The header plus the first n rows of either export form is itself an
-    # export: it parses to the first n records, whatever n is.  Each file
+    # export: it parses to the first n records, whatever n is.  Each prefix
     # is unlinked before it is rewritten, as above.
     path = tmp_path / "e.csv"
     for limit in (10**3, 10**5, 10**6):
         state = compute_extremal(limit).state
         for include_provisional in (False, True):
             records = analysis.records_from_state(state, include_provisional=include_provisional)
-            path.unlink(missing_ok=True)
             persistence.export_csv(records, path, include_provisional=include_provisional)
             header, *rows = path.read_text().splitlines(keepends=True)
             assert parse_export(path) == records
@@ -441,10 +440,51 @@ def test_export_provisional_column(tmp_path):
 
 
 def test_export_rejects_empty(tmp_path):
+    # The refusal comes before the old file is removed.
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"old\n")
     for export in (persistence.export_csv, persistence.export_m_csv):
         with pytest.raises(ValueError):
             export([], tmp_path / "x.csv")
+        with pytest.raises(ValueError):
+            export([], kept)
     assert not (tmp_path / "x.csv").exists()
+    assert kept.read_bytes() == b"old\n"
+
+
+# Each writer, given a path and a small or a larger input.
+_WRITERS = {
+    "export_csv": lambda path, big: persistence.export_csv(
+        analysis.records_from_state(compute_extremal(10**4 if big else 10**3).state), path
+    ),
+    "export_m_csv": lambda path, big: persistence.export_m_csv(
+        compute_m_extremal(10**4 if big else 10**3).records, path
+    ),
+    "lensbounds": lambda path, big: cli.main(
+        ["lensbounds", "--x-grid", "1e8,1e12" if big else "1e8", "--out", str(path)]
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_writers_replace_a_file_and_write_through_a_symlink(tmp_path, writer):
+    # A regular file is replaced, not truncated: a hard link to it keeps the
+    # old text.  A symlink is written through and stays a symlink.
+    write = _WRITERS[writer]
+    path, old = tmp_path / "out.csv", tmp_path / "old.csv"
+    write(path, False)
+    small = path.read_bytes()
+    os.link(path, old)
+    write(path, True)
+    big = path.read_bytes()
+    assert big != small
+    assert old.read_bytes() == small
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target.name)
+    write(link, False)
+    write(link, True)
+    assert link.is_symlink()
+    assert target.read_bytes() == big
 
 
 def test_resume_byte_identity(tmp_path):
@@ -809,6 +849,9 @@ def test_cli_lensbounds(tmp_path, capsys):
     assert cli.main(["lensbounds", "--x-grid", "1e400"]) == 4
     path = tmp_path / "lens.csv"
     assert cli.main(["lensbounds", "--x-grid", "1e12", "--out", str(path)]) == 0
+    assert path.read_text().count("\n") == 2
+    # A grid point that fails leaves the old file as it was.
+    assert cli.main(["lensbounds", "--x-grid", "1e8,1", "--out", str(path)]) == 2
     assert path.read_text().count("\n") == 2
 
 
