@@ -183,23 +183,17 @@ _LENS_COLUMNS = (
 
 
 def _lens_row(x: float) -> str:
-    prob = lens_bounds.cubic_coeffs(x)
-    cells = [repr(x), sci12(prob.v2), sci12(prob.v1), sci12(prob.v0)]
+    cells = [repr(x), *(sci12(v) for v in lens_bounds.cubic_coeffs(x))]
     status = "ok"
     try:
-        roots = lens_bounds.solve_theta(x)
-        cells += [
-            sci12(roots.theta_minus),
-            sci12(roots.theta_plus),
-            sci12(roots.theta_minus * x),
-            sci12(roots.theta_plus * x),
-        ]
+        theta_minus, theta_plus = lens_bounds.solve_theta(x)
+        cells += [sci12(v) for v in (theta_minus, theta_plus, theta_minus * x, theta_plus * x)]
     except lens_bounds.ThetaPreconditionError:
         status = "window-too-small"
         cells += ["", "", "", ""]
     try:
-        exact = lens_bounds.solve_h_exact(x)
-        cells += [sci12(exact.h_minus), sci12(exact.h_plus), sci12(exact.width / x)]
+        h_minus, h_plus = lens_bounds.solve_h_exact(x)
+        cells += [sci12(v) for v in (h_minus, h_plus, (h_plus - h_minus) / x)]
     except ValueError:
         # solve_h_exact fails only below about 8.03e5, far under the window
         # threshold ~1.478e10, so status is already "window-too-small".
@@ -214,11 +208,10 @@ def _cmd_lensbounds(args) -> int:
         raise ValueError("empty x grid")
     lines = [_LENS_COLUMNS] + [_lens_row(x) for x in grid]
     if args.out:
-        persistence.write_csv(args.out, _LENS_COLUMNS, lines[1:], lambda row: [row])
+        persistence.write_csv(args.out, lines)
         print(f"wrote {args.out}")
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -74,20 +74,8 @@ def li_panels(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
     return half * np.dot(1.0 / np.log(t), weights)
 
 
-@dataclass(frozen=True)
-class CubicProblem:
-    """Coefficients of the reduced theta cubic at one x."""
-
-    v2: float
-    v1: float
-    v0: float
-
-    def reduced_value(self, theta: float) -> float:
-        return ((theta + (self.v2 - 3.0)) * theta + self.v1) * theta + self.v0
-
-
-def cubic_coeffs(x: float) -> CubicProblem:
-    """Closed-form reduced-cubic coefficients v2, v1, v0.
+def cubic_coeffs(x: float) -> tuple[float, float, float]:
+    """Closed-form reduced-cubic coefficients (v2, v1, v0).
 
     They are computed symbolically (common factors cancelled by hand); the
     identities v2 = 3 + A2/(A3 x), v1 = A1/(A3 x^2) and v0 = A0/(A3 x^3)
@@ -104,13 +92,12 @@ def cubic_coeffs(x: float) -> CubicProblem:
     v2 = 3.0 * (16.0 * sx + y4 - 2.0 * y3) / d_common
     v1 = 48.0 * (y + 2.0) * y3 / d_common
     v0 = 96.0 * y4 / d_common
-    return CubicProblem(v2=v2, v1=v1, v0=v0)
+    return v2, v1, v0
 
 
-@dataclass(frozen=True)
-class ThetaRoots:
-    theta_minus: float
-    theta_plus: float
+def reduced_value(theta: float, v2: float, v1: float, v0: float) -> float:
+    """The reduced cubic g(theta) = theta^3 + (v2 - 3) theta^2 + v1 theta + v0."""
+    return ((theta + (v2 - 3.0)) * theta + v1) * theta + v0
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -143,8 +130,8 @@ def _double_until(pred, start: float) -> float:
     raise ValueError(f"no bracket found within 64 doublings of {start}")
 
 
-def solve_theta(x: float) -> ThetaRoots:
-    """Roots theta- < 0 < theta+ of the reduced cubic g inside [-1, 1].
+def solve_theta(x: float) -> tuple[float, float]:
+    """Roots (theta_minus, theta_plus), theta- < 0 < theta+, of the reduced cubic g in [-1, 1].
 
     Requires g(1) = v2 + v1 + v0 - 2 < 0.  Then g(-1) = v2 - v1 + v0 - 4 < 0
     as well, while g(0) = v0 > 0, so g changes sign on both half-windows;
@@ -153,26 +140,14 @@ def solve_theta(x: float) -> ThetaRoots:
     positive root or its smallest one is >= 1: below x ~ 1.4778e10, the
     root of g(1) that the tests find with mpmath (mp_window_threshold).
     """
-    prob = cubic_coeffs(x)
-    g = prob.reduced_value
+    v2, v1, v0 = cubic_coeffs(x)
+    g = lambda theta: reduced_value(theta, v2, v1, v0)
     if not g(1.0) < 0.0:
         raise ThetaPreconditionError(
             f"x={x} too small for the window [-1, 1]: g(1) = {g(1.0):.6g} >= 0 "
-            f"(v2, v1, v0 = {prob.v2:.6g}, {prob.v1:.6g}, {prob.v0:.6g})"
+            f"(v2, v1, v0 = {v2:.6g}, {v1:.6g}, {v0:.6g})"
         )
-    theta_plus = _bisect(g, 0.0, 1.0)
-    theta_minus = _bisect(g, -1.0, 0.0)
-    return ThetaRoots(theta_minus=theta_minus, theta_plus=theta_plus)
-
-
-@dataclass(frozen=True)
-class ExactCrossings:
-    h_minus: float
-    h_plus: float
-
-    @property
-    def width(self) -> float:
-        return self.h_plus - self.h_minus
+    return _bisect(g, -1.0, 0.0), _bisect(g, 0.0, 1.0)
 
 
 def _tangent_gap(x: float, h: float) -> float:
@@ -201,8 +176,8 @@ def _tangent_gap(x: float, h: float) -> float:
     return math.sqrt(x) * tail - x * integral / y
 
 
-def solve_h_exact(x: float) -> ExactCrossings:
-    """Exact tangent crossings h- < 0 < h+ of L + eps versus the tangent.
+def solve_h_exact(x: float) -> tuple[float, float]:
+    """Exact crossings (h_minus, h_plus), h- < 0 < h+, of L + eps with the tangent.
 
     F is strictly concave in h (its second derivative is L'' + eps'' < 0),
     positive at h=0, and heads to -inf as h grows, so each side has at most
@@ -222,8 +197,7 @@ def solve_h_exact(x: float) -> ExactCrossings:
             f"tangent does not cross on the negative side before the domain "
             f"edge at x={x}; x too small"
         )
-    h_minus = _bisect(f, lo, 0.0)
-    return ExactCrossings(h_minus=h_minus, h_plus=h_plus)
+    return _bisect(f, lo, 0.0), h_plus
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ with lens_len repeating delta_den, ties semicolon-joined, empty cells for
 absent values, reals printed with exactly 12 significant digits, and a
 single line feed per row.  A ``status`` column is appended only when
 provisional rows are included, so confirmed-only regression fixtures never
-change shape.  ``parse_export`` is the inverse of ``export_csv``: it rebuilds
-the hull stack from the rows' vertices and ties, checks its shape as a
-checkpoint's stack is checked, and accepts the file only when ``export_csv``
-writes exactly its text for that stack.
+change shape.  ``_csv_lines`` is the one encoder of that format, and
+``parse_export`` is its inverse: it rebuilds the hull stack from the rows'
+vertices and ties, checks its shape as a checkpoint's stack is checked, and
+accepts only the text that ``_csv_lines`` gives for that stack's records.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import stat
 from decimal import Decimal
 from itertools import zip_longest
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .analysis import CONFIRMED, ExtremalRecord, records_from_state
 from .hull_engine import HullState, HullVertex
@@ -192,42 +192,46 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     return state, payload.get("config_echo", {})
 
 
-def _cells(r: ExtremalRecord) -> list[str]:
-    """One record's cells in export schema order, ``status`` last."""
-    d = r.delta
-    lens = ["", "", ""] if d is None else [str(d.dpi), str(d.dp), str(d.dp)]
-    reals = ["" if x is None else fmt12(x) for x in (r.ratio_next, r.sum_inv, r.sum_invlog)]
-    return [str(r.k), str(r.e), str(r.pi_e), *lens, *reals, ";".join(map(str, r.ties)), r.status]
-
-
-def write_csv(path: Union[str, os.PathLike], header: str, records: Sequence, cells: Callable, include_provisional: bool = True) -> None:
-    """Write the header, then ``cells(r)`` for each record, to ``path``.
+def _csv_lines(records: Sequence[ExtremalRecord], include_provisional: bool) -> list[str]:
+    """The header and the rows of the E export, without line feeds.
 
     A record that is not confirmed is written only with
-    ``include_provisional``.  An empty input is refused before ``path`` is
-    touched.  A regular file at ``path`` is removed and a new one written:
-    truncating a file written moments before waits for its data to reach
-    the disk on some filesystems, and unlinking it does not.  A symlink or a
-    device is written through and kept.
+    ``include_provisional``, which also adds the ``status`` column.
     """
-    if not records:
-        raise ValueError("refusing to export an empty record list")
+    lines = [CSV_HEADER + (",status" if include_provisional else "")]
+    for r in records:
+        if include_provisional or r.status == CONFIRMED:
+            d = r.delta
+            lens = ["", "", ""] if d is None else [str(d.dpi), str(d.dp), str(d.dp)]
+            reals = ["" if x is None else fmt12(x) for x in (r.ratio_next, r.sum_inv, r.sum_invlog)]
+            status = [r.status] if include_provisional else []
+            cells = [str(r.k), str(r.e), str(r.pi_e), *lens, *reals, ";".join(map(str, r.ties)), *status]
+            lines.append(",".join(cells))
+    return lines
+
+
+def write_csv(path: Union[str, os.PathLike], lines: Sequence[str]) -> None:
+    """Write ``lines`` to ``path``, each ended by a line feed.
+
+    A regular file at ``path`` is removed and a new one written: truncating
+    a file written moments before waits for its data to reach the disk on
+    some filesystems, and unlinking it does not.  A symlink or a device is
+    written through and kept.
+    """
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.remove(path)
     except FileNotFoundError:
         pass
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for r in records:
-            if include_provisional or r.status == CONFIRMED:
-                fh.write(",".join(cells(r)) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def export_csv(records: Sequence[ExtremalRecord], path: Union[str, os.PathLike], include_provisional: bool = False) -> None:
-    header = CSV_HEADER + (",status" if include_provisional else "")
-    width = header.count(",") + 1
-    write_csv(path, header, records, lambda r: _cells(r)[:width], include_provisional)
+    """Write the E export; an empty input is refused before ``path`` is touched."""
+    if not records:
+        raise ValueError("refusing to export an empty record list")
+    write_csv(path, _csv_lines(records, include_provisional))
 
 
 def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
@@ -238,8 +242,8 @@ def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
     and a delta on the last row adds the vertex its edge runs to.  Every
     row of a file without a ``status`` column is confirmed; otherwise the
     ``confirmed`` cells count the confirmed prefix.  The stack must pass the
-    checkpoint's shape checks, and the file is accepted only when
-    ``export_csv`` writes exactly its text for the records of that stack.
+    checkpoint's shape checks, and the file is accepted only when its text
+    is exactly what ``_csv_lines`` gives for the records of that stack.
     Anything else raises ValueError naming the fault or the first row that
     differs.
     """
@@ -268,7 +272,7 @@ def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
         raise ValueError(f"export vertex beyond the {MAX_LIMIT} cap")
     state = HullState(stack=stack, confirmed_len=confirmed)
     records = records_from_state(state, include_provisional=True)[: len(rows)]
-    written = [header + "\n"] + [",".join(_cells(r)[:width]) + "\n" for r in records]
+    written = [line + "\n" for line in _csv_lines(records, has_status)]
     if "".join(written) != text:
         lines = zip_longest(text.splitlines(keepends=True), written)
         n, line = next((n, got) for n, (got, want) in enumerate(lines) if got != want)
@@ -277,6 +281,10 @@ def parse_export(path: Union[str, os.PathLike]) -> list[ExtremalRecord]:
 
 
 def export_m_csv(records: Sequence[MRecord], path: Union[str, os.PathLike]) -> None:
-    write_csv(path, M_CSV_HEADER, records, lambda r: [
-        str(r.k), str(r.p), str(r.pi), f"{r.value.numerator}/{r.value.denominator}", ";".join(map(str, r.ties)), r.status
+    """Write the M export; an empty input is refused before ``path`` is touched."""
+    if not records:
+        raise ValueError("refusing to export an empty record list")
+    write_csv(path, [M_CSV_HEADER] + [
+        f"{r.k},{r.p},{r.pi},{r.value.numerator}/{r.value.denominator},{';'.join(map(str, r.ties))},{r.status}"
+        for r in records
     ])

@@ -224,8 +224,7 @@ def test_criterion_08_tangent_window_numerics(capsys):
         edge = (threshold * (1 - 1e-3), threshold * (1 + 1e-3))
         extreme = {}
         for x in (1e8, 1e10, 1e12) + edge:
-            prob = lb.cubic_coeffs(x)
-            neg, pos = extreme[x] = mp_theta_roots(prob.v2, prob.v1, prob.v0)
+            neg, pos = extreme[x] = mp_theta_roots(*lb.cubic_coeffs(x))
             if x < threshold:
                 try:
                     lb.solve_theta(x)
@@ -237,30 +236,31 @@ def test_criterion_08_tangent_window_numerics(capsys):
                     failures.append(f"positive root {pos:.6g} inside the window at x={x:.4g}")
                 continue
             try:
-                roots = lb.solve_theta(x)
+                theta_minus, theta_plus = lb.solve_theta(x)
             except lb.ThetaPreconditionError:
                 failures.append(f"solve_theta refuses x={x:.4g} above the threshold")
                 continue
             if not (
                 pos is not None
-                and roots.theta_minus < 0 < roots.theta_plus
-                and math.isclose(roots.theta_minus, neg, rel_tol=1e-12)
-                and math.isclose(roots.theta_plus, pos, rel_tol=1e-12)
+                and theta_minus < 0 < theta_plus
+                and math.isclose(theta_minus, neg, rel_tol=1e-12)
+                and math.isclose(theta_plus, pos, rel_tol=1e-12)
             ):
                 failures.append(f"solve_theta and the mpmath cubic roots disagree at x={x:.4g}")
 
         # Above the threshold the extreme roots are the window roots; at 10^8
         # only the negative one exists, so only that side is bracketed.
         for x in (1e8, 1e10, 1e12):
-            exact = lb.solve_h_exact(x)
+            h_minus, h_plus = lb.solve_h_exact(x)
             neg, pos = extreme[x]
-            plus_side_ok = pos is None or exact.h_plus < pos * x
-            if not (neg * x < exact.h_minus < 0 < exact.h_plus and plus_side_ok):
+            plus_side_ok = pos is None or h_plus < pos * x
+            if not (neg * x < h_minus < 0 < h_plus and plus_side_ok):
                 failures.append(f"sandwich violated at x={x:.0e}")
 
         ratios = []
         for x, want in sorted(WIDTH_RATIO.items()):
-            got = lb.solve_h_exact(x).width / x
+            h_minus, h_plus = lb.solve_h_exact(x)
+            got = (h_plus - h_minus) / x
             ratios.append(got)
             if abs(got - want) > 1e-9 * want:
                 failures.append(f"H(x)/x off pinned value at x={x:.0e}")

@@ -35,8 +35,7 @@ THETA_REF_1E12 = (-0.25738728901422609, 0.33550850843454493)
 
 
 def _extreme_roots(x):
-    prob = lb.cubic_coeffs(x)
-    return mp_theta_roots(prob.v2, prob.v1, prob.v0)
+    return mp_theta_roots(*lb.cubic_coeffs(x))
 
 
 def test_li_panels_match_li_between():
@@ -82,13 +81,13 @@ def test_cubic_coeffs_consistency():
     rng = random.Random(4)
     for _ in range(60):
         x = 10 ** rng.uniform(1, 13)
-        prob = lb.cubic_coeffs(x)
+        v2, v1, v0 = lb.cubic_coeffs(x)
         a3, a2, a1, a0 = mp_w_coeffs(x)
         assert a3 > 0.0
         # reduced forms: v2 = 3 + A2/(A3 x), v1 = A1/(A3 x^2), v0 = A0/(A3 x^3)
-        assert prob.v2 == pytest.approx(float(3 + a2 / (a3 * x)), rel=1e-14)
-        assert prob.v1 == pytest.approx(float(a1 / (a3 * x * x)), rel=1e-14)
-        assert prob.v0 == pytest.approx(float(a0 / (a3 * x**3)), rel=1e-14)
+        assert v2 == pytest.approx(float(3 + a2 / (a3 * x)), rel=1e-14)
+        assert v1 == pytest.approx(float(a1 / (a3 * x * x)), rel=1e-14)
+        assert v0 == pytest.approx(float(a0 / (a3 * x**3)), rel=1e-14)
 
 
 def test_w_value_and_reduced_value_agree():
@@ -99,7 +98,7 @@ def test_w_value_and_reduced_value_agree():
         coeffs = mp_w_coeffs(x)
         theta = rng.uniform(-1.0, 1.0)
         assert float(mp.polyval(coeffs, theta * x)) == pytest.approx(
-            float(coeffs[0] * x**3) * lb.cubic_coeffs(x).reduced_value(theta), rel=1e-10, abs=1e-12
+            float(coeffs[0] * x**3) * lb.reduced_value(theta, *lb.cubic_coeffs(x)), rel=1e-10, abs=1e-12
         )
 
 
@@ -113,10 +112,10 @@ def test_w_majorizes_tangent_gap():
 
 
 def test_solve_theta_at_1e12():
-    roots = lb.solve_theta(1e12)
-    assert roots.theta_minus == pytest.approx(THETA_REF_1E12[0], rel=1e-12)
-    assert roots.theta_plus == pytest.approx(THETA_REF_1E12[1], rel=1e-12)
-    assert roots.theta_minus < 0 < roots.theta_plus
+    theta_minus, theta_plus = lb.solve_theta(1e12)
+    assert theta_minus == pytest.approx(THETA_REF_1E12[0], rel=1e-12)
+    assert theta_plus == pytest.approx(THETA_REF_1E12[1], rel=1e-12)
+    assert theta_minus < 0 < theta_plus
 
 
 def test_solve_theta_window_rejections():
@@ -141,25 +140,28 @@ def test_theta_extreme_roots():
     assert pos > 1.0
     # 1e12 agrees with the window solver
     neg, pos = _extreme_roots(1e12)
-    roots = lb.solve_theta(1e12)
-    assert roots.theta_minus == pytest.approx(float(neg), rel=1e-12)
-    assert roots.theta_plus == pytest.approx(float(pos), rel=1e-12)
+    theta_minus, theta_plus = lb.solve_theta(1e12)
+    assert theta_minus == pytest.approx(float(neg), rel=1e-12)
+    assert theta_plus == pytest.approx(float(pos), rel=1e-12)
 
 
 def test_solve_h_exact_reference_values():
     for x, (hm_ref, hp_ref) in CROSSINGS_REF.items():
-        c = lb.solve_h_exact(float(x))
-        assert c.h_minus == pytest.approx(hm_ref, rel=1e-14)
-        assert c.h_plus == pytest.approx(hp_ref, rel=1e-14)
-        assert c.width / x == pytest.approx(WIDTH_RATIO_REF[x], rel=1e-14)
+        h_minus, h_plus = lb.solve_h_exact(float(x))
+        assert h_minus == pytest.approx(hm_ref, rel=1e-14)
+        assert h_plus == pytest.approx(hp_ref, rel=1e-14)
+        assert (h_plus - h_minus) / x == pytest.approx(WIDTH_RATIO_REF[x], rel=1e-14)
         # residual of the tangent gap at the returned crossings
         eps_scale = math.sqrt(x) * math.log(x)
-        assert abs(lb._tangent_gap(x, c.h_minus)) < 1e-6 * eps_scale
-        assert abs(lb._tangent_gap(x, c.h_plus)) < 1e-6 * eps_scale
+        assert abs(lb._tangent_gap(x, h_minus)) < 1e-6 * eps_scale
+        assert abs(lb._tangent_gap(x, h_plus)) < 1e-6 * eps_scale
 
 
 def test_width_ratio_strictly_decreasing():
-    ratios = [lb.solve_h_exact(float(x)).width / x for x in (10**6, 10**8, 10**10, 10**12)]
+    ratios = []
+    for x in (10**6, 10**8, 10**10, 10**12):
+        h_minus, h_plus = lb.solve_h_exact(float(x))
+        ratios.append((h_plus - h_minus) / x)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
@@ -169,8 +171,8 @@ def test_sandwich_with_relaxed_roots():
     # exists but only outside the window [-1, 1]; the bracket still holds.
     for x in (1e10, 1e12):
         neg, pos = _extreme_roots(x)
-        c = lb.solve_h_exact(x)
-        assert neg * x < c.h_minus < 0 < c.h_plus < pos * x
+        h_minus, h_plus = lb.solve_h_exact(x)
+        assert neg * x < h_minus < 0 < h_plus < pos * x
 
 
 def test_solve_h_exact_matches_mp_oracle():
@@ -179,9 +181,9 @@ def test_solve_h_exact_matches_mp_oracle():
     # with mpmath at about log10(x)/2 + 30 digits.
     for x in (1e6, 1e8, 1e12, 1e16, 1e30, 1e150, 1e300):
         hm_ref, hp_ref = mp_h_crossings(x)
-        c = lb.solve_h_exact(x)
-        assert c.h_minus == pytest.approx(float(hm_ref), rel=2e-15), x
-        assert c.h_plus == pytest.approx(float(hp_ref), rel=2e-15), x
+        h_minus, h_plus = lb.solve_h_exact(x)
+        assert h_minus == pytest.approx(float(hm_ref), rel=2e-15), x
+        assert h_plus == pytest.approx(float(hp_ref), rel=2e-15), x
 
 
 def test_crossings_sign_certified_by_mpmath():
@@ -191,8 +193,7 @@ def test_crossings_sign_certified_by_mpmath():
     # 12 of the certificate and a margin.
     for x in (1e20, 1e40, 1e100, 1e300):
         dps = int(math.log10(x) / 2) + 30
-        c = lb.solve_h_exact(x)
-        for h in (c.h_minus, c.h_plus):
+        for h in lb.solve_h_exact(x):
             below = mp_tangent_gap(x, h * (1 - 1e-12), dps)
             above = mp_tangent_gap(x, h * (1 + 1e-12), dps)
             assert (below > 0) != (above > 0), (x, h)
@@ -207,17 +208,18 @@ def test_every_decade_to_1e307():
     prev = math.inf
     for e in range(13, 308):
         x = 10.0**e
-        roots = lb.solve_theta(x)
-        h_star_minus, h_star_plus = roots.theta_minus * x, roots.theta_plus * x
-        c = lb.solve_h_exact(x)
-        assert c.h_minus < 0 < c.h_plus
-        for h, h_star in ((c.h_minus, h_star_minus), (c.h_plus, h_star_plus)):
+        theta_minus, theta_plus = lb.solve_theta(x)
+        h_star_minus, h_star_plus = theta_minus * x, theta_plus * x
+        h_minus, h_plus = lb.solve_h_exact(x)
+        assert h_minus < 0 < h_plus
+        for h, h_star in ((h_minus, h_star_minus), (h_plus, h_star_plus)):
             predicted = (h / x) ** 2 / 12
             assert abs((h_star - h) / h - predicted) <= 0.25 * predicted + 1e-15, (e, h)
         if e <= 39:
-            assert h_star_minus < c.h_minus and c.h_plus < h_star_plus, e
-        assert c.width / x < prev, e
-        prev = c.width / x
+            assert h_star_minus < h_minus and h_plus < h_star_plus, e
+        ratio = (h_plus - h_minus) / x
+        assert ratio < prev, e
+        prev = ratio
 
 
 def test_solve_h_exact_rejects_small_x():
@@ -234,8 +236,8 @@ def test_working_threshold():
     # solve_theta's window opens there.
     wt = float(mp_window_threshold())
     assert wt == pytest.approx(1.4777809264298031e10, rel=1e-12)
-    assert lb.cubic_coeffs(wt * (1 - 1e-9)).reduced_value(1.0) > 0.0
-    assert lb.cubic_coeffs(wt * (1 + 1e-9)).reduced_value(1.0) < 0.0
+    assert lb.reduced_value(1.0, *lb.cubic_coeffs(wt * (1 - 1e-9))) > 0.0
+    assert lb.reduced_value(1.0, *lb.cubic_coeffs(wt * (1 + 1e-9))) < 0.0
     lb.solve_theta(wt * 1.001)  # must succeed just above
     with pytest.raises(lb.ThetaPreconditionError):
         lb.solve_theta(wt * 0.999)

@@ -1,9 +1,14 @@
 import argparse
 import ast
 import hashlib
+import json
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import primehull
 from primehull import cli
@@ -13,6 +18,7 @@ from primehull.persistence import export_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
+BENCH_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 PACKAGE = ROOT / "src" / "primehull"
 
 # Every option string of the command and its subcommands, in parser order.
@@ -91,6 +97,22 @@ def test_benchmark_digests_match_the_program(tmp_path, run_1e8):
     path = tmp_path / "table.csv"
     export_csv(records_from_state(run_1e8.state, include_provisional=True), path, include_provisional=True)
     assert pins["E_CSV200_SHA256"] == sha(path.read_text().splitlines()[1:201])
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_benchmark_traced_round_passes(workload):
+    # A traced round runs the plain job and the traced job and compares
+    # their digests, so this covers both against the program's calls.
+    record = BENCH.parent / "out" / f"{workload}-seed0-trace1.json"
+    try:
+        run = subprocess.run(
+            [sys.executable, str(BENCH), "--workload", workload, "--seed", "0", "--seconds", "0.1", "--trace", "1"],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
+    finally:
+        record.unlink(missing_ok=True)
 
 
 def test_cli_options_are_pinned():

@@ -834,9 +834,15 @@ def test_cli_lensbounds(tmp_path, capsys):
     *cells, status = out[3].split(",")
     assert status == "window-too-small"
     assert all(cells[:4]) and cells[4:] == [""] * 7
-    assert cli.main(["lensbounds", "--x-grid", "1e8,1e10,1.4778e10,1.5e10,1e12"]) == 0
+    grid = "1e8,1e10,1.4778e10,1.5e10,1e12"
+    assert cli.main(["lensbounds", "--x-grid", grid]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == LENS_GRID_SHA256
+    # --out writes exactly the bytes that stdout prints.
+    grid_csv = tmp_path / "grid.csv"
+    assert cli.main(["lensbounds", "--x-grid", grid, "--out", str(grid_csv)]) == 0
+    assert capsys.readouterr().out == f"wrote {grid_csv}\n"
+    assert grid_csv.read_bytes() == text.encode()
     # Reals are written in scientific form, so a row stays short at any x
     # (written positionally, the 1e307 row was 1,550 characters).
     assert cli.main(["lensbounds", "--x-grid", "1e307"]) == 0
