@@ -11,12 +11,15 @@ Python-level loop over them made a 1e8 window there about five times
 slower. The stream is deterministic for a given (start, limit) wherever a
 resume frontier cuts the segments, and supports resuming from any
 (start, start_pi) frontier.
-Segments are sieved on a pool of one thread per usable CPU, at most one
-segment per thread at a time, into one reused mask per thread plus a
-spare, and delivered strictly in segment order; see ``iter_prime_blocks``.
-This is the one module of the package that starts threads, so every
-consumer of the stream (the E and M hulls, the envelope scan) shares them
-through one code path.
+Every segment after a stream's first is sieved in a worker process, one
+per usable CPU, forked once per process and reused by later streams. Each
+worker sieves into its own mask and also extracts the primes, into one of
+its two slots of shared memory; the blocks are delivered strictly in
+segment order; see ``iter_prime_blocks``. Processes, not threads, because
+the interpreter lock held two sieve threads to 1.2-1.4x one thread's work.
+This is the one module of the package that starts threads or processes,
+so every consumer of the stream (the E and M hulls, the envelope scan)
+shares them through one code path.
 The explicit bound on pi(x) that proves vertices final lives beside the
 rule that uses it, ``hull_engine.pi_bound``.
 """
@@ -24,11 +27,15 @@ rule that uses it, ``hull_engine.pi_bound``.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import pickle
+import signal
+import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -45,6 +52,10 @@ SCATTER_MIN_PRIME = 1 << 12
 # The scatter builds its index runs this many at a time, so its scratch
 # arrays stay a small fraction of the segment mask.
 SCATTER_CHUNK = 1 << 14
+
+
+# The process's worker set, forked by the first stream with a second segment.
+_workers: _Workers | None = None
 
 
 class LimitTooLargeError(ValueError):
@@ -96,37 +107,48 @@ def base_primes(limit: int) -> np.ndarray:
 def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield (primes, pi_values, segment_high) per segment, in order.
 
-    ``primes`` and ``pi_values`` are aligned int64 arrays; ``segment_high``
-    is the largest integer fully sieved so far (the confirmation frontier).
-    Each segment holds ``SEGMENT_SIZE`` odd integers lo..hi (the last one
-    may hold fewer), and the constant is read when iteration starts.
+    ``primes`` and ``pi_values`` are aligned int64 arrays that belong to the
+    caller; ``segment_high`` is the largest integer fully sieved so far (the
+    confirmation frontier). Each segment holds ``SEGMENT_SIZE`` odd integers
+    lo..hi (the last one may hold fewer), and the constant is read when
+    iteration starts.
 
-    Segments are sieved on a pool of one thread per usable CPU, started
-    when iteration starts and joined when the generator ends, is closed or
-    raises. Segment bounds are drawn lazily, and each worker runs
-    ``_sieve_segment`` into one of ``workers + 1`` masks, allocated once
-    per generator and reused. The generator's own thread takes the segments
-    back strictly in order: it waits for the oldest one, hands the spare
-    mask to the next segment, turns the finished mask into primes, keeps
-    that mask as the new spare, and only then numbers the primes on from
-    the running count and yields them. ``np.flatnonzero`` releases the
-    interpreter lock, so every worker sieves while the primes are
-    extracted. At most one segment per worker is being sieved while the
-    caller holds one block, and the caller's work on it (the hull kernel,
-    merging, confirmation) overlaps the sieving of the segments after it.
-    A worker's exception is raised from the ``next()`` that reaches its
-    segment, after every block before it.
+    The generator sieves the first segment itself, after handing the next
+    ones to the workers, so a stream of one segment forks nothing. Every
+    later segment is sieved by the process's worker set (see
+    ``_Workers``): one forked
+    process per usable CPU, started by the first stream that has a second
+    segment and reused by every later stream, so a chunked run forks once.
+    A stream that finds the set busy, as a stream opened inside another
+    does, forks a private set and closes it when it ends. Segments are
+    dealt to the workers in turn, two per worker in flight: worker w
+    sieves into its own mask, extracts the primes into one of its two
+    slots and answers with their count. The generator takes the segments
+    back strictly in order. It copies the oldest segment's primes out of
+    its slot, hands the slot to the next segment at once, numbers the
+    primes on from the running count and yields them, so the caller's work
+    on a block overlaps the sieving of the segments after it. A worker's
+    exception is raised, with its type and message, from the ``next()``
+    that reaches its segment, after every block before it; the worker set
+    is then closed. A stream that ends early, or is closed, first takes
+    back every segment in flight, so the set is idle for the next stream.
+    Where ``os.fork`` is missing, the generator sieves every segment.
 
-    Memory: the masks take ``(workers + 1) * SEGMENT_SIZE`` bytes. While
-    its scatter runs, a segment in flight holds 24 bytes of scratch per
-    base prime and about 256 KB per chunk of strikes; tracemalloc measures
-    0.91 MB near 1e11 and 2.14 MB near 1e12. The block held costs 16 bytes
-    per prime.
+    Memory: the generator holds no mask between blocks; the first segment
+    borrows one for as long as it is sieved. Each worker holds its own
+    ``SEGMENT_SIZE``-byte mask and two slots of ``SEGMENT_SIZE`` int64 in
+    shared memory, of which a segment's primes touch 8 bytes each (about
+    0.66 MB near 1e11). The generator releases its view of the slots when
+    a stream ends. While its scatter runs, a segment in flight holds 24
+    bytes of scratch per base prime and about 256 KB per chunk of strikes;
+    tracemalloc measures 0.91 MB near 1e11 and 2.14 MB near 1e12. The
+    block held costs 16 bytes per prime.
     """
     limit = cfg.limit
     basis = base_primes(math.isqrt(limit))
     odd_basis = basis[basis >= 3]
     split = int(np.searchsorted(odd_basis, SCATTER_MIN_PRIME))
+    size = SEGMENT_SIZE
 
     count = cfg.start_pi
     lo = cfg.start
@@ -139,49 +161,224 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         count = 1
         lo = 3
     top = limit if limit % 2 == 1 else limit - 1
-    span = 2 * SEGMENT_SIZE
-    segments = ((a, min(a + span - 2, top)) for a in range(lo | 1, top + 1, span))
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:  # macOS and Windows
-        workers = os.cpu_count() or 1
+    span = 2 * size
+    starts = range(lo | 1, top + 1, span)
+    segments = ((a, min(a + span - 2, top)) for a in starts)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    def sieved_here(lo, hi, buf):
+        primes = np.flatnonzero(_sieve_segment(lo, hi, buf, odd_basis, split))
+        primes *= 2
+        primes += lo
+        return numbered(primes, hi)
 
-        def submit(bounds, buf):
-            return (*bounds, buf, pool.submit(_sieve_segment, *bounds, buf, odd_basis, split))
+    def numbered(primes, hi):
+        nonlocal count
+        pis = np.arange(count + 1, count + 1 + len(primes), dtype=np.int64)
+        count += len(primes)
+        return primes, pis, min(hi + 1, limit)
 
-        pending = deque(
-            submit(bounds, np.empty(SEGMENT_SIZE, dtype=bool)) for bounds in islice(segments, workers)
-        )
-        spare = np.empty(SEGMENT_SIZE, dtype=bool)
+    if len(starts) < 2 or not hasattr(os, "fork"):
+        buf = np.empty(size, dtype=bool)
+        for lo, hi in segments:
+            yield sieved_here(lo, hi, buf)
+        return
+
+    workers = _acquire(size)
+    # (lo, hi, worker, slot) of each segment sent to the workers and not yet
+    # taken back, oldest first.
+    pending = deque()
+    # False while a command or an answer may be half written or half read.
+    synced = False
+    try:
+        lo, hi = next(segments)
+        workers.set_basis(odd_basis, split)
+        for (w, s), (a, b) in zip(workers.tickets, segments):
+            workers.submit(w, s, a, b)
+            pending.append((a, b, w, s))
+        synced = True
+        yield sieved_here(lo, hi, np.empty(size, dtype=bool))
         while pending:
-            lo, hi, buf, future = pending.popleft()
-            mask = future.result()
-            # The next segment goes into the spare mask before this one is
-            # read, so every worker sieves while the primes are extracted.
-            pending.extend(submit(bounds, spare) for bounds in islice(segments, 1))
-            # Primes are extracted here, not on the workers: int64 arrays
-            # built there, one per worker in flight and then kept by the
-            # allocator's per-thread arenas, raised the benchmark's
-            # compute-1e8 peak RSS from 47.6 to 52-55 MB; here it is 49.5.
-            primes = np.flatnonzero(mask)
-            spare = buf
-            primes *= 2
-            primes += lo
-            pis = np.arange(count + 1, count + 1 + len(primes), dtype=np.int64)
-            count += len(primes)
-            yield primes, pis, min(hi + 1, limit)
+            lo, hi, w, s = pending.popleft()
+            synced = False
+            primes = workers.collect(w, s)
+            for a, b in islice(segments, 1):
+                workers.submit(w, s, a, b)
+                pending.append((a, b, w, s))
+            synced = True
+            yield numbered(primes, hi)
             # Hold no block while waiting for the next one.
-            del primes, pis
+            del primes
+    finally:
+        if synced and workers.alive and workers is _workers:
+            workers.release(pending)
+        else:
+            workers.close()
+
+
+def _acquire(size: int) -> _Workers:
+    """An idle worker set for segments of ``size`` odd integers, marked busy.
+
+    That is the process's own set, forked again if it is closed or was
+    forked for another segment size or CPU count; while it is busy, a
+    private set.
+    """
+    global _workers
+    if hasattr(os, "sched_getaffinity"):
+        count = len(os.sched_getaffinity(0))
+    else:  # macOS
+        count = os.cpu_count() or 1
+    cached = _workers
+    if cached is not None and cached.alive and cached.busy:
+        return _Workers(count, size)
+    if cached is None or not cached.alive or (cached.size, len(cached.pids)) != (size, count):
+        if cached is not None:
+            cached.close()
+        cached = _workers = _Workers(count, size)
+    cached.busy = True
+    return cached
+
+
+class _Workers:
+    """Forked sieve worker processes, each with a mask and two prime slots.
+
+    Slot (w, s) of worker w is a row of ``size`` int64 in one shared
+    anonymous mmap, which takes memory only where it is written. Each
+    worker reads pickled commands from its own pipe: ``(odd_basis,
+    split)`` sets the base primes for the segments after it, and
+    ``(s, lo, hi)`` makes it sieve the odd integers lo..hi into its mask
+    and write their primes to the start of slot (w, s). It answers on a
+    second pipe, in command order, with the count of primes or with the
+    exception the segment raised. A worker exits when its command pipe
+    reaches end of file, as when this process dies; ``close`` kills and
+    reaps the workers, and runs at exit and when the set is collected.
+    """
+
+    def __init__(self, count: int, size: int) -> None:
+        self.size = size
+        self.busy = False
+        self._map = mmap.mmap(-1, count * 2 * size * 8)
+        self._slots = np.frombuffer(self._map, dtype=np.int64).reshape(count, 2, size)
+        # (worker, slot) in the order a stream's first segments are dealt.
+        self.tickets = [(w, s) for s in (0, 1) for w in range(count)]
+        self.pids: list[int] = []
+        ends = [os.pipe() + os.pipe() for _ in range(count)]
+        self._commands = [open(fd, "wb") for _, fd, _, _ in ends]
+        self._answers = [open(fd, "rb") for _, _, fd, _ in ends]
+        self._stop = weakref.finalize(
+            self, _stop, os.getpid(), self.pids, self._commands + self._answers
+        )
+        try:
+            for w, (command_fd, _, _, answer_fd) in enumerate(ends):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        signal.signal(signal.SIGINT, signal.SIG_IGN)
+                        for fd in chain(*ends):
+                            if fd not in (command_fd, answer_fd):
+                                os.close(fd)
+                        _serve(open(command_fd, "rb"), open(answer_fd, "wb"), self._slots[w])
+                    finally:
+                        os._exit(0)
+                self.pids.append(pid)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            for command_fd, _, _, answer_fd in ends:
+                os.close(command_fd)
+                os.close(answer_fd)
+
+    @property
+    def alive(self) -> bool:
+        return self._stop.alive
+
+    def set_basis(self, odd_basis: np.ndarray, split: int) -> None:
+        for f in self._commands:
+            pickle.dump((odd_basis, split), f)
+            f.flush()
+
+    def submit(self, w: int, s: int, lo: int, hi: int) -> None:
+        pickle.dump((s, lo, hi), self._commands[w])
+        self._commands[w].flush()
+
+    def answer(self, w: int) -> int:
+        """The prime count of worker w's oldest segment; raises what it raised."""
+        try:
+            reply = pickle.load(self._answers[w])
+        except EOFError:
+            raise RuntimeError(f"sieve worker {self.pids[w]} exited") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def collect(self, w: int, s: int) -> np.ndarray:
+        """Worker w's oldest segment's primes, which it wrote to slot s, as a new array."""
+        return self._slots[w, s, : self.answer(w)].copy()
+
+    def release(self, pending) -> None:
+        """Take back the segments in ``pending`` unread and mark the set idle."""
+        try:
+            for _, _, w, _ in pending:
+                self.answer(w)
+        except Exception:
+            self.close()
+            return
+        self._map.madvise(mmap.MADV_DONTNEED)
+        self.busy = False
+
+    def close(self) -> None:
+        self._stop()
+
+
+def _stop(owner: int, pids: list[int], files: list) -> None:
+    """Kill and reap the workers and close their pipes; only in the process that forked them."""
+    if os.getpid() != owner:
+        return
+    for pid in pids:
+        # Under SIGCHLD set to SIG_IGN, a worker that exited is already reaped.
+        with suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for f in files:
+        # A command that a dead worker's pipe refused is still buffered, and
+        # flushing it fails again; the pipe is closed all the same.
+        with suppress(OSError):
+            f.close()
+
+
+def _serve(commands, answers, slots: np.ndarray) -> None:
+    """A worker's loop: answer each segment command until the pipe closes."""
+    mask = np.empty(slots.shape[-1], dtype=bool)
+    while True:
+        try:
+            command = pickle.load(commands)
+        except EOFError:
+            return
+        if len(command) == 2:
+            odd_basis, split = command
+            continue
+        s, lo, hi = command
+        try:
+            primes = np.flatnonzero(_sieve_segment(lo, hi, mask, odd_basis, split))
+            out = slots[s, : len(primes)]
+            np.multiply(primes, 2, out=out)
+            out += lo
+            reply = pickle.dumps(len(primes))
+        except Exception as exc:
+            try:
+                reply = pickle.dumps(exc)
+            except Exception:
+                reply = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        answers.write(reply)
+        answers.flush()
 
 
 def _sieve_segment(lo: int, hi: int, buf: np.ndarray, odd_basis: np.ndarray, split: int) -> np.ndarray:
     """Sieve the odd integers lo..hi into ``buf``; returns the mask used.
 
     The mask is the view of ``buf`` whose entry i is True exactly when
-    lo + 2i is prime. Nothing but ``buf`` is written, so segments can be
-    sieved concurrently with the read-only odd base primes. The first odd
+    lo + 2i is prime. Nothing but ``buf`` is written, so a worker sieves
+    every segment it is sent into one mask of its own. The first odd
     multiple at or above max(p*p, lo) of every odd base prime p with
     p*p <= hi is computed once, as one vectorized step. The mask is then
     marked in two ways. An odd base prime below ``SCATTER_MIN_PRIME`` (the

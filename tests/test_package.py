@@ -165,21 +165,33 @@ def test_no_unused_imports():
 
 
 def test_only_the_prime_stream_starts_threads_or_processes():
-    # The one concurrency decision, the sieve's thread pool, stays behind
-    # one module.
-    concurrency = {"threading", "_thread", "concurrent", "queue", "multiprocessing"}
-    importers = set()
+    # The one concurrency decision, the sieve's worker processes, stays
+    # behind one module: no other module imports a thread, process or
+    # subprocess module, or names a function of os that starts a process.
+    concurrency = {"threading", "_thread", "concurrent", "queue", "multiprocessing", "subprocess"}
+    starts_process = re.compile(r"os\.(fork|forkpty|posix_spawnp?|spawn\w*|exec\w*|system|popen)")
+    starters = set()
     for path, tree in _trees("src").items():
+        # The names os is bound to, as in ``import os as _os``.
+        aliases = {
+            alias.asname or "os"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "os"
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
+                names = [alias.name.split(".")[0] for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
+                names = [node.module.split(".")[0], *(f"{node.module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                names = [f"os.{node.attr}"]
             else:
                 continue
-            if any(m.split(".")[0] in concurrency for m in modules):
-                importers.add(path.relative_to(PACKAGE).as_posix())
-    assert importers == {"prime_stream.py"}
+            if any(n in concurrency or starts_process.fullmatch(n) for n in names):
+                starters.add(path.relative_to(PACKAGE).as_posix())
+    assert starters == {"prime_stream.py"}
 
 
 def _runtime_imports(tree):

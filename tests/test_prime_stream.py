@@ -1,9 +1,13 @@
 import math
 import os
+import select
+import subprocess
 import sys
 import threading
 import time
 from bisect import bisect_left
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +19,8 @@ from oracles import sieve_primes, window_primes
 from primehull import prime_stream
 from primehull.hull_engine import DUSART_CUTOFF, pi_bound
 from primehull.prime_stream import MAX_LIMIT, LimitTooLargeError, SieveConfig, iter_prime_blocks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def collect(cfg):
@@ -159,18 +165,69 @@ def test_strike_large_matches_per_prime_slices(chunk, case):
     assert np.array_equal(mask, ref)
 
 
+@pytest.fixture
+def fresh_workers():
+    """Close the process's worker set before and after the test.
+
+    Workers are forked copies of this process, so a test that patches what
+    they run (``_sieve_segment``, ``_strike_large``) needs a set forked
+    after its patches, and must not leave that set to later tests.
+    """
+
+    def close():
+        if prime_stream._workers is not None:
+            prime_stream._workers.close()
+        prime_stream._workers = None
+
+    close()
+    yield
+    close()
+
+
+def reaped(pid):
+    """True once ``pid`` is no child of this process: exited and waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def count_forks(monkeypatch):
+    """Patch os.fork to count the processes it starts; returns the list of their pids."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 def test_closing_the_stream_joins_its_workers(monkeypatch):
+    # A stream closed midway takes back every segment in flight, so no
+    # answer is left in a pipe and the next stream finds the same workers
+    # idle and in step with their commands.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
-    before = threading.active_count()
     blocks = iter_prime_blocks(SieveConfig(limit=10**6))
     next(blocks)  # the block of 2, yielded before any segment is sieved
     next(blocks)
-    assert threading.active_count() > before
+    workers = prime_stream._workers
+    assert workers.busy
     blocks.close()
-    assert threading.active_count() == before
+    assert workers.alive and not workers.busy
+    readable, _, _ = select.select(workers._answers, [], [], 0.2)
+    assert readable == []
+    primes, _, _ = collect(SieveConfig(limit=10**6))
+    assert primes == sieve_primes(10**6)
+    assert prime_stream._workers is workers
 
 
-def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch):
+def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch, fresh_workers):
     # Five segments below 4099^2 hold no scatter prime; from the sixth on,
     # which starts at 4099^2, every segment's scatter raises.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
@@ -184,79 +241,183 @@ def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch):
         real(mask, P, i0)
 
     monkeypatch.setattr(prime_stream, "_strike_large", strike)
-    before = threading.active_count()
     got = []
-    with pytest.raises(RuntimeError, match="scatter failed"):
+    with pytest.raises(RuntimeError, match="^scatter failed$") as raised:
         for block in iter_prime_blocks(SieveConfig(limit=lo + 20 * span, start=lo, start_pi=1)):
             got.append(block)
+    assert raised.type is RuntimeError
     assert [high for _, _, high in got] == [lo + j * span - 1 for j in range(1, 6)]
     primes = np.concatenate([p for p, _, _ in got])
     assert np.array_equal(primes, window_primes(lo, lo + 5 * span - 1))
     assert np.array_equal(np.concatenate([q for _, q, _ in got]), np.arange(2, len(primes) + 2))
-    assert threading.active_count() == before
+    workers = prime_stream._workers
+    assert not workers.alive
+    assert all(reaped(pid) for pid in workers.pids)
 
 
 def test_sieves_in_flight_bounded_by_usable_cpus(monkeypatch):
-    # Every base prime from 5 on is scattered, so each segment calls the
-    # wrapper, which sleeps inside each sieve long enough for them to overlap.
-    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
-    monkeypatch.setattr(prime_stream, "SCATTER_MIN_PRIME", 5)
-    lock = threading.Lock()
-    running = peak = 0
-    real = prime_stream._strike_large
+    # Commands sent to a worker less answers read from it, per worker; the
+    # 97 segments fill every slot of up to 48 workers.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 10)
+    in_flight = Counter()
+    peak = Counter()
+    submit, collect_slot = prime_stream._Workers.submit, prime_stream._Workers.collect
 
-    def strike(mask, P, i0):
-        nonlocal running, peak
-        with lock:
-            running += 1
-            peak = max(peak, running)
-        try:
-            time.sleep(0.005)
-            real(mask, P, i0)
-        finally:
-            with lock:
-                running -= 1
+    def counted_submit(self, w, s, lo, hi):
+        in_flight[w] += 1
+        peak[w] = max(peak[w], in_flight[w])
+        submit(self, w, s, lo, hi)
 
-    monkeypatch.setattr(prime_stream, "_strike_large", strike)
+    def counted_collect(self, w, s):
+        in_flight[w] -= 1
+        return collect_slot(self, w, s)
+
+    monkeypatch.setattr(prime_stream._Workers, "submit", counted_submit)
+    monkeypatch.setattr(prime_stream._Workers, "collect", counted_collect)
     primes, pis, _ = collect(SieveConfig(limit=200_000))
     assert primes == sieve_primes(200_000)
     cpus = len(os.sched_getaffinity(0))
-    assert min(cpus, 2) <= peak <= cpus
+    assert len(prime_stream._workers.pids) == cpus
+    assert sorted(peak) == list(range(cpus))
+    assert set(peak.values()) == {2}
+    assert not any(in_flight.values())
 
 
-def test_masks_are_one_per_worker_and_one_spare(monkeypatch):
-    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
-    masks = {}
-    calls = 0
-    real = prime_stream._sieve_segment
-
-    def sieve(lo, hi, buf, odd_basis, split):
-        nonlocal calls
-        # Holding each mask keeps its id from being reused by a new one.
-        masks[id(buf)] = buf
-        calls += 1
-        return real(lo, hi, buf, odd_basis, split)
-
-    monkeypatch.setattr(prime_stream, "_sieve_segment", sieve)
-    primes, _, _ = collect(SieveConfig(limit=400_000))
-    assert primes == sieve_primes(400_000)
-    assert calls >= 20
-    assert len(masks) == min(len(os.sched_getaffinity(0)) + 1, calls)
-
-
-def test_mask_handoff_under_thread_switching(monkeypatch):
-    # Eight workers on however many cores, switching threads every
-    # microsecond: a mask handed to a new segment while its primes are
-    # still being read would lose or invent primes.
+def test_masks_are_one_per_worker_and_one_spare(monkeypatch, fresh_workers):
+    # Eight workers on however many cores: a slot handed to a new segment
+    # while its primes are still to be read would lose or invent primes.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 10)
     monkeypatch.setattr(prime_stream.os, "sched_getaffinity", lambda pid: set(range(8)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        primes, _, _ = collect(SieveConfig(limit=300_000))
-    finally:
-        sys.setswitchinterval(interval)
+    forked = count_forks(monkeypatch)
+    held = set()
+    used = set()
+    submit, collect_slot = prime_stream._Workers.submit, prime_stream._Workers.collect
+
+    def checked_submit(self, w, s, lo, hi):
+        assert (w, s) not in held
+        held.add((w, s))
+        used.add((w, s))
+        submit(self, w, s, lo, hi)
+
+    def checked_collect(self, w, s):
+        primes = collect_slot(self, w, s)
+        held.remove((w, s))
+        return primes
+
+    monkeypatch.setattr(prime_stream._Workers, "submit", checked_submit)
+    monkeypatch.setattr(prime_stream._Workers, "collect", checked_collect)
+    primes, _, _ = collect(SieveConfig(limit=300_000))
     assert primes == sieve_primes(300_000)
+    assert len(forked) == 8
+    assert used == {(w, s) for w in range(8) for s in (0, 1)}
+    assert held == set()
+
+
+def test_a_stream_starts_no_thread(monkeypatch):
+    # Forking a process that runs threads can deadlock the child, and Python
+    # 3.12 warns about it, so the stream must not add a thread of its own.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+
+    def threads():
+        if os.path.isdir("/proc/self/task"):
+            return len(os.listdir("/proc/self/task"))
+        return threading.active_count()
+
+    before = threads()
+    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
+    next(blocks)
+    next(blocks)
+    assert prime_stream._workers.busy
+    assert threads() == before
+    blocks.close()
+    assert threads() == before
+
+
+def test_a_second_stream_starts_no_process(monkeypatch):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    collect(SieveConfig(limit=10**6))
+    workers = prime_stream._workers
+    forked = count_forks(monkeypatch)
+    primes, _, _ = collect(SieveConfig(limit=10**6, start=500_001, start_pi=41538))
+    assert primes == sieve_primes(10**6)[41538:]
+    assert forked == []
+    assert prime_stream._workers is workers
+
+
+def test_a_stream_finding_the_set_busy_forks_a_private_one(monkeypatch):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    outer = iter_prime_blocks(SieveConfig(limit=10**6))
+    got = [next(outer), next(outer)]
+    workers = prime_stream._workers
+    forked = count_forks(monkeypatch)
+    primes, _, _ = collect(SieveConfig(limit=300_000))
+    assert primes == sieve_primes(300_000)
+    assert len(forked) == len(os.sched_getaffinity(0))
+    assert all(reaped(pid) for pid in forked)
+    got.extend(outer)
+    assert np.concatenate([p for p, _, _ in got]).tolist() == sieve_primes(10**6)
+    assert prime_stream._workers is workers and workers.alive and not workers.busy
+
+
+def test_without_fork_the_stream_sieves_every_segment(monkeypatch, fresh_workers):
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    monkeypatch.delattr(os, "fork")
+    primes, pis, _ = collect(SieveConfig(limit=10**6))
+    assert primes == sieve_primes(10**6)
+    assert pis == list(range(1, len(primes) + 1))
+    assert prime_stream._workers is None
+
+
+STREAM_LEFT_OPEN = """
+from primehull import prime_stream
+prime_stream.SEGMENT_SIZE = 1 << 12
+{patch}
+lo = 4099**2 - 5 * 8192
+blocks = prime_stream.iter_prime_blocks(prime_stream.SieveConfig(limit=lo + 20 * 8192, start=lo, start_pi=1))
+next(blocks)
+print(*prime_stream._workers.pids, flush=True)
+{finish}
+"""
+
+SCATTER_FAILS = """
+real = prime_stream._strike_large
+def strike(mask, P, i0):
+    if len(P):
+        raise RuntimeError("scatter failed")
+    real(mask, P, i0)
+prime_stream._strike_large = strike
+"""
+
+
+@pytest.mark.parametrize(
+    "patch, finish, code",
+    [
+        # the stream is left suspended with segments in flight
+        ("", "", 0),
+        # the sixth segment's worker raises, and nothing catches it
+        (SCATTER_FAILS, "for block in blocks: pass", 1),
+    ],
+    ids=["suspended", "worker-error"],
+)
+def test_no_worker_outlives_its_process(tmp_path, patch, finish, code):
+    script = STREAM_LEFT_OPEN.format(patch=patch, finish=finish)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # Files, not pipes: a worker that outlived the script would hold a
+    # pipe open, and reading it to its end would wait for the worker.
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        run = subprocess.run([sys.executable, "-c", script], env=env, stdout=stdout, stderr=stderr, timeout=60)
+    assert run.returncode == code, err.read_text()
+    if code:
+        assert "RuntimeError: scatter failed" in err.read_text()
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == len(os.sched_getaffinity(0))
+    deadline = time.monotonic() + 2
+    alive = pids
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.01)
+        alive = [pid for pid in alive if os.path.exists(f"/proc/{pid}")]
+    assert alive == []
 
 
 def test_limit_cap_rejected():
