@@ -313,6 +313,22 @@ def test_masks_are_one_per_worker_and_one_spare(monkeypatch, fresh_workers):
     assert held == set()
 
 
+def test_mask_handoff_under_thread_switching(monkeypatch, fresh_workers):
+    # Eight workers on however many cores, the generator switching threads
+    # every microsecond: a slot handed to a new segment while its primes
+    # are still being copied out would lose or invent primes.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 10)
+    monkeypatch.setattr(prime_stream.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        primes, _, _ = collect(SieveConfig(limit=300_000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert primes == sieve_primes(300_000)
+    assert len(prime_stream._workers.pids) == 8
+
+
 def test_a_stream_starts_no_thread(monkeypatch):
     # Forking a process that runs threads can deadlock the child, and Python
     # 3.12 warns about it, so the stream must not add a thread of its own.
