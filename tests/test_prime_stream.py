@@ -118,6 +118,14 @@ def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, star
         # minimum-size segments just past 4099^2: 4099's odd multiples lie
         # 8198 apart, so most segments hold no large-prime multiple at all
         (16_801_801, 17_000_000, 1 << 10, 1),
+        # six segments near 10^11, five of them sieved by the workers, all
+        # at most 10% prime, so every one is padded before extraction;
+        # pi(10^11) = 4118054813
+        (10**11, 10**11 + 6 * 2**13, 1 << 12, 4118054813),
+        # eight segments near 4.85e8, where 10% of odd integers are prime:
+        # three are more than 10% prime and five are not, so both
+        # extractions run, in the generator and in the workers
+        (485_000_001, 485_000_000 + 8 * 2**12, 1 << 11, 1),
     ],
 )
 def test_high_windows_match_oracle(monkeypatch, lo, hi, segment_size, start_pi):
@@ -131,6 +139,82 @@ def test_high_windows_match_oracle(monkeypatch, lo, hi, segment_size, start_pi):
     # counts run on without a gap across segments, not start_pi itself.
     assert np.array_equal(pis - start_pi, np.arange(1, len(primes) + 1))
     assert blocks[-1][2] == hi
+
+
+# Counts of True entries for a mask of k entries: none, just under 10%,
+# 10% or the most that is still at most 10%, just over 10%, all.
+DENSITIES = {
+    "none": lambda k: 0,
+    "under": lambda k: max(k // 10 - 1, 0),
+    "tenth": lambda k: k // 10,
+    "over": lambda k: min(k // 10 + 1, k),
+    "all": lambda k: k,
+}
+
+
+def padded_extraction(buf, k):
+    """Check ``_nonzero(buf, k)`` against ``np.flatnonzero`` of the mask ``buf[:k]``.
+
+    The mask must be left as it is, and a mask at most 10% set must be
+    padded past k with enough True entries that numpy reads more than 10%
+    of the padded array as set. Returns the count of padding entries.
+    """
+    mask = buf[:k].copy()
+    c = int(np.count_nonzero(mask))
+    room = buf[k:]
+    room[:] = False
+    got = prime_stream._nonzero(buf, k)
+    assert np.array_equal(got, np.flatnonzero(mask))
+    assert np.array_equal(buf[:k], mask)
+    t = int(np.count_nonzero(room))
+    assert room[:t].all()
+    if c * 10 <= k:
+        assert (c + t) * 10 > k + t
+    else:
+        assert t == 0
+    return t
+
+
+@given(
+    st.integers(1, prime_stream.SEGMENT_SIZE),
+    st.sampled_from(sorted(DENSITIES)),
+    st.integers(0, 2**32 - 1),
+)
+@example(prime_stream.SEGMENT_SIZE, "none", 0)
+@example(prime_stream.SEGMENT_SIZE, "tenth", 0)
+@example(prime_stream.SEGMENT_SIZE, "over", 0)
+@example(prime_stream.SEGMENT_SIZE, "all", 0)
+@example(10, "tenth", 0)
+@example(1, "all", 0)
+@settings(max_examples=150, deadline=None)
+def test_nonzero_matches_flatnonzero(k, density, seed):
+    buf = prime_stream._mask_buffer(prime_stream.SEGMENT_SIZE)
+    rng = np.random.default_rng(seed)
+    buf[:k] = False
+    buf[rng.choice(k, DENSITIES[density](k), replace=False)] = True
+    padded_extraction(buf, k)
+
+
+@pytest.mark.parametrize("size", [1, 9, 10, 1 << 10, prime_stream.SEGMENT_SIZE])
+def test_an_empty_full_mask_fits_its_padding(size):
+    # The most padding any mask takes: no True entry in all ``size``.
+    buf = prime_stream._mask_buffer(size)
+    buf[:size] = False
+    assert padded_extraction(buf, size) == len(buf) - size
+
+
+def test_padding_never_leaks_into_the_next_mask():
+    # One buffer, as a worker reuses it: a sparse mask, a dense one over
+    # the last one's padding, then shorter ones inside both.
+    size = 1 << 12
+    buf = prime_stream._mask_buffer(size)
+    rng = np.random.default_rng(1)
+    for k, c in [(size, 300), (size, 3000), (size // 2, 100), (size // 4, 1000), (size // 8, 0)]:
+        buf[:k] = False
+        buf[rng.choice(k, c, replace=False)] = True
+        mask = buf[:k].copy()
+        assert np.array_equal(prime_stream._nonzero(buf, k), np.flatnonzero(mask))
+        assert np.array_equal(buf[:k], mask)
 
 
 ODD_PRIMES = sieve_primes(20_000)[1:]
