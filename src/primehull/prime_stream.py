@@ -13,12 +13,14 @@ resume frontier cuts the segments, and supports resuming from any
 (start, start_pi) frontier.
 Every segment after a stream's first is sieved in a worker process, one
 per usable CPU, forked once per process and reused by later streams. Each
-worker sieves into its own mask and also extracts the primes, into one of
-its two slots of shared memory; the blocks are delivered strictly in
-segment order; see ``iter_prime_blocks``. Each mask of ``SEGMENT_SIZE``
-entries has up to ``SEGMENT_SIZE // 9 + 64`` bytes of room after it, which
-lets a mask at most 10% set, as every mask above about 4.9e8 is, take
-numpy's fast dense path to its primes; see ``_nonzero``. Processes, not
+worker builds one fixed table of the odd base primes up to
+isqrt(``MAX_LIMIT``) as it starts, as the bucket sieve assumes, sieves
+into its own mask and also extracts the primes, into one of its two slots
+of shared memory; the blocks are delivered strictly in segment order; see
+``iter_prime_blocks``. Each mask of ``SEGMENT_SIZE`` entries has up to
+``SEGMENT_SIZE // 9 + 64`` bytes of room after it, which lets a mask at
+most 10% set, as every mask above about 4.9e8 is, take numpy's fast dense
+path to its primes; see ``_nonzero``. Processes, not
 threads, because the interpreter lock held two sieve threads to 1.2-1.4x
 one thread's work.
 This is the one module of the package that starts threads or processes,
@@ -97,15 +99,21 @@ class SieveConfig:
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit via a plain boolean sieve (int64 array)."""
+    """Primes <= limit (int64 array), by a sieve over the odd integers only."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    # odd[i] stands for 2i + 1; entry 0, which stands for 1, ends as 2.
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            # p = 2i + 1 strikes from p*p, at index 2i(i + 1).
+            odd[2 * i * (i + 1) :: 2 * i + 1] = False
+    # In place: a copy would add 0.63 MB to each new worker's peak memory.
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
@@ -119,32 +127,32 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
 
     The generator sieves the first segment itself, after handing the next
     ones to the workers, so a stream of one segment forks nothing. Every
-    later segment is sieved by the process's worker set (see
-    ``_Workers``): one forked
-    process per usable CPU, started by the first stream that has a second
-    segment and reused by every later stream, so a chunked run forks once.
-    A stream that finds the set busy, as a stream opened inside another
-    does, forks a private set and closes it when it ends. Segments are
-    dealt to the workers in turn, two per worker in flight: worker w
-    sieves into its own mask, extracts the primes into one of its two
-    slots and answers with their count. The generator takes the segments
-    back strictly in order. It copies the oldest segment's primes out of
-    its slot, hands the slot to the next segment at once, numbers the
-    primes on from the running count and yields them, so the caller's work
-    on a block overlaps the sieving of the segments after it. A worker's
-    exception is raised, with its type and message, from the ``next()``
-    that reaches its segment, after every block before it; the worker set
-    is then closed. A stream that ends early, or is closed, first takes
-    back every segment in flight, so the set is idle for the next stream.
-    Where ``os.fork`` is missing, the generator sieves every segment.
+    later segment is sieved by the process's worker set (see ``_Workers``):
+    one forked process per usable CPU, started by the first stream that has
+    a second segment and reused by every later stream, so a chunked run
+    forks once. A stream that finds the set busy, as a stream opened inside
+    another does, sieves every segment itself, as it does where ``os.fork``
+    is missing. Segments are dealt to the workers in turn, two per worker
+    in flight: worker w sieves into its own mask, extracts the primes into
+    one of its two slots and answers with their count. The generator takes
+    the segments back strictly in order. It copies the oldest segment's
+    primes out of its slot, hands the slot to the next segment at once,
+    numbers the primes on from the running count and yields them, so the
+    caller's work on a block overlaps the sieving of the segments after it.
+    A worker's exception is raised, with its type and message, from the
+    ``next()`` that reaches its segment, after every block before it; the
+    worker set is then closed. A stream that ends early, or is closed,
+    first takes back every segment in flight, so the set is idle for the
+    next stream.
 
     Memory: a mask is ``SEGMENT_SIZE`` bytes plus up to
     ``SEGMENT_SIZE // 9 + 64`` bytes of room after it, which a mask at most
     10% set fills in part to reach numpy's fast extraction (``_nonzero``).
     The generator holds no mask between blocks; the first segment borrows
-    one for as long as it is sieved. Each worker holds its own mask and two
-    slots of ``SEGMENT_SIZE`` int64 in shared memory, of which a segment's
-    primes touch 8 bytes each (about 0.66 MB near 1e11). The generator
+    one for as long as it is sieved. Each worker holds its own mask, the
+    0.63 MB table of its 78,497 odd base primes up to 10^6, and two slots
+    of ``SEGMENT_SIZE`` int64 in shared memory, of which a segment's primes
+    touch 8 bytes each (about 0.66 MB near 1e11). The generator
     releases its view of the slots when a stream ends. While its scatter
     runs, a segment in flight holds 24 bytes of scratch per base prime and
     about 256 KB per chunk of strikes; tracemalloc measures 0.91 MB near
@@ -152,9 +160,7 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     the first block of a sparse stream also keeps 8 bytes per padding entry.
     """
     limit = cfg.limit
-    basis = base_primes(math.isqrt(limit))
-    odd_basis = basis[basis >= 3]
-    split = int(np.searchsorted(odd_basis, SCATTER_MIN_PRIME))
+    odd_basis = base_primes(math.isqrt(limit))[1:]
     size = SEGMENT_SIZE
 
     count = cfg.start_pi
@@ -173,7 +179,7 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     segments = ((a, min(a + span - 2, top)) for a in starts)
 
     def sieved_here(lo, hi, buf):
-        return numbered(_segment_primes(lo, hi, buf, odd_basis, split), hi)
+        return numbered(_segment_primes(lo, hi, buf, odd_basis), hi)
 
     def numbered(primes, hi):
         nonlocal count
@@ -181,13 +187,13 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
         count += len(primes)
         return primes, pis, min(hi + 1, limit)
 
-    if len(starts) < 2 or not hasattr(os, "fork"):
+    workers = _acquire(size) if len(starts) > 1 and hasattr(os, "fork") else None
+    if workers is None:
         buf = _mask_buffer(size)
         for lo, hi in segments:
             yield sieved_here(lo, hi, buf)
         return
 
-    workers = _acquire(size)
     # (lo, hi, worker, slot) of each segment sent to the workers and not yet
     # taken back, oldest first.
     pending = deque()
@@ -195,7 +201,6 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     synced = False
     try:
         lo, hi = next(segments)
-        workers.set_basis(odd_basis, split)
         for (w, s), (a, b) in zip(workers.tickets, segments):
             workers.submit(w, s, a, b)
             pending.append((a, b, w, s))
@@ -213,27 +218,26 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
             # Hold no block while waiting for the next one.
             del primes
     finally:
-        if synced and workers.alive and workers is _workers:
+        if synced and workers.alive:
             workers.release(pending)
         else:
             workers.close()
 
 
-def _acquire(size: int) -> _Workers:
-    """An idle worker set for segments of ``size`` odd integers, marked busy.
+def _acquire(size: int) -> _Workers | None:
+    """The process's worker set for segments of ``size`` odd integers, marked busy.
 
-    That is the process's own set, forked again if it is closed or was
-    forked for another segment size or CPU count; while it is busy, a
-    private set.
+    The set is forked again if it is closed or was forked for another
+    segment size or CPU count. None while another stream holds it.
     """
     global _workers
+    cached = _workers
+    if cached is not None and cached.alive and cached.busy:
+        return None
     if hasattr(os, "sched_getaffinity"):
         count = len(os.sched_getaffinity(0))
     else:  # macOS
         count = os.cpu_count() or 1
-    cached = _workers
-    if cached is not None and cached.alive and cached.busy:
-        return _Workers(count, size)
     if cached is None or not cached.alive or (cached.size, len(cached.pids)) != (size, count):
         if cached is not None:
             cached.close()
@@ -247,14 +251,14 @@ class _Workers:
 
     Slot (w, s) of worker w is a row of ``size`` int64 in one shared
     anonymous mmap, which takes memory only where it is written. Each
-    worker reads pickled commands from its own pipe: ``(odd_basis,
-    split)`` sets the base primes for the segments after it, and
-    ``(s, lo, hi)`` makes it sieve the odd integers lo..hi into its mask
-    and write their primes to the start of slot (w, s). It answers on a
-    second pipe, in command order, with the count of primes or with the
-    exception the segment raised. A worker exits when its command pipe
-    reaches end of file, as when this process dies; ``close`` kills and
-    reaps the workers, and runs at exit and when the set is collected.
+    worker builds its table of base primes once, then reads pickled
+    commands ``(s, lo, hi)`` from its own pipe, each of which makes it
+    sieve the odd integers lo..hi into its mask and write their primes to
+    the start of slot (w, s). It answers on a second pipe, in command
+    order, with the count of primes or with the exception the segment
+    raised. A worker exits when its command pipe reaches end of file, as
+    when this process dies; ``close`` kills and reaps the workers, and runs
+    at exit and when the set is collected.
     """
 
     def __init__(self, count: int, size: int) -> None:
@@ -295,11 +299,6 @@ class _Workers:
     @property
     def alive(self) -> bool:
         return self._stop.alive
-
-    def set_basis(self, odd_basis: np.ndarray, split: int) -> None:
-        for f in self._commands:
-            pickle.dump((odd_basis, split), f)
-            f.flush()
 
     def submit(self, w: int, s: int, lo: int, hi: int) -> None:
         pickle.dump((s, lo, hi), self._commands[w])
@@ -353,17 +352,14 @@ def _stop(owner: int, pids: list[int], files: list) -> None:
 def _serve(commands, answers, slots: np.ndarray) -> None:
     """A worker's loop: answer each segment command until the pipe closes."""
     buf = _mask_buffer(slots.shape[-1])
+    odd_basis = base_primes(math.isqrt(MAX_LIMIT))[1:]
     while True:
         try:
-            command = pickle.load(commands)
+            s, lo, hi = pickle.load(commands)
         except EOFError:
             return
-        if len(command) == 2:
-            odd_basis, split = command
-            continue
-        s, lo, hi = command
         try:
-            reply = pickle.dumps(len(_segment_primes(lo, hi, buf, odd_basis, split, slots[s])))
+            reply = pickle.dumps(len(_segment_primes(lo, hi, buf, odd_basis, slots[s])))
         except Exception as exc:
             try:
                 reply = pickle.dumps(exc)
@@ -379,14 +375,14 @@ def _mask_buffer(size: int) -> np.ndarray:
 
 
 def _segment_primes(
-    lo: int, hi: int, buf: np.ndarray, odd_basis: np.ndarray, split: int, out: np.ndarray | None = None
+    lo: int, hi: int, buf: np.ndarray, odd_basis: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The primes among the odd integers lo..hi, sieved in ``buf`` (see ``_mask_buffer``).
 
     They are written to the start of ``out`` and returned as that view, or
     returned as a new int64 array when ``out`` is None.
     """
-    idx = _nonzero(buf, len(_sieve_segment(lo, hi, buf, odd_basis, split)))
+    idx = _nonzero(buf, len(_sieve_segment(lo, hi, buf, odd_basis)))
     primes = idx if out is None else out[: len(idx)]
     np.multiply(idx, 2, out=primes)
     primes += lo
@@ -421,27 +417,28 @@ def _nonzero(buf: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(buf[: k + t])[:c]
 
 
-def _sieve_segment(lo: int, hi: int, buf: np.ndarray, odd_basis: np.ndarray, split: int) -> np.ndarray:
+def _sieve_segment(lo: int, hi: int, buf: np.ndarray, odd_basis: np.ndarray) -> np.ndarray:
     """Sieve the odd integers lo..hi into ``buf``; returns the mask used.
 
     The mask is the view of ``buf`` whose entry i is True exactly when
     lo + 2i is prime. Nothing but ``buf`` is written, so a worker sieves
-    every segment it is sent into one mask of its own. The first odd
-    multiple at or above max(p*p, lo) of every odd base prime p with
-    p*p <= hi is computed once, as one vectorized step. The mask is then
-    marked in two ways. An odd base prime below ``SCATTER_MIN_PRIME`` (the
-    first ``split`` of them) clears its multiples with one strided slice,
-    which is cheap while the slice is long. Every larger one is handled by
-    ``_strike_large``, a single numpy scatter for all of them, because a
-    Python-level loop over tens of thousands of short slices costs far more
-    than the writes themselves. Thresholds from 2^11 to 2^14 time alike on
-    1e8 windows at 3e11 and on the sieve from 2 to 1e8; 2^12 sits in the
-    middle. The first scattered prime is 4099, so segments ending below
-    4099^2 (about 1.68e7) never scatter.
+    every segment it is sent into one mask of its own. ``odd_basis`` holds
+    the odd primes up to at least isqrt(hi), in order; the first odd
+    multiple at or above max(p*p, lo) of each one with p*p <= hi is
+    computed once, as one vectorized step. The mask is then marked in two ways. An odd
+    base prime below ``SCATTER_MIN_PRIME`` clears its multiples with one
+    strided slice, which is cheap while the slice is long. Every larger one
+    is handled by ``_strike_large``, a single numpy scatter for all of
+    them, because a Python-level loop over tens of thousands of short
+    slices costs far more than the writes themselves. Thresholds from 2^11
+    to 2^14 time alike on 1e8 windows at 3e11 and on the sieve from 2 to
+    1e8; 2^12 sits in the middle. The first scattered prime is 4099, so
+    segments ending below 4099^2 (about 1.68e7) never scatter.
     """
     mask = buf[: (hi - lo) // 2 + 1]
     mask.fill(True)
     P = odd_basis[: np.searchsorted(odd_basis, math.isqrt(hi), side="right")]
+    split = np.searchsorted(P, SCATTER_MIN_PRIME)
     # The first odd multiple at or above max(p*p, lo) is m*p, with m the
     # least odd integer at or above both p and ceil(lo / p). Built in place,
     # it ends as its mask index (m*p - lo) / 2.
@@ -470,9 +467,10 @@ def _strike_large(mask: np.ndarray, P: np.ndarray, i0: np.ndarray) -> None:
     lies at a[j] + t * P[j] with a[j] = i0[j] - start[j] * P[j], and each
     chunk of whole runs is one arange times the repeated primes plus the
     repeated a. A prime with n[j] == 0 repeats nothing. A full segment
-    takes fewer than 2^20 strikes (530k at 10^12) and base primes are
-    below 10^6 < 2^20, so start * P, t * P and |a| stay below 2^40, far
-    inside int64 (though not int32).
+    takes fewer than 2^20 strikes (530k at 10^12) and base primes are at
+    most isqrt(``MAX_LIMIT``) = 10^6 < 2^20, the top of the workers' table,
+    so start * P, t * P and |a| stay below 2^40, far inside int64 (though
+    not int32).
     """
     # n >= 0, since the first multiple is p*p <= hi or below lo + 2p.
     n = len(mask) - 1 - i0

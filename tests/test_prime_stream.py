@@ -63,6 +63,13 @@ def test_blocks_are_ordered_and_cover_frontier(monkeypatch):
     assert last_high == 50_000
 
 
+def test_base_primes_match_naive_sieve():
+    for limit in [*range(201), 10**6]:
+        basis = prime_stream.base_primes(limit)
+        assert basis.dtype == np.int64
+        assert basis.tolist() == sieve_primes(limit), limit
+
+
 def test_resume_from_offset_matches_full_run():
     ref_primes, ref_pis, _ = collect(SieveConfig(limit=40_000))
     cut = 17_389  # prime; resume must restart just past an arbitrary frontier
@@ -86,9 +93,11 @@ def scatter_ref():
 # fresh, an even frontier, a prime one (the 100000th prime), and 2^20 + 1,
 # which sits inside the first 2^20 segment of a fresh run
 @pytest.mark.parametrize("start", [2, 1_000_000, 1_299_709, 1_048_577])
-def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, start):
+def test_scatter_path_matches_sieve(monkeypatch, fresh_workers, scatter_ref, segment_size, start):
     # Every base prime from 5 on goes through the scatter, so runs of many
     # lengths, chunk cuts and first multiples below, at and above p*p occur.
+    # The workers read the threshold as they were forked, so a fresh set
+    # forked after the patch scatters on their segments too.
     monkeypatch.setattr(prime_stream, "SCATTER_MIN_PRIME", 5)
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
     start_pi = bisect_left(scatter_ref, start)
@@ -109,6 +118,9 @@ def test_scatter_path_matches_sieve(monkeypatch, scatter_ref, segment_size, star
         # one full segment ending there, where the scatter's strike numbers
         # times primes are largest
         (MAX_LIMIT - 2**21 + 1, MAX_LIMIT, 1 << 20, 1),
+        # six segments ending there, five of them sieved by the workers,
+        # whose fixed table must reach isqrt(MAX_LIMIT) = 10^6
+        (MAX_LIMIT - 6 * 2**13 + 1, MAX_LIMIT, 1 << 12, 1),
         # one segment holding both 4099, the first scattered base prime,
         # and its square; pi(4096) = 564
         (4097, 4099**2, 1 << 24, 564),
@@ -444,16 +456,23 @@ def test_a_second_stream_starts_no_process(monkeypatch):
     assert prime_stream._workers is workers
 
 
-def test_a_stream_finding_the_set_busy_forks_a_private_one(monkeypatch):
+def test_a_stream_nested_in_another_sieves_in_process(monkeypatch):
+    # The outer stream holds the worker set, so the inner one sieves every
+    # segment itself, and leaves the set to the outer one.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
     outer = iter_prime_blocks(SieveConfig(limit=10**6))
     got = [next(outer), next(outer)]
     workers = prime_stream._workers
     forked = count_forks(monkeypatch)
-    primes, _, _ = collect(SieveConfig(limit=300_000))
+    primes, pis = [], []
+    for p, q, _ in iter_prime_blocks(SieveConfig(limit=300_000)):
+        assert prime_stream._workers is workers and workers.busy
+        primes.extend(p.tolist())
+        pis.extend(q.tolist())
     assert primes == sieve_primes(300_000)
-    assert len(forked) == len(os.sched_getaffinity(0))
-    assert all(reaped(pid) for pid in forked)
+    assert pis == list(range(1, len(primes) + 1))
+    assert forked == []
+    assert workers.busy
     got.extend(outer)
     assert np.concatenate([p for p, _, _ in got]).tolist() == sieve_primes(10**6)
     assert prime_stream._workers is workers and workers.alive and not workers.busy
