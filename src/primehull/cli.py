@@ -98,7 +98,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_dirs(*paths: Optional[str]) -> None:
+    """Refuse an output path in a missing directory before any sieving."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"no directory for {path}")
+
+
 def _cmd_compute(args) -> int:
+    _require_dirs(args.out, args.checkpoint)
     limit = parse_limit(args.limit)
     SieveConfig(limit=limit)  # refuse a limit out of range before the first chunk
     until_k = math.inf if args.until_k is None else args.until_k
@@ -216,6 +224,7 @@ def _cmd_lensbounds(args) -> int:
 
 
 def _cmd_mvariant(args) -> int:
+    _require_dirs(args.out)
     limit = parse_limit(args.limit)
     records = compute_m_extremal(limit).records
     confirmed = sum(1 for r in records if r.status == analysis.CONFIRMED)

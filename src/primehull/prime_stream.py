@@ -2,6 +2,7 @@
 
 Produces the stream of points (p, pi(p)) consumed by the hull engine.
 Segments are sieved with numpy over odd integers only; 2 is special-cased.
+The base primes come from the same sieve, run on one mask from 1.
 Small base primes strike their multiples with one strided slice each; all
 larger ones are struck together with one numpy scatter per segment, the
 vectorized form of the bucket sieve of Oliveira e Silva, Herzog and Pardi
@@ -12,7 +13,8 @@ slower. The stream is deterministic for a given (start, limit) wherever a
 resume frontier cuts the segments, and supports resuming from any
 (start, start_pi) frontier.
 Every segment after a stream's first is sieved in a worker process, one
-per usable CPU, forked once per process and reused by later streams. Each
+per usable CPU, forked once per process and reused by later streams; a
+stream that stops early closes the set, and the next one forks anew. Each
 worker builds one fixed table of the odd base primes up to
 isqrt(``MAX_LIMIT``) as it starts, as the bucket sieve assumes, sieves
 into its own mask and also extracts the primes, into one of its two slots
@@ -99,19 +101,16 @@ class SieveConfig:
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit (int64 array), by a sieve over the odd integers only."""
+    """Primes <= limit (int64 array), by the segment sieve on one mask from 1.
+
+    Mask index 0 stands for 1, which no base prime strikes, since strikes
+    start at p*p; it ends as 2. Every caller asks for at most 10^6, so the
+    mask stays below ``SEGMENT_SIZE`` and the recursion is at most 5 deep.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    # odd[i] stands for 2i + 1; entry 0, which stands for 1, ends as 2.
-    odd = np.ones((limit + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if odd[i]:
-            # p = 2i + 1 strikes from p*p, at index 2i(i + 1).
-            odd[2 * i * (i + 1) :: 2 * i + 1] = False
-    # In place: a copy would add 0.63 MB to each new worker's peak memory.
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
+    top = limit - 1 + limit % 2
+    primes = _segment_primes(1, top, _mask_buffer(top // 2 + 1), base_primes(math.isqrt(limit))[1:])
     primes[0] = 2
     return primes
 
@@ -132,18 +131,19 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     a second segment and reused by every later stream, so a chunked run
     forks once. A stream that finds the set busy, as a stream opened inside
     another does, sieves every segment itself, as it does where ``os.fork``
-    is missing. Segments are dealt to the workers in turn, two per worker
-    in flight: worker w sieves into its own mask, extracts the primes into
-    one of its two slots and answers with their count. The generator takes
-    the segments back strictly in order. It copies the oldest segment's
-    primes out of its slot, hands the slot to the next segment at once,
-    numbers the primes on from the running count and yields them, so the
-    caller's work on a block overlaps the sieving of the segments after it.
-    A worker's exception is raised, with its type and message, from the
-    ``next()`` that reaches its segment, after every block before it; the
-    worker set is then closed. A stream that ends early, or is closed,
-    first takes back every segment in flight, so the set is idle for the
-    next stream.
+    is missing. Segments are dealt to the workers in turn, two per worker in
+    flight: worker w sieves into its own mask, extracts the primes into one
+    of its two slots and answers with their count. The generator takes the
+    segments back strictly in order. It copies the oldest segment's primes
+    out of its slot, hands the slot to the next segment at once, numbers the
+    primes on from the running count and yields them, so the caller's work
+    on a block overlaps the sieving of the segments after it. A worker's
+    exception is raised, with its type and message, from the ``next()`` that
+    reaches its segment, after every block before it. A stream that stops
+    early, because it is closed or a worker or the caller raised, closes the
+    set instead, killing and reaping the workers with their segments in
+    flight; the next stream forks a new set. A nested stream holds no set,
+    so stopping it early closes nothing.
 
     Memory: a mask is ``SEGMENT_SIZE`` bytes plus up to
     ``SEGMENT_SIZE // 9 + 64`` bytes of room after it, which a mask at most
@@ -152,8 +152,8 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     one for as long as it is sieved. Each worker holds its own mask, the
     0.63 MB table of its 78,497 odd base primes up to 10^6, and two slots
     of ``SEGMENT_SIZE`` int64 in shared memory, of which a segment's primes
-    touch 8 bytes each (about 0.66 MB near 1e11). The generator
-    releases its view of the slots when a stream ends. While its scatter
+    touch 8 bytes each (about 0.66 MB near 1e11). The generator releases
+    its view of the slots when a stream is exhausted. While its scatter
     runs, a segment in flight holds 24 bytes of scratch per base prime and
     about 256 KB per chunk of strikes; tracemalloc measures 0.91 MB near
     1e11 and 2.14 MB near 1e12. The block held costs 16 bytes per prime;
@@ -197,38 +197,33 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     # (lo, hi, worker, slot) of each segment sent to the workers and not yet
     # taken back, oldest first.
     pending = deque()
-    # False while a command or an answer may be half written or half read.
-    synced = False
     try:
         lo, hi = next(segments)
         for (w, s), (a, b) in zip(workers.tickets, segments):
             workers.submit(w, s, a, b)
             pending.append((a, b, w, s))
-        synced = True
         yield sieved_here(lo, hi, _mask_buffer(size))
         while pending:
             lo, hi, w, s = pending.popleft()
-            synced = False
             primes = workers.collect(w, s)
             for a, b in islice(segments, 1):
                 workers.submit(w, s, a, b)
                 pending.append((a, b, w, s))
-            synced = True
             yield numbered(primes, hi)
             # Hold no block while waiting for the next one.
             del primes
-    finally:
-        if synced and workers.alive:
-            workers.release(pending)
-        else:
-            workers.close()
+    except BaseException:
+        workers.close()
+        raise
+    workers.release()
 
 
 def _acquire(size: int) -> _Workers | None:
     """The process's worker set for segments of ``size`` odd integers, marked busy.
 
-    The set is forked again if it is closed or was forked for another
-    segment size or CPU count. None while another stream holds it.
+    The set is forked again if it is closed, as a stream that stopped early
+    leaves it, or was forked for another segment size or CPU count. None
+    while another stream holds it.
     """
     global _workers
     cached = _workers
@@ -258,7 +253,7 @@ class _Workers:
     order, with the count of primes or with the exception the segment
     raised. A worker exits when its command pipe reaches end of file, as
     when this process dies; ``close`` kills and reaps the workers, and runs
-    at exit and when the set is collected.
+    when a stream stops early, at exit and when the set is collected.
     """
 
     def __init__(self, count: int, size: int) -> None:
@@ -304,28 +299,18 @@ class _Workers:
         pickle.dump((s, lo, hi), self._commands[w])
         self._commands[w].flush()
 
-    def answer(self, w: int) -> int:
-        """The prime count of worker w's oldest segment; raises what it raised."""
+    def collect(self, w: int, s: int) -> np.ndarray:
+        """Worker w's oldest segment's primes, from slot s, as a new array; raises its error."""
         try:
             reply = pickle.load(self._answers[w])
         except EOFError:
             raise RuntimeError(f"sieve worker {self.pids[w]} exited") from None
         if isinstance(reply, BaseException):
             raise reply
-        return reply
+        return self._slots[w, s, :reply].copy()
 
-    def collect(self, w: int, s: int) -> np.ndarray:
-        """Worker w's oldest segment's primes, which it wrote to slot s, as a new array."""
-        return self._slots[w, s, : self.answer(w)].copy()
-
-    def release(self, pending) -> None:
-        """Take back the segments in ``pending`` unread and mark the set idle."""
-        try:
-            for _, _, w, _ in pending:
-                self.answer(w)
-        except Exception:
-            self.close()
-            return
+    def release(self) -> None:
+        """Return the slots' memory to the system and mark the set idle."""
         self._map.madvise(mmap.MADV_DONTNEED)
         self.busy = False
 
@@ -467,10 +452,10 @@ def _strike_large(mask: np.ndarray, P: np.ndarray, i0: np.ndarray) -> None:
     lies at a[j] + t * P[j] with a[j] = i0[j] - start[j] * P[j], and each
     chunk of whole runs is one arange times the repeated primes plus the
     repeated a. A prime with n[j] == 0 repeats nothing. A full segment
-    takes fewer than 2^20 strikes (530k at 10^12) and base primes are at
-    most isqrt(``MAX_LIMIT``) = 10^6 < 2^20, the top of the workers' table,
-    so start * P, t * P and |a| stay below 2^40, far inside int64 (though
-    not int32).
+    takes fewer than 2^20 strikes (530k at 10^12), as does the table
+    sieve's mask, which stays below ``SEGMENT_SIZE`` (``base_primes``); base
+    primes are at most isqrt(``MAX_LIMIT``) = 10^6 < 2^20, so start * P,
+    t * P and |a| stay below 2^40, far inside int64 (though not int32).
     """
     # n >= 0, since the first multiple is p*p <= hi or below lo + 2p.
     n = len(mask) - 1 - i0

@@ -229,7 +229,7 @@ def test_filtered_merge_segment_hull_inputs_to_1e7(monkeypatch):
 
 
 @pytest.mark.parametrize("oracle", ["push", "fraction"])
-def test_stage_one_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
+def test_filter_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
     # On every segment that compute_m_extremal(10**7) merges, the points
     # the filter pushes hold both ends and every vertex and tie of the
     # segment's exact hull, by the exact stack fed every point and by the

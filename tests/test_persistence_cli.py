@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primehull import analysis, cli, persistence
-from primehull.hull_engine import compute_extremal
+from primehull.hull_engine import HullState, compute_extremal
 from primehull.m_variant import compute_m_extremal
 from primehull.persistence import (
     CheckpointError,
@@ -677,6 +677,28 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
     # below 11 the scan measures nothing, so there is no ratio to print
     assert cli.main(["analyze", "--in", str(out), "--envelope-limit", "10"]) == 2
     assert "envelope limit must be >= 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--limit", "10^5", "--out", "{missing}/e.csv"],
+        ["compute", "--limit", "10^5", "--checkpoint", "{missing}/run.ck"],
+        ["mvariant", "--limit", "10^5", "--out", "{missing}/m.csv"],
+    ],
+    ids=["compute-out", "compute-checkpoint", "mvariant-out"],
+)
+def test_cli_refuses_a_path_in_a_missing_directory_before_sieving(tmp_path, capsys, monkeypatch, argv):
+    def extend(self, limit):
+        raise AssertionError("sieved before checking the output path")
+
+    monkeypatch.setattr(HullState, "extend", extend)
+    missing = tmp_path / "missing"
+    assert cli.main([arg.format(missing=missing) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no directory for {argv[-1].format(missing=missing)}\n"
+    assert not missing.exists()
 
 
 def test_cli_analyze_missing_file(capsys):

@@ -1,6 +1,5 @@
 import math
 import os
-import select
 import subprocess
 import sys
 import threading
@@ -64,7 +63,9 @@ def test_blocks_are_ordered_and_cover_frontier(monkeypatch):
 
 
 def test_base_primes_match_naive_sieve():
-    for limit in [*range(201), 10**6]:
+    # Every limit to 2,000 steps the recursion through each isqrt, and the
+    # top ones sit at and around 997^2 = 994,009, the last square of a prime.
+    for limit in [*range(2001), 994_008, 994_009, 999_983, 10**6]:
         basis = prime_stream.base_primes(limit)
         assert basis.dtype == np.int64
         assert basis.tolist() == sieve_primes(limit), limit
@@ -304,10 +305,10 @@ def count_forks(monkeypatch):
     return pids
 
 
-def test_closing_the_stream_joins_its_workers(monkeypatch):
-    # A stream closed midway takes back every segment in flight, so no
-    # answer is left in a pipe and the next stream finds the same workers
-    # idle and in step with their commands.
+def test_closing_a_stream_early_closes_its_workers(monkeypatch):
+    # A stream closed midway kills and reaps its workers with their
+    # segments in flight, so the next stream forks a new set, which it
+    # leaves idle when it runs to its end.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
     blocks = iter_prime_blocks(SieveConfig(limit=10**6))
     next(blocks)  # the block of 2, yielded before any segment is sieved
@@ -315,12 +316,13 @@ def test_closing_the_stream_joins_its_workers(monkeypatch):
     workers = prime_stream._workers
     assert workers.busy
     blocks.close()
-    assert workers.alive and not workers.busy
-    readable, _, _ = select.select(workers._answers, [], [], 0.2)
-    assert readable == []
+    assert not workers.alive
+    assert all(reaped(pid) for pid in workers.pids)
+    forked = count_forks(monkeypatch)
     primes, _, _ = collect(SieveConfig(limit=10**6))
     assert primes == sieve_primes(10**6)
-    assert prime_stream._workers is workers
+    assert len(forked) == len(os.sched_getaffinity(0))
+    assert prime_stream._workers.alive and not prime_stream._workers.busy
 
 
 def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch, fresh_workers):
@@ -379,9 +381,10 @@ def test_sieves_in_flight_bounded_by_usable_cpus(monkeypatch):
     assert not any(in_flight.values())
 
 
-def test_masks_are_one_per_worker_and_one_spare(monkeypatch, fresh_workers):
-    # Eight workers on however many cores: a slot handed to a new segment
-    # while its primes are still to be read would lose or invent primes.
+def test_a_slot_is_never_dealt_twice(monkeypatch, fresh_workers):
+    # Eight workers on however many cores: a slot dealt to a new segment
+    # while its primes are still to be read would lose or invent primes, so
+    # each is dealt again only once collected, and all 16 slots are used.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 10)
     monkeypatch.setattr(prime_stream.os, "sched_getaffinity", lambda pid: set(range(8)))
     forked = count_forks(monkeypatch)
@@ -409,7 +412,7 @@ def test_masks_are_one_per_worker_and_one_spare(monkeypatch, fresh_workers):
     assert held == set()
 
 
-def test_mask_handoff_under_thread_switching(monkeypatch, fresh_workers):
+def test_slot_handoff_under_thread_switching(monkeypatch, fresh_workers):
     # Eight workers on however many cores, the generator switching threads
     # every microsecond: a slot handed to a new segment while its primes
     # are still being copied out would lose or invent primes.
