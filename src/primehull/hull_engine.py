@@ -219,7 +219,7 @@ class HullState:
             return
         cfg = SieveConfig(
             limit=limit,
-            start=max(2, self.last_processed + 1),
+            start=self.last_processed + 1,
             start_pi=self.pi_at_last,
         )
         for primes, pis, high in iter_prime_blocks(cfg):

@@ -1,7 +1,7 @@
 """Segmented prime sieve with an exact running prime counter.
 
 Produces the stream of points (p, pi(p)) consumed by the hull engine.
-Segments are sieved with numpy over odd integers only; 2 is special-cased.
+Segments are sieved with numpy over odd integers only; 1 stands for 2.
 The base primes come from the same sieve, run on one mask from 1.
 Small base primes strike their multiples with one strided slice each; all
 larger ones are struck together with one numpy scatter per segment, the
@@ -40,10 +40,9 @@ import os
 import pickle
 import signal
 import weakref
-from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -103,16 +102,13 @@ class SieveConfig:
 def base_primes(limit: int) -> np.ndarray:
     """Primes <= limit (int64 array), by the segment sieve on one mask from 1.
 
-    Mask index 0 stands for 1, which no base prime strikes, since strikes
-    start at p*p; it ends as 2. Every caller asks for at most 10^6, so the
-    mask stays below ``SEGMENT_SIZE`` and the recursion is at most 5 deep.
+    Every caller asks for at most 10^6, so the mask stays below
+    ``SEGMENT_SIZE`` and the recursion is at most 5 deep.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     top = limit - 1 + limit % 2
-    primes = _segment_primes(1, top, _mask_buffer(top // 2 + 1), base_primes(math.isqrt(limit))[1:])
-    primes[0] = 2
-    return primes
+    return _segment_primes(1, top, _mask_buffer(top // 2 + 1), base_primes(math.isqrt(limit))[1:])
 
 
 def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
@@ -122,100 +118,81 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     caller; ``segment_high`` is the largest integer fully sieved so far (the
     confirmation frontier). Each segment holds ``SEGMENT_SIZE`` odd integers
     lo..hi (the last one may hold fewer), and the constant is read when
-    iteration starts.
+    iteration starts. A fresh stream's first segment starts at 1, which
+    stands for 2 (see ``_segment_primes``), so its first block holds 2 and
+    the odd primes after it; a resumed stream's first segment starts at the
+    first odd integer at or after ``cfg.start``.
 
-    The generator sieves the first segment itself, after handing the next
-    ones to the workers, so a stream of one segment forks nothing. Every
-    later segment is sieved by the process's worker set (see ``_Workers``):
-    one forked process per usable CPU, started by the first stream that has
-    a second segment and reused by every later stream, so a chunked run
-    forks once. A stream that finds the set busy, as a stream opened inside
+    The generator sieves segment 0 itself, after handing the next ones to
+    the workers, so a stream of one segment forks nothing. Every later
+    segment is sieved by the process's worker set (see ``_Workers``): one
+    forked process per usable CPU, started by the first stream that has a
+    second segment and reused by every later stream, so a chunked run forks
+    once. A stream that finds the set busy, as a stream opened inside
     another does, sieves every segment itself, as it does where ``os.fork``
-    is missing. Segments are dealt to the workers in turn, two per worker in
-    flight: worker w sieves into its own mask, extracts the primes into one
-    of its two slots and answers with their count. The generator takes the
-    segments back strictly in order. It copies the oldest segment's primes
-    out of its slot, hands the slot to the next segment at once, numbers the
-    primes on from the running count and yields them, so the caller's work
-    on a block overlaps the sieving of the segments after it. A worker's
-    exception is raised, with its type and message, from the ``next()`` that
-    reaches its segment, after every block before it. A stream that stops
-    early, because it is closed or a worker or the caller raised, closes the
-    set instead, killing and reaping the workers with their segments in
-    flight; the next stream forks a new set. A nested stream holds no set,
-    so stopping it early closes nothing.
+    is missing. With W workers, segment i >= 1 goes to the worker slot
+    ``tickets[(i - 1) % 2W]``, two slots per worker: worker w sieves into
+    its own mask, extracts the primes into the slot and answers with their
+    count. The generator takes the segments back strictly in order. It
+    copies segment i's primes out of its slot, deals segment i + 2W to that
+    slot at once, numbers the primes on from the running count and yields
+    them, so the caller's work on a block overlaps the sieving of the
+    segments after it. A worker's exception is raised, with its type and
+    message, from the ``next()`` that reaches its segment, after every block
+    before it. A stream that stops early, because it is closed or a worker
+    or the caller raised, closes the set instead, killing and reaping the
+    workers with their segments in flight; the next stream forks a new set.
+    A nested stream holds no set, so stopping it early closes nothing.
 
     Memory: a mask is ``SEGMENT_SIZE`` bytes plus up to
     ``SEGMENT_SIZE // 9 + 64`` bytes of room after it, which a mask at most
     10% set fills in part to reach numpy's fast extraction (``_nonzero``).
-    The generator holds no mask between blocks; the first segment borrows
-    one for as long as it is sieved. Each worker holds its own mask, the
-    0.63 MB table of its 78,497 odd base primes up to 10^6, and two slots
-    of ``SEGMENT_SIZE`` int64 in shared memory, of which a segment's primes
-    touch 8 bytes each (about 0.66 MB near 1e11). The generator releases
-    its view of the slots when a stream is exhausted. While its scatter
-    runs, a segment in flight holds 24 bytes of scratch per base prime and
-    about 256 KB per chunk of strikes; tracemalloc measures 0.91 MB near
-    1e11 and 2.14 MB near 1e12. The block held costs 16 bytes per prime;
-    the first block of a sparse stream also keeps 8 bytes per padding entry.
+    The generator holds no mask between blocks; each segment it sieves
+    itself borrows one for as long as it is sieved. Each worker holds its
+    own mask, the 0.63 MB table of its 78,497 odd base primes up to 10^6,
+    and two slots of ``SEGMENT_SIZE`` int64 in shared memory, of which a
+    segment's primes touch 8 bytes each (about 0.66 MB near 1e11). The
+    generator releases its view of the slots when a stream is exhausted.
+    While its scatter runs, a segment in flight holds 24 bytes of scratch
+    per base prime and about 256 KB per chunk of strikes; tracemalloc
+    measures 0.91 MB near 1e11 and 2.14 MB near 1e12. The block held costs
+    16 bytes per prime; a block the generator sieved itself from a sparse
+    mask also keeps 8 bytes per padding entry.
     """
     limit = cfg.limit
     odd_basis = base_primes(math.isqrt(limit))[1:]
     size = SEGMENT_SIZE
+    span = 2 * size
+    top = limit if limit % 2 == 1 else limit - 1
+    starts = range(1 if cfg.start == 2 else cfg.start | 1, top + 1, span)
+    workers = _acquire(size) if len(starts) > 1 and hasattr(os, "fork") else None
+    tickets = [] if workers is None else workers.tickets
+
+    def deal(i):
+        if i < len(starts):
+            workers.submit(*tickets[(i - 1) % len(tickets)], starts[i], min(starts[i] + span - 2, top))
 
     count = cfg.start_pi
-    lo = cfg.start
-    if lo <= 2:
-        yield (
-            np.array([2], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            min(2, limit),
-        )
-        count = 1
-        lo = 3
-    top = limit if limit % 2 == 1 else limit - 1
-    span = 2 * size
-    starts = range(lo | 1, top + 1, span)
-    segments = ((a, min(a + span - 2, top)) for a in starts)
-
-    def sieved_here(lo, hi, buf):
-        return numbered(_segment_primes(lo, hi, buf, odd_basis), hi)
-
-    def numbered(primes, hi):
-        nonlocal count
-        pis = np.arange(count + 1, count + 1 + len(primes), dtype=np.int64)
-        count += len(primes)
-        return primes, pis, min(hi + 1, limit)
-
-    workers = _acquire(size) if len(starts) > 1 and hasattr(os, "fork") else None
-    if workers is None:
-        buf = _mask_buffer(size)
-        for lo, hi in segments:
-            yield sieved_here(lo, hi, buf)
-        return
-
-    # (lo, hi, worker, slot) of each segment sent to the workers and not yet
-    # taken back, oldest first.
-    pending = deque()
     try:
-        lo, hi = next(segments)
-        for (w, s), (a, b) in zip(workers.tickets, segments):
-            workers.submit(w, s, a, b)
-            pending.append((a, b, w, s))
-        yield sieved_here(lo, hi, _mask_buffer(size))
-        while pending:
-            lo, hi, w, s = pending.popleft()
-            primes = workers.collect(w, s)
-            for a, b in islice(segments, 1):
-                workers.submit(w, s, a, b)
-                pending.append((a, b, w, s))
-            yield numbered(primes, hi)
+        for i in range(1, len(tickets) + 1):
+            deal(i)
+        for i, lo in enumerate(starts):
+            hi = min(lo + span - 2, top)
+            if i == 0 or workers is None:
+                primes = _segment_primes(lo, hi, _mask_buffer(size), odd_basis)
+            else:
+                primes = workers.collect(*tickets[(i - 1) % len(tickets)])
+                deal(i + len(tickets))
+            count += len(primes)
+            yield primes, np.arange(count - len(primes) + 1, count + 1, dtype=np.int64), min(hi + 1, limit)
             # Hold no block while waiting for the next one.
             del primes
     except BaseException:
-        workers.close()
+        if workers is not None:
+            workers.close()
         raise
-    workers.release()
+    if workers is not None:
+        workers.release()
 
 
 def _acquire(size: int) -> _Workers | None:
@@ -364,13 +341,17 @@ def _segment_primes(
 ) -> np.ndarray:
     """The primes among the odd integers lo..hi, sieved in ``buf`` (see ``_mask_buffer``).
 
-    They are written to the start of ``out`` and returned as that view, or
-    returned as a new int64 array when ``out`` is None.
+    When lo is 1, 1 stands for 2: mask index 0 is never struck, since
+    strikes start at p*p, and its entry ends as 2. The primes are written
+    to the start of ``out`` and returned as that view, or returned as a new
+    int64 array when ``out`` is None.
     """
     idx = _nonzero(buf, len(_sieve_segment(lo, hi, buf, odd_basis)))
     primes = idx if out is None else out[: len(idx)]
     np.multiply(idx, 2, out=primes)
     primes += lo
+    if lo == 1:
+        primes[0] = 2
     return primes
 
 

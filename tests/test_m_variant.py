@@ -162,8 +162,8 @@ def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
     # of rounding: np.interp leaves them equal here while 625 chain values
     # differ.  The filter evaluates its chain at the two ends of each block
     # and at every point of the blocks it keeps, two calls per segment and
-    # 57,510 points in all.  A filter that tested every point would
-    # evaluate it at all 664,578 points of the five segments after p = 2.
+    # 57,511 points in all.  A filter that tested every point would
+    # evaluate it at all 664,579 points of the five segments.
     chain = m_variant._chain
     checked = []
 
@@ -175,7 +175,7 @@ def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
     monkeypatch.setattr(m_variant, "_chain", compared)
     compute_m_extremal(10**7)
     assert len(checked) == 10
-    assert sum(n for n, _ in checked) == 57_510
+    assert sum(n for n, _ in checked) == 57_511
     assert all(same for _, same in checked)
 
 
@@ -209,17 +209,17 @@ def _recorded_merges(monkeypatch):
 def test_filtered_merge_push_count_to_1e7(monkeypatch):
     # A work count: a filter that stops filtering keeps every hull right, so
     # only the number of exact pushes shows it.  Unfiltered, all 664,579
-    # primes to 1e7 are pushed; the filter pushes p = 2 and 739 others.
+    # primes to 1e7 are pushed; the filter pushes 716.
     merges = _recorded_merges(monkeypatch)
     compute_m_extremal(10**7)
-    assert sum(len(pushed) for _, _, _, pushed in merges) == 740
+    assert sum(len(pushed) for _, _, _, pushed in merges) == 716
 
 
 def test_filtered_merge_segment_hull_inputs_to_1e7(monkeypatch):
     # A work count: the filter stays sound if it hands the kernel every
     # point, so only what the float kernel is given shows it.  It gets the
     # block maxima and ends, once per segment of two or more points; a
-    # filter that ran the kernel on every point handed it all 664,578.
+    # filter that ran the kernel on every point handed it all 664,579.
     merges = _recorded_merges(monkeypatch)
     compute_m_extremal(10**7)
     assert [len(hulls) for primes, _, hulls, _ in merges] == [len(primes) > 1 for primes, _, _, _ in merges]
@@ -237,8 +237,8 @@ def test_filter_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
     merges = _recorded_merges(monkeypatch)
     compute_m_extremal(10**7)
     monkeypatch.undo()
-    assert [len(p) for p, _, _, _ in merges] == [1, 155_610, 140_336, 135_555, 132_661, 100_416]
-    for primes, pis, _, pushed in merges[1:]:
+    assert [len(p) for p, _, _, _ in merges] == [155_611, 140_336, 135_555, 132_661, 100_416]
+    for primes, pis, _, pushed in merges:
         if oracle == "push":
             exact = MHullState()
             for p, pi in zip(primes, pis):

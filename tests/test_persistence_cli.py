@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import shutil
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -24,6 +25,7 @@ from primehull.persistence import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+CHECKPOINT_1E11 = Path(__file__).resolve().parents[1] / "results" / "checkpoint_1e11.ck"
 
 FIRST_ROWS = [
     "1,2,1,1,1,1,1.50000000000,0.500000000000,1.44269504089,",
@@ -645,6 +647,54 @@ def test_cli_compute_degenerate(tmp_path, capsys):
     assert "1 confirmed" in out and "e_k=2" in out
     assert cli.main(["compute", "--limit", "1", "--out", str(tmp_path / "a.csv")]) == 2
     assert "limit must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, seed, digests",
+    [
+        pytest.param(
+            ["compute", "--limit", "1e8", "--include-provisional", "--out", "{csv}", "--checkpoint", "{ck}"],
+            None,
+            {
+                "csv": "e0d2dfe7a8af11a691ac2b73aa0b04cb1cfba62ae772e54eb9b7e2467e6ac6a2",
+                "ck": "dc220dc3123a14700803293fc5c44ceba9f6e5f4625cd8611121a67af7acf213",
+            },
+            id="compute-1e8",
+        ),
+        pytest.param(
+            ["mvariant", "--limit", "1e7", "--out", "{csv}"],
+            None,
+            {"csv": "4d9f1267a4184351893ddbf29f12d708e2758c2a582cad260dd71a4e423a8a01"},
+            id="mvariant-1e7",
+        ),
+        pytest.param(
+            ["compute", "--limit", "1e9", "--include-provisional", "--out", "{csv}"],
+            None,
+            {"csv": "5af15a2f35f8d095589c7649d67982d9a3bfe840064c607f6f7bdc8070170778"},
+            id="compute-1e9",
+            marks=pytest.mark.extended,
+        ),
+        # A copy of the checked-in 1e11 checkpoint, resumed by three chunks.
+        pytest.param(
+            ["compute", "--limit", "1.03e11", "--include-provisional", "--out", "{csv}", "--checkpoint", "{ck}"],
+            CHECKPOINT_1E11,
+            {
+                "csv": "87d4e8ef81d2a8aa47e949d8eee362c150c29b6c4d05ae3159fef95d0731d8c4",
+                "ck": "0b3087988b181cd2eca5674411187d95e80a4c6b98d5af1237118477fa176ccb",
+            },
+            id="resume-1e11-to-1.03e11",
+            marks=pytest.mark.extended,
+        ),
+    ],
+)
+def test_cli_output_bytes_are_pinned(tmp_path, argv, seed, digests):
+    # Every byte the CLI writes, so a change to the stream, the hulls or
+    # the encoders that moves any row or field shows here.
+    paths = {name: tmp_path / f"out.{name}" for name in ("csv", "ck")}
+    if seed:
+        shutil.copyfile(seed, paths["ck"])
+    assert cli.main([arg.format(**paths) for arg in argv]) == 0
+    assert {name: hashlib.sha256(paths[name].read_bytes()).hexdigest() for name in digests} == digests
 
 
 def test_cli_compute_range_cap(capsys):

@@ -311,7 +311,7 @@ def test_closing_a_stream_early_closes_its_workers(monkeypatch):
     # leaves idle when it runs to its end.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
     blocks = iter_prime_blocks(SieveConfig(limit=10**6))
-    next(blocks)  # the block of 2, yielded before any segment is sieved
+    next(blocks)  # segment 0, sieved here after the next ones were dealt
     next(blocks)
     workers = prime_stream._workers
     assert workers.busy
@@ -561,9 +561,24 @@ def test_config_validation(kwargs):
         SieveConfig(**kwargs)
 
 
-def test_degenerate_limit_two():
-    primes, pis, high = collect(SieveConfig(limit=2))
-    assert primes == [2] and pis == [1] and high == 2
+@pytest.mark.parametrize(
+    "limit, segment_size",
+    [(2, None), (3, None), (10, None), (10**5, None), (50_000, 1 << 10)],
+    ids=["2", "3", "10", "1e5", "5e4-1024"],
+)
+def test_a_fresh_stream_first_block_starts_at_2(monkeypatch, limit, segment_size):
+    # A fresh stream's first segment starts at 1, which stands for 2, so
+    # its first block holds 2 and the odd primes of that segment.
+    if segment_size:
+        monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
+    blocks = list(iter_prime_blocks(SieveConfig(limit=limit)))
+    primes, pis, high = blocks[0]
+    assert primes[0] == 2 and len(primes) > (limit >= 3)
+    assert high == min(2 * prime_stream.SEGMENT_SIZE, limit)
+    if len(blocks) == 1:
+        want = prime_stream.base_primes(limit)
+        assert primes.tolist() == want.tolist()
+        assert pis.tolist() == list(range(1, len(want) + 1))
 
 
 def rs_bound(x):
