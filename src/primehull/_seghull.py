@@ -48,9 +48,9 @@ not fall from left to right; so every c_j left of i is at most c_i.  A
 hull point right of F is the mirror case.  Any other point lies strictly
 under the chord of two points, one on each side of it, so it is strictly
 inside the hull: neither a vertex nor a tie.  On the primes to 1e8 the 47
-segments after the first keep 30,580 of their 5,605,844 points (0.55%; at
-most 2.2% of one segment, and 361 of 113,756 on the last full one).  The
-first, from 3, keeps 16,471 of 155,610.
+segments after the first keep 30,579 of their 5,605,844 points (0.55%; at
+most 2.18% of one segment, and 444 of 114,124 on the last full one).  The
+first, from 2, keeps 16,475 of 155,611.
 
 The running maxima are taken over blocks of ``BLOCK`` points: a block
 whose maximum is below max(0, every earlier block) and below max(0, every

@@ -131,7 +131,7 @@ def _cmd_compute(args) -> int:
             )
             return EXIT_ANCHOR
         if args.checkpoint:
-            persistence.save_checkpoint(state, args.checkpoint, config_echo={"limit": limit})
+            persistence.save_checkpoint(state, args.checkpoint)
         records = analysis.records_from_state(state, include_provisional=True)
         seconds = time.perf_counter() - t0
         rate = (state.last_processed - done) / seconds
@@ -211,6 +211,7 @@ def _lens_row(x: float) -> str:
 
 
 def _cmd_lensbounds(args) -> int:
+    _require_dirs(args.out)
     grid = [float(parse_limit(part)) for part in args.x_grid.split(",") if part]
     if not grid:
         raise ValueError("empty x grid")

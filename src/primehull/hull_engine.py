@@ -206,16 +206,10 @@ class HullState:
         """Sieve from the frontier to ``limit``, merging and confirming per segment.
 
         A state extended in steps ends equal to one extended straight to the
-        last limit, which is what makes checkpoint resume exact.
+        last limit, which is what makes checkpoint resume exact.  ``SieveConfig``
+        refuses a limit below 2, past ``MAX_LIMIT`` or below the frontier.
         """
-        if limit < 2:
-            raise ValueError(f"limit must be >= 2, got {limit}")
-        if limit < self.last_processed:
-            raise ValueError(
-                f"limit {limit} is below the already processed frontier "
-                f"{self.last_processed}"
-            )
-        if limit == self.last_processed:
+        if limit == self.last_processed and self.stack:
             return
         cfg = SieveConfig(
             limit=limit,

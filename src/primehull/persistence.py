@@ -30,7 +30,7 @@ import os
 import stat
 from decimal import Decimal
 from itertools import zip_longest
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .analysis import CONFIRMED, ExtremalRecord, records_from_state
 from .hull_engine import HullState, HullVertex
@@ -38,9 +38,6 @@ from .m_variant import MRecord
 from .prime_stream import MAX_LIMIT
 
 CHECKPOINT_VERSION = 2
-# Version 1 also stored the running sums, which are derived data; they are
-# ignored on load.
-_READABLE_VERSIONS = (1, CHECKPOINT_VERSION)
 
 CSV_HEADER = "k,e_k,pi_e,delta_num,delta_den,lens_len,ratio_next,sum_inv,sum_invlog,ties"
 M_CSV_HEADER = "k,m_k,pi_m,value,ties,status"
@@ -74,7 +71,7 @@ def _canonical_json(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def save_checkpoint(state: HullState, path: Union[str, os.PathLike], config_echo: Optional[dict] = None) -> None:
+def save_checkpoint(state: HullState, path: Union[str, os.PathLike]) -> None:
     """Write the full hull state; the stack carries confirmed prefix + tail."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -82,7 +79,6 @@ def save_checkpoint(state: HullState, path: Union[str, os.PathLike], config_echo
         "pi_at_limit": state.pi_at_last,
         "provisional_stack": [[v.p, v.pi, list(v.ties)] for v in state.stack],
         "confirmed_count": state.confirmed_len,
-        "config_echo": dict(config_echo or {}),
     }
     payload["integrity"] = hashlib.sha256(_canonical_json(payload)).hexdigest()
     # Renamed onto ``path`` only once whole and on disk: a kill or a power
@@ -135,7 +131,7 @@ def _check_stack(stack: Sequence[HullVertex]) -> None:
 
 
 def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
-    """Read a checkpoint; returns (state, config_echo)."""
+    """Read a checkpoint; returns (state, the config echo older files carry, or {})."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -148,10 +144,9 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     if stored != actual:
         raise CheckpointError("checkpoint corrupt: integrity checksum mismatch")
     version = payload.get("format_version")
-    if type(version) is not int or version not in _READABLE_VERSIONS:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint format version {version} not supported "
-            f"(expected one of {_READABLE_VERSIONS})"
+            f"checkpoint format version {version} not supported (expected {CHECKPOINT_VERSION})"
         )
     try:
         stack = [

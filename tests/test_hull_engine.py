@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -191,9 +192,19 @@ def test_push_and_frontier_guard():
 
 
 def test_compute_rejects_shrinking_limit():
+    # extend leaves its range checks to SieveConfig, whose messages show here.
     r = compute_extremal(1000)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^start 1001 exceeds limit 500$"):
         r.state.extend(500)
+    with pytest.raises(prime_stream.LimitTooLargeError):
+        r.state.extend(prime_stream.MAX_LIMIT + 1)
+    # A fresh state's frontier is 1, yet extending it to 1 is refused.
+    with pytest.raises(ValueError, match="^limit must be >= 2, got 1$"):
+        HullState().extend(1)
+    # Extending to the frontier itself changes nothing.
+    before = copy.deepcopy(r.state)
+    r.state.extend(1000)
+    assert r.state == before
 
 
 # Synthetic strictly-increasing integer point clouds with deliberate

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primehull import analysis, cli, persistence
+from primehull import analysis, cli, lens_bounds, persistence
 from primehull.hull_engine import HullState, compute_extremal
 from primehull.m_variant import compute_m_extremal
 from primehull.persistence import (
@@ -82,7 +82,7 @@ def _records(limit=10**5, provisional=True):
 def test_checkpoint_roundtrip(tmp_path):
     _, state = _records()
     path = tmp_path / "ck.json"
-    save_checkpoint(state, path, config_echo={"limit": 10**5, "segment_size": 1 << 20})
+    save_checkpoint(state, path)
     loaded, echo = load_checkpoint(path)
     assert [(v.p, v.pi, v.ties) for v in loaded.stack] == [
         (v.p, v.pi, v.ties) for v in state.stack
@@ -91,7 +91,18 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.last_processed == state.last_processed
     assert loaded.pi_at_last == state.pi_at_last
     assert analysis.records_from_state(loaded) == analysis.records_from_state(state)
-    assert echo == {"limit": 10**5, "segment_size": 1 << 20}
+    assert echo == {}
+
+
+def test_checkpoint_writes_only_the_fields_it_reads(tmp_path):
+    # A checkpoint holds the state and its seal, nothing more: no config
+    # echo and no running sums, which nothing reads back.
+    _, state = _records()
+    path = tmp_path / "ck.json"
+    save_checkpoint(state, path)
+    assert sorted(json.loads(path.read_text())) == [
+        "confirmed_count", "format_version", "integrity", "limit_processed", "pi_at_limit", "provisional_stack",
+    ]
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -172,12 +183,14 @@ def _rewrite_checkpoint(path, **fields):
 
 
 def test_checkpoint_version_mismatch(tmp_path):
+    # Version 1, which also stored the running sums, is refused like any
+    # other version but 2.
     _, state = _records()
     path = tmp_path / "ck.json"
-    for bad in (99, True, "2"):
+    for bad in (1, 3, 99, True, "2", 2.0):
         save_checkpoint(state, path)
         _rewrite_checkpoint(path, format_version=bad)
-        with pytest.raises(CheckpointError, match="format version"):
+        with pytest.raises(CheckpointError, match=r"format version .* not supported \(expected 2\)$"):
             load_checkpoint(path)
 
 
@@ -273,28 +286,6 @@ def test_checkpoint_inconsistent_state_rejected(tmp_path, capsys, corrupt, messa
         load_checkpoint(ck)
     assert cli.main(["compute", "--limit", "2*10^5", "--checkpoint", str(ck)]) == 3
     assert "error: checkpoint corrupt: " + message in capsys.readouterr().err
-
-
-def test_checkpoint_v1_resumes_byte_identical(tmp_path):
-    # Version 1 also stored both running sums as Kahan (total, compensation)
-    # repr strings; they are derived data and must be ignored on load.
-    straight = tmp_path / "straight.csv"
-    persistence.export_csv(analysis.records_from_state(compute_extremal(10**6).state), straight)
-    part = compute_extremal(271_828)
-    last = part.confirmed[-1]
-    ck = tmp_path / "v1.json"
-    save_checkpoint(part.state, ck)
-    _rewrite_checkpoint(
-        ck,
-        format_version=1,
-        sum_inv_state=[repr(last.sum_inv), "0.0"],
-        sum_invlog_state=[repr(last.sum_invlog), "0.0"],
-    )
-    loaded, _ = load_checkpoint(ck)
-    resumed = tmp_path / "resumed.csv"
-    loaded.extend(10**6)
-    persistence.export_csv(analysis.records_from_state(loaded), resumed)
-    assert resumed.read_bytes() == straight.read_bytes()
 
 
 def test_checkpoint_missing_file():
@@ -581,7 +572,7 @@ def test_cli_compute_chunks_and_resumes(tmp_path, capsys, monkeypatch, run_1e6):
     ]
     # The chunked run writes what one unchunked save of the same state does.
     straight = tmp_path / "straight.ck"
-    save_checkpoint(run_1e6.state, straight, config_echo={"limit": 10**6})
+    save_checkpoint(run_1e6.state, straight)
     assert ck.read_bytes() == straight.read_bytes()
     assert cli.main(cmd) == 0
     assert capsys.readouterr().out.splitlines() == ["resuming from 1000000"] + lines[3:]
@@ -608,7 +599,7 @@ def test_cli_compute_until_k_stops_after_the_chunk_that_confirms_it(tmp_path, ca
     assert all(line.endswith(" to x=2000000)") for line in lines if line.startswith("x="))
     assert f"stopped at x={stop}: e_64 is confirmed" in lines
     straight = tmp_path / "straight.ck"
-    save_checkpoint(state, straight, config_echo={"limit": 2 * 10**6})
+    save_checkpoint(state, straight)
     assert ck.read_bytes() == straight.read_bytes()
     # Rerun on the checkpoint: e_64 is already confirmed, so no chunk runs.
     assert cli.main(cmd) == 0
@@ -631,7 +622,7 @@ def test_cli_compute_stops_unsaved_at_a_wrong_anchor(tmp_path, capsys, monkeypat
     assert captured.out.splitlines()[-1].startswith("x=900000 ")
     assert "pi(1000000) counted 78498, published 78497; chunk not saved" in captured.err
     straight = tmp_path / "straight.ck"
-    save_checkpoint(compute_extremal(9 * 10**5).state, straight, config_echo={"limit": 2 * 10**6})
+    save_checkpoint(compute_extremal(9 * 10**5).state, straight)
     assert ck.read_bytes() == straight.read_bytes()
     assert not out.exists()
     # The published count passes, and the run goes on to its limit.
@@ -657,7 +648,7 @@ def test_cli_compute_degenerate(tmp_path, capsys):
             None,
             {
                 "csv": "e0d2dfe7a8af11a691ac2b73aa0b04cb1cfba62ae772e54eb9b7e2467e6ac6a2",
-                "ck": "dc220dc3123a14700803293fc5c44ceba9f6e5f4625cd8611121a67af7acf213",
+                "ck": "2b5fddcf55160c49485e82c6f8cbc8e563a37713796d3bdec6a2e33c33c9da32",
             },
             id="compute-1e8",
         ),
@@ -680,7 +671,7 @@ def test_cli_compute_degenerate(tmp_path, capsys):
             CHECKPOINT_1E11,
             {
                 "csv": "87d4e8ef81d2a8aa47e949d8eee362c150c29b6c4d05ae3159fef95d0731d8c4",
-                "ck": "0b3087988b181cd2eca5674411187d95e80a4c6b98d5af1237118477fa176ccb",
+                "ck": "6e3d0cd3e0fe50649f2dea76f31e62ac170832377900e66029b8581bf91dd39b",
             },
             id="resume-1e11-to-1.03e11",
             marks=pytest.mark.extended,
@@ -735,14 +726,16 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
         ["compute", "--limit", "10^5", "--out", "{missing}/e.csv"],
         ["compute", "--limit", "10^5", "--checkpoint", "{missing}/run.ck"],
         ["mvariant", "--limit", "10^5", "--out", "{missing}/m.csv"],
+        ["lensbounds", "--x-grid", "1e8,1e12", "--out", "{missing}/lens.csv"],
     ],
-    ids=["compute-out", "compute-checkpoint", "mvariant-out"],
+    ids=["compute-out", "compute-checkpoint", "mvariant-out", "lensbounds-out"],
 )
 def test_cli_refuses_a_path_in_a_missing_directory_before_sieving(tmp_path, capsys, monkeypatch, argv):
-    def extend(self, limit):
-        raise AssertionError("sieved before checking the output path")
+    def computed(*args):
+        raise AssertionError("computed before checking the output path")
 
-    monkeypatch.setattr(HullState, "extend", extend)
+    monkeypatch.setattr(HullState, "extend", computed)
+    monkeypatch.setattr(lens_bounds, "solve_theta", computed)
     missing = tmp_path / "missing"
     assert cli.main([arg.format(missing=missing) for arg in argv]) == 2
     captured = capsys.readouterr()
@@ -850,12 +843,13 @@ def test_cli_checkpoint_resume_flow(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_resumes_checkpoint_with_segment_size_echo(tmp_path):
-    # Checkpoints from before the segment size was fixed echo the
-    # "segment_size" they were sieved with; the echo is not read back.
+    # Older checkpoints echo their limit, and those from before the segment
+    # size was fixed the "segment_size" they were sieved with; the loader
+    # returns the echo, and the CLI ignores it.
     ck = tmp_path / "ck.json"
-    save_checkpoint(
-        compute_extremal(10**5).state, ck, config_echo={"limit": 10**5, "segment_size": 1024}
-    )
+    save_checkpoint(compute_extremal(10**5).state, ck)
+    _rewrite_checkpoint(ck, config_echo={"limit": 10**5, "segment_size": 1024})
+    assert load_checkpoint(ck)[1] == {"limit": 10**5, "segment_size": 1024}
     resumed = tmp_path / "resumed.csv"
     straight = tmp_path / "straight.csv"
     assert (
