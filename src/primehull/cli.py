@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 invalid arguments, 3 corrupt or mismatched
 checkpoint, 4 computational range rejected (overflow-safety caps), 5 a
-compute chunk ended at a published pi(x) with a different prime count.
+compute chunk ended at a published pi(x) with a different prime count, 6 a
+sieve worker process exited mid-run; rerunning the same ``compute
+--checkpoint`` command resumes from the last saved chunk.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from . import analysis, lens_bounds, persistence
 from .hull_engine import HullState
 from .m_variant import compute_m_extremal
 from .persistence import CheckpointError, fmt12, sci12
-from .prime_stream import LimitTooLargeError, SieveConfig
+from .prime_stream import LimitTooLargeError, SieveConfig, SieveWorkerError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_RANGE = 4
 EXIT_ANCHOR = 5
+EXIT_WORKER = 6
 
 # Every limit a command accepts is far below 10^LIMIT_DIGITS: compute stops
 # at 10^12, and lensbounds converts x to a float, which ends near 1.8e308.
@@ -249,6 +252,7 @@ _COMMANDS = {
 _EXIT_CODES = (
     (CheckpointError, EXIT_CHECKPOINT),
     (LimitTooLargeError, EXIT_RANGE),
+    (SieveWorkerError, EXIT_WORKER),
     (ValueError, EXIT_USAGE),
     (OverflowError, EXIT_USAGE),
     (OSError, EXIT_USAGE),

@@ -69,6 +69,10 @@ class LimitTooLargeError(ValueError):
     """Requested limit exceeds the supported sieve range."""
 
 
+class SieveWorkerError(RuntimeError):
+    """A sieve worker process exited before it answered for its segment."""
+
+
 @dataclass(frozen=True)
 class SieveConfig:
     """Range of a sieve run.
@@ -139,9 +143,11 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     them, so the caller's work on a block overlaps the sieving of the
     segments after it. A worker's exception is raised, with its type and
     message, from the ``next()`` that reaches its segment, after every block
-    before it. A stream that stops early, because it is closed or a worker
-    or the caller raised, closes the set instead, killing and reaping the
-    workers with their segments in flight; the next stream forks a new set.
+    before it; a worker that exits instead, as one killed by a signal does,
+    raises ``SieveWorkerError`` there. A stream that stops early, because
+    it is closed or a worker or the caller raised, closes the set instead,
+    killing and reaping the workers with their segments in flight; the next
+    stream forks a new set.
     A nested stream holds no set, so stopping it early closes nothing.
 
     Memory: a mask is ``SEGMENT_SIZE`` bytes plus up to
@@ -273,15 +279,20 @@ class _Workers:
         return self._stop.alive
 
     def submit(self, w: int, s: int, lo: int, hi: int) -> None:
-        pickle.dump((s, lo, hi), self._commands[w])
-        self._commands[w].flush()
+        # A worker that exited refuses the command; ``collect`` reports it
+        # when the stream reaches the segment the worker did not answer.
+        with suppress(BrokenPipeError):
+            pickle.dump((s, lo, hi), self._commands[w])
+            self._commands[w].flush()
 
     def collect(self, w: int, s: int) -> np.ndarray:
         """Worker w's oldest segment's primes, from slot s, as a new array; raises its error."""
         try:
             reply = pickle.load(self._answers[w])
         except EOFError:
-            raise RuntimeError(f"sieve worker {self.pids[w]} exited") from None
+            # Not reaped here: the stream closes the set at once, and
+            # reaping first would let ``_stop`` signal a reused pid.
+            raise SieveWorkerError(f"sieve worker {self.pids[w]} exited") from None
         if isinstance(reply, BaseException):
             raise reply
         return self._slots[w, s, :reply].copy()

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from primehull import prime_stream
 from primehull.hull_engine import compute_extremal
 
 # Acceptance criterion results, printed as one line each at the end of the
@@ -50,8 +51,20 @@ def oracle_primes_1e5():
     return sieve_primes(10**5)
 
 
-@pytest.fixture(scope="session")
-def oracle_hull_1e6():
-    from oracles import hull_of_primes
+@pytest.fixture
+def fresh_workers():
+    """Close the process's worker set before and after the test.
 
-    return hull_of_primes(10**6)
+    Workers are forked copies of this process, so a test that patches what
+    they run (``_sieve_segment``, ``_strike_large``) needs a set forked
+    after its patches, and must not leave that set to later tests.
+    """
+
+    def close():
+        if prime_stream._workers is not None:
+            prime_stream._workers.close()
+        prime_stream._workers = None
+
+    close()
+    yield
+    close()

@@ -19,6 +19,7 @@ import pytest
 from conftest import record_criterion
 from oracles import (
     check_concave,
+    chord_dominates,
     hull_of_primes,
     mp_taylor3,
     mp_theta_roots,
@@ -27,7 +28,7 @@ from oracles import (
     prime_points,
 )
 
-from primehull import analysis, cli, lens_bounds as lb, persistence
+from primehull import cli, lens_bounds as lb, persistence
 from primehull.analysis import find_twins, records_from_state
 from primehull.hull_engine import compute_extremal
 
@@ -53,6 +54,9 @@ WIDTH_RATIO = {
     1e10: 1.4964479522121703,
     1e12: 0.58765101596995362,
 }
+
+# max |pi(p) - Li(p)| / (sqrt(p) ln p) over the primes 11 <= p <= 10^6, at p = 29.
+MAX_RATIO_1E6 = 0.09275610952168314
 
 
 def _short(exc: BaseException) -> str:
@@ -110,8 +114,9 @@ def test_criterion_02_extended_marks():
 
 
 def test_criterion_03_twin_pair(run_1e8):
-    with criterion(3, "twin pair (8787901, 8787917) at k=116 with pi = 589274"):
+    with criterion(3, "twin pairs (2, 3) at k=1 and (8787901, 8787917) at k=116 with pi = 589274"):
         twins = find_twins(records_from_state(run_1e8.state))
+        assert (twins[0].k, twins[0].e, twins[0].e_next, twins[0].pi_e) == (1, 2, 3, 1)
         match = [t for t in twins if t.k == 116]
         assert len(match) == 1
         t = match[0]
@@ -149,8 +154,6 @@ def test_criterion_06_invariants():
 
         points = [(p, Fraction(k)) for p, k in prime_points(10**6)]
         vertices = [(v.p, Fraction(v.pi)) for v in straight.state.stack]
-        from oracles import chord_dominates
-
         assert chord_dominates(vertices, points), "chord dominance violated"
 
         pts = [(r.e, r.pi_e) for r in full]
@@ -165,9 +168,11 @@ def test_criterion_06_invariants():
             ok, _ = check_concave(trial)
             assert not ok, f"inserting {p} kept the sequence concave"
 
+        # Each cut's confirmed prefix is final, and extending the cut to 10^6
+        # gives the straight run's stack, ties and confirmed count.
         straight_key = [(v.p, v.pi, tuple(v.ties)) for v in straight.state.stack]
-        for _ in range(20):
-            cut = rng.randrange(10**4, 10**6)
+        cuts = [rng.randrange(10**4, 10**6) for _ in range(20)] + [314_159, 5 * 10**5]
+        for cut in cuts:
             part = compute_extremal(cut)
             prefix = [v.p for v in part.state.stack[: part.state.confirmed_len]]
             assert prefix == [v[0] for v in straight_key[: len(prefix)]]
@@ -190,17 +195,20 @@ def test_criterion_07_conjecture_sums(run_1e8):
 
 def test_criterion_08_tangent_window_numerics(capsys):
     desc = (
-        "tangent-window numerics against mpmath: domination, window roots iff x > threshold, "
-        "majorant-root sandwich, H(x)/x, lensbounds ok at every decade 1e13..1e307"
+        "tangent-window numerics against mpmath: Taylor domination for h/x in [-0.9, 2], "
+        "W majorant for h/x <= 1.5, window roots iff x > threshold, majorant-root sandwich, "
+        "H(x)/x, lensbounds ok at every decade 1e13..1e307"
     )
     with criterion(8, desc) as info:
         t0 = time.perf_counter()
         failures = []
 
+        # Each degree-3 Taylor polynomial dominates its function for h/x in
+        # [-0.9, 2]; the majorant W is checked where h/x <= 1.5.
         rng = random.Random(88)
-        for _ in range(60):
+        for _ in range(120):
             x = 10 ** rng.uniform(6, 12.5)
-            h = x * rng.uniform(-0.9, 1.5)
+            h = x * rng.uniform(-0.9, 2.0)
             taylor_l, taylor_eps = mp_taylor3(x)
             with mp.workdps(30):
                 z = mp.mpf(x) + h
@@ -210,6 +218,8 @@ def test_criterion_08_tangent_window_numerics(capsys):
                 ):
                     failures.append(f"taylor domination at x={x:.3g} h={h:.3g}")
                     break
+            if h > 1.5 * x:
+                continue
             gap = lb._tangent_gap(x, h)
             if not mp.polyval(mp_w_coeffs(x), h) >= gap - 1e-9 * max(1.0, abs(gap)):
                 failures.append(f"W majorant at x={x:.3g} h={h:.3g}")
@@ -248,12 +258,13 @@ def test_criterion_08_tangent_window_numerics(capsys):
             ):
                 failures.append(f"solve_theta and the mpmath cubic roots disagree at x={x:.4g}")
 
-        # Above the threshold the extreme roots are the window roots; at 10^8
-        # only the negative one exists, so only that side is bracketed.
+        # Wherever the majorant has a root of the right sign it brackets the
+        # exact crossing: at 10^10 the positive root lies outside the window
+        # and still does. At 10^8 only the negative one exists.
         for x in (1e8, 1e10, 1e12):
             h_minus, h_plus = lb.solve_h_exact(x)
             neg, pos = extreme[x]
-            plus_side_ok = pos is None or h_plus < pos * x
+            plus_side_ok = (pos is None) if x == 1e8 else (pos is not None and h_plus < pos * x)
             if not (neg * x < h_minus < 0 < h_plus and plus_side_ok):
                 failures.append(f"sandwich violated at x={x:.0e}")
 
@@ -297,11 +308,20 @@ def test_criterion_08_tangent_window_numerics(capsys):
 
 
 def test_criterion_09_envelope():
-    with criterion(9, "|pi - Li| < sqrt(p) ln p for all primes 11 <= p <= 10^6, < 30 s") as info:
+    desc = (
+        "|pi - Li| < sqrt(p) ln p for all primes 11 <= p <= 10^6; 78498 primes scanned, "
+        "only p = 2 flagged, max ratio at p = 29 to 1e-10 relative, < 30 s"
+    )
+    with criterion(9, desc) as info:
         t0 = time.perf_counter()
         report = lb.verify_envelope(10**6)
         elapsed = time.perf_counter() - t0
+        assert report.checked == 78498
         assert report.violations == ()
+        # Below 11 the inequality fails only at p = 2, reported as a flag.
+        assert report.boundary_flags == (2,)
+        assert report.argmax_p == 29
+        assert abs(report.max_ratio - MAX_RATIO_1E6) <= 1e-10 * MAX_RATIO_1E6
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
         info["detail"] = (
             f"{report.checked} primes, max ratio {report.max_ratio:.4f}, {elapsed:.2f}s"

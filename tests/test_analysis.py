@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import check_concave, mp_li, sieve_primes
 from primehull import prime_stream
-from primehull.analysis import CONFIRMED, PROVISIONAL, _prefix_sums, find_twins, records_from_state
+from primehull.analysis import CONFIRMED, PROVISIONAL, _prefix_sums, records_from_state
 from primehull.lens_bounds import verify_envelope
-
-# Reference sums over the first 200 extremal primes, recomputed at 50
-# decimal digits with mpmath from the confirmed run at 1e8.
-SUM_INV_200 = 1.0902970210918293854
-SUM_INVLOG_200 = 17.897310663965118983
 
 
 def test_record_edge_fields_are_consistent(run_1e6):
@@ -64,22 +59,6 @@ def test_prefix_sums_are_fsum_of_every_prefix(values):
     assert _prefix_sums(values) == [math.fsum(values[:k]) for k in range(1, len(values) + 1)]
 
 
-def test_conjecture_sums_against_oracle(run_1e8):
-    r200 = records_from_state(run_1e8.state)[199]
-    assert r200.k == 200
-    assert r200.sum_inv == pytest.approx(SUM_INV_200, rel=1e-12)
-    assert r200.sum_invlog == pytest.approx(SUM_INVLOG_200, rel=1e-12)
-
-
-def test_find_twins(run_1e8):
-    recs = records_from_state(run_1e8.state)
-    twins = find_twins(recs)
-    assert (twins[0].k, twins[0].e, twins[0].e_next) == (1, 2, 3)
-    t116 = [t for t in twins if t.k == 116]
-    assert len(t116) == 1
-    assert (t116[0].e, t116[0].e_next, t116[0].pi_e) == (8787901, 8787917, 589274)
-
-
 def test_check_concave_accepts_extremal_sequence(run_1e6):
     pts = [(r.e, r.pi_e) for r in records_from_state(run_1e6.state)]
     ok, where = check_concave(pts)
@@ -110,15 +89,6 @@ def test_check_concave_validation():
     assert ok
     ok, where = check_concave([(2, 1), (5, 2), (7, 4)])  # 1/3 < 1: violation at 1
     assert not ok and where == 1
-
-
-def test_envelope_clean_to_1e6():
-    rep = verify_envelope(10**6)
-    assert rep.checked == 78498
-    assert rep.violations == ()
-    assert rep.boundary_flags == (2,)  # |pi - Li| >= sqrt(p) ln p only at p=2
-    assert rep.argmax_p == 29
-    assert rep.max_ratio == pytest.approx(0.09275610952168314, rel=1e-10)
 
 
 def test_envelope_is_the_same_over_small_blocks(monkeypatch):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import random
 import re
 import shutil
 import time
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primehull import analysis, cli, lens_bounds, persistence
+from primehull import analysis, cli, lens_bounds, persistence, prime_stream
 from primehull.hull_engine import HullState, compute_extremal
 from primehull.m_variant import compute_m_extremal
 from primehull.persistence import (
@@ -124,6 +123,10 @@ def test_checkpoint_tampered(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="checkpoint corrupt"):
         load_checkpoint(path)
+    del payload["integrity"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="^checkpoint corrupt: missing integrity field$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
@@ -197,6 +200,7 @@ def test_checkpoint_version_mismatch(tmp_path):
 _ORDER = "stack not strictly increasing in p and pi"
 _TIE = "a tie is not a point of its vertex's incoming edge"
 _BAD_FIELD = "bad field"
+_COUNT = "confirmed count out of range"
 
 
 # Edits of a checkpoint at 10^5: each takes its stack s and confirmed count n
@@ -225,6 +229,8 @@ _CHECKPOINT_FAULTS = [
         lambda s, n: {"confirmed_count": len(s)},
         "a confirmed vertex is not final at the frontier", id="tail-confirmed",
     ),
+    pytest.param(lambda s, n: {"confirmed_count": -1}, _COUNT, id="confirmed-negative"),
+    pytest.param(lambda s, n: {"confirmed_count": len(s) + 1}, _COUNT, id="confirmed-past-stack"),
     pytest.param(
         lambda s, n: {"limit_processed": 10**400, "pi_at_limit": 10**399},
         "frontier beyond the 1000000000000 cap", id="frontier-beyond-cap",
@@ -480,23 +486,6 @@ def test_writers_replace_a_file_and_write_through_a_symlink(tmp_path, writer):
     assert target.read_bytes() == big
 
 
-def test_resume_byte_identity(tmp_path):
-    straight = tmp_path / "straight.csv"
-    r = compute_extremal(10**6)
-    persistence.export_csv(analysis.records_from_state(r.state), straight)
-    rng = random.Random(1234)
-    for i in range(3):
-        split = rng.randrange(10**4, 10**6)
-        part = compute_extremal(split)
-        ck = tmp_path / f"ck{i}.json"
-        save_checkpoint(part.state, ck)
-        loaded, _ = load_checkpoint(ck)
-        loaded.extend(10**6)
-        out = tmp_path / f"resumed{i}.csv"
-        persistence.export_csv(analysis.records_from_state(loaded), out)
-        assert out.read_bytes() == straight.read_bytes(), f"split at {split}"
-
-
 # CLI
 
 
@@ -577,6 +566,38 @@ def test_cli_compute_chunks_and_resumes(tmp_path, capsys, monkeypatch, run_1e6):
     assert cli.main(cmd) == 0
     assert capsys.readouterr().out.splitlines() == ["resuming from 1000000"] + lines[3:]
     assert ck.read_bytes() == straight.read_bytes()
+
+
+def test_cli_compute_exits_6_when_a_worker_dies_and_resumes_on_rerun(
+    tmp_path, capsys, monkeypatch, fresh_workers
+):
+    # A worker exits at the fourth segment of the second chunk, which starts
+    # at 400001; the first chunk's segments start at 1 + 8192j.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    monkeypatch.setattr(cli, "CHUNK", 4 * 10**5)
+    real = prime_stream._sieve_segment
+
+    def sieve(lo, hi, buf, odd_basis):
+        if lo == 400_001 + 3 * (2 << 12):
+            os._exit(1)
+        return real(lo, hi, buf, odd_basis)
+
+    monkeypatch.setattr(prime_stream, "_sieve_segment", sieve)
+    ck, out = tmp_path / "run.ck", tmp_path / "run.csv"
+    cmd = ["compute", "--limit", "10^6", "--checkpoint", str(ck), "--out", str(out)]
+    assert cli.main(cmd) == cli.EXIT_WORKER == 6
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("x=400000 ")
+    assert re.fullmatch(r"error: sieve worker \d+ exited\n", captured.err)
+    assert not out.exists()
+    # The rerun forks a new set, without the fault, and resumes the saved chunk.
+    monkeypatch.setattr(prime_stream, "_sieve_segment", real)
+    assert cli.main(cmd) == 0
+    assert capsys.readouterr().out.startswith("resuming from 400000\n")
+    straight_ck, straight_out = tmp_path / "straight.ck", tmp_path / "straight.csv"
+    assert cli.main(["compute", "--limit", "10^6", "--checkpoint", str(straight_ck), "--out", str(straight_out)]) == 0
+    assert ck.read_bytes() == straight_ck.read_bytes()
+    assert out.read_bytes() == straight_out.read_bytes()
 
 
 def test_cli_compute_until_k_stops_after_the_chunk_that_confirms_it(tmp_path, capsys, monkeypatch):
@@ -915,6 +936,8 @@ def test_cli_lensbounds(tmp_path, capsys):
     row = capsys.readouterr().out.splitlines()[1]
     assert len(row) < 250 and row.endswith(",ok")
     assert row.split(",")[7] == "6.68437939696e+234"  # h_star_plus
+    assert cli.main(["lensbounds", "--x-grid", ","]) == 2
+    assert capsys.readouterr().err == "error: empty x grid\n"
     assert cli.main(["lensbounds", "--x-grid", "oops"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "1"]) == 2
     assert cli.main(["lensbounds", "--x-grid", "1e309"]) == 2  # overflows a float

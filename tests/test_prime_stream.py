@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -262,25 +263,6 @@ def test_strike_large_matches_per_prime_slices(chunk, case):
     assert np.array_equal(mask, ref)
 
 
-@pytest.fixture
-def fresh_workers():
-    """Close the process's worker set before and after the test.
-
-    Workers are forked copies of this process, so a test that patches what
-    they run (``_sieve_segment``, ``_strike_large``) needs a set forked
-    after its patches, and must not leave that set to later tests.
-    """
-
-    def close():
-        if prime_stream._workers is not None:
-            prime_stream._workers.close()
-        prime_stream._workers = None
-
-    close()
-    yield
-    close()
-
-
 def reaped(pid):
     """True once ``pid`` is no child of this process: exited and waited for."""
     try:
@@ -351,6 +333,39 @@ def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch, fresh_wor
     workers = prime_stream._workers
     assert not workers.alive
     assert all(reaped(pid) for pid in workers.pids)
+
+
+def test_a_killed_worker_ends_the_stream_after_the_blocks_before_it(monkeypatch, fresh_workers):
+    # The worker holding segment 5 stalls on it until it is killed, so every
+    # earlier answer has been read when the signal lands.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    span = 2 << 12
+    stalled = [1 + 5 * span]
+    real = prime_stream._sieve_segment
+
+    def sieve(lo, hi, buf, odd_basis):
+        if lo in stalled:
+            time.sleep(60)
+        return real(lo, hi, buf, odd_basis)
+
+    monkeypatch.setattr(prime_stream, "_sieve_segment", sieve)
+    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
+    got = [next(blocks) for _ in range(5)]
+    workers = prime_stream._workers
+    w, _ = workers.tickets[(5 - 1) % len(workers.tickets)]
+    os.kill(workers.pids[w], signal.SIGKILL)
+    with pytest.raises(prime_stream.SieveWorkerError, match=f"^sieve worker {workers.pids[w]} exited$"):
+        next(blocks)
+    assert [high for _, _, high in got] == [j * span for j in range(1, 6)]
+    primes = np.concatenate([p for p, _, _ in got])
+    assert primes.tolist() == sieve_primes(5 * span)
+    assert not workers.alive
+    assert all(reaped(pid) for pid in workers.pids)
+    # The next stream forks a new set, which sieves as if nothing happened.
+    stalled.clear()
+    primes, _, _ = collect(SieveConfig(limit=10**6))
+    assert primes == sieve_primes(10**6)
+    assert prime_stream._workers.alive and not prime_stream._workers.busy
 
 
 def test_sieves_in_flight_bounded_by_usable_cpus(monkeypatch):

@@ -101,11 +101,6 @@ def test_1e11_checkpoint_writes_the_csv(tmp_path):
     assert out.read_bytes() == CSV_1E11.read_bytes()
 
 
-def test_final_rows_start_as_a_fresh_1e8_compute(run_1e8, tmp_path):
-    fresh = _export(records_from_state(run_1e8.state), tmp_path)
-    assert _lines(CSV_FINAL, 220) == _lines(fresh, 220)
-
-
 def test_final_slopes_strictly_decrease():
     _assert_slopes_strictly_decrease(CSV_FINAL, 2200, "524320812671")
 
