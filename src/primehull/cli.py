@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 invalid arguments, 3 corrupt or mismatched
 checkpoint, 4 computational range rejected (overflow-safety caps), 5 a
 compute chunk ended at a published pi(x) with a different prime count, 6 a
-sieve worker process exited mid-run; rerunning the same ``compute
---checkpoint`` command resumes from the last saved chunk.
+sieve worker process failed, exited, gave no answer within 10 minutes, or
+could not be forked; rerunning the same ``compute --checkpoint`` command
+resumes from the last saved chunk.
 """
 
 from __future__ import annotations
@@ -102,9 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _require_dirs(*paths: Optional[str]) -> None:
-    """Refuse an output path in a missing directory before any sieving."""
-    for path in paths:
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse an output path that is a directory or in a missing one, before any sieving."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"no directory for {path}")
 
 

@@ -38,11 +38,11 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import weakref
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -59,6 +59,9 @@ SCATTER_MIN_PRIME = 1 << 12
 # The scatter builds its index runs this many at a time, so its scratch
 # arrays stay a small fraction of the segment mask.
 SCATTER_CHUNK = 1 << 14
+# A worker with no answer this many seconds after its segment is awaited is
+# taken for stalled; a segment takes milliseconds even at 10^12.
+WORKER_DEADLINE_S = 600
 
 
 # The process's worker set, forked by the first stream with a second segment.
@@ -70,7 +73,7 @@ class LimitTooLargeError(ValueError):
 
 
 class SieveWorkerError(RuntimeError):
-    """A sieve worker process exited before it answered for its segment."""
+    """A sieve worker raised, exited, gave no answer in time or could not be forked."""
 
 
 @dataclass(frozen=True)
@@ -141,13 +144,14 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     copies segment i's primes out of its slot, deals segment i + 2W to that
     slot at once, numbers the primes on from the running count and yields
     them, so the caller's work on a block overlaps the sieving of the
-    segments after it. A worker's exception is raised, with its type and
-    message, from the ``next()`` that reaches its segment, after every block
-    before it; a worker that exits instead, as one killed by a signal does,
-    raises ``SieveWorkerError`` there. A stream that stops early, because
-    it is closed or a worker or the caller raised, closes the set instead,
-    killing and reaping the workers with their segments in flight; the next
-    stream forks a new set.
+    segments after it. A worker that raises, exits (as one killed by a
+    signal does) or gives no answer within ``WORKER_DEADLINE_S`` seconds
+    raises ``SieveWorkerError`` from the ``next()`` that reaches its
+    segment, after every block before it, as a set that cannot be forked
+    does from the first. A stream that stops early, because it is closed or
+    a worker or the caller raised, closes the set instead, killing and
+    reaping the workers with their segments in flight; the next stream
+    forks a new set.
     A nested stream holds no set, so stopping it early closes nothing.
 
     Memory: a mask is ``SEGMENT_SIZE`` bytes plus up to
@@ -233,10 +237,10 @@ class _Workers:
     commands ``(s, lo, hi)`` from its own pipe, each of which makes it
     sieve the odd integers lo..hi into its mask and write their primes to
     the start of slot (w, s). It answers on a second pipe, in command
-    order, with the count of primes or with the exception the segment
-    raised. A worker exits when its command pipe reaches end of file, as
-    when this process dies; ``close`` kills and reaps the workers, and runs
-    when a stream stops early, at exit and when the set is collected.
+    order, with the count of primes or with the type and message of the
+    segment's exception. A worker exits at its command pipe's end of file,
+    as when this process dies; ``close`` kills and reaps the workers, and
+    runs when a stream stops early, at exit and when the set is collected.
     """
 
     def __init__(self, count: int, size: int) -> None:
@@ -247,32 +251,36 @@ class _Workers:
         # (worker, slot) in the order a stream's first segments are dealt.
         self.tickets = [(w, s) for s in (0, 1) for w in range(count)]
         self.pids: list[int] = []
-        ends = [os.pipe() + os.pipe() for _ in range(count)]
-        self._commands = [open(fd, "wb") for _, fd, _, _ in ends]
-        self._answers = [open(fd, "rb") for _, _, fd, _ in ends]
-        self._stop = weakref.finalize(
-            self, _stop, os.getpid(), self.pids, self._commands + self._answers
-        )
+        # Per worker, its command pipe's read and write ends, then its answer
+        # pipe's; unbuffered readers leave every answer for ``select`` to see.
+        ends: list = []
+        self._stop = weakref.finalize(self, _stop, os.getpid(), self.pids, ends)
         try:
-            for w, (command_fd, _, _, answer_fd) in enumerate(ends):
+            for _ in range(2 * count):
+                read_fd, write_fd = os.pipe()
+                ends += open(read_fd, "rb", buffering=0), open(write_fd, "wb")
+            self._commands, self._answers = ends[1::4], ends[2::4]
+            for w in range(count):
                 pid = os.fork()
                 if pid == 0:
                     try:
                         signal.signal(signal.SIGINT, signal.SIG_IGN)
-                        for fd in chain(*ends):
-                            if fd not in (command_fd, answer_fd):
-                                os.close(fd)
-                        _serve(open(command_fd, "rb"), open(answer_fd, "wb"), self._slots[w])
+                        mine = ends[4 * w], ends[4 * w + 3]
+                        for f in ends:
+                            if f not in mine:
+                                os.close(f.fileno())
+                        _serve(*mine, self._slots[w])
                     finally:
                         os._exit(0)
                 self.pids.append(pid)
-        except BaseException:
+        except BaseException as exc:
             self.close()
+            if isinstance(exc, OSError):
+                raise SieveWorkerError(f"could not fork sieve workers: {exc}") from exc
             raise
         finally:
-            for command_fd, _, _, answer_fd in ends:
-                os.close(command_fd)
-                os.close(answer_fd)
+            for f in ends[0::4] + ends[3::4]:
+                f.close()
 
     @property
     def alive(self) -> bool:
@@ -286,15 +294,17 @@ class _Workers:
             self._commands[w].flush()
 
     def collect(self, w: int, s: int) -> np.ndarray:
-        """Worker w's oldest segment's primes, from slot s, as a new array; raises its error."""
+        """Worker w's oldest segment's primes, from slot s, as a new array, or ``SieveWorkerError``."""
         try:
+            if not select.select([self._answers[w]], [], [], WORKER_DEADLINE_S)[0]:
+                raise SieveWorkerError(f"sieve worker {self.pids[w]} gave no answer in {WORKER_DEADLINE_S} s")
             reply = pickle.load(self._answers[w])
         except EOFError:
             # Not reaped here: the stream closes the set at once, and
             # reaping first would let ``_stop`` signal a reused pid.
             raise SieveWorkerError(f"sieve worker {self.pids[w]} exited") from None
-        if isinstance(reply, BaseException):
-            raise reply
+        if isinstance(reply, str):
+            raise SieveWorkerError(f"sieve worker {self.pids[w]} failed: {reply}")
         return self._slots[w, s, :reply].copy()
 
     def release(self) -> None:
@@ -323,22 +333,16 @@ def _stop(owner: int, pids: list[int], files: list) -> None:
 
 
 def _serve(commands, answers, slots: np.ndarray) -> None:
-    """A worker's loop: answer each segment command until the pipe closes."""
+    """A worker's loop: answer each command with a count or an error's text, until EOFError."""
     buf = _mask_buffer(slots.shape[-1])
     odd_basis = base_primes(math.isqrt(MAX_LIMIT))[1:]
     while True:
+        s, lo, hi = pickle.load(commands)
         try:
-            s, lo, hi = pickle.load(commands)
-        except EOFError:
-            return
-        try:
-            reply = pickle.dumps(len(_segment_primes(lo, hi, buf, odd_basis, slots[s])))
+            reply = len(_segment_primes(lo, hi, buf, odd_basis, slots[s]))
         except Exception as exc:
-            try:
-                reply = pickle.dumps(exc)
-            except Exception:
-                reply = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        answers.write(reply)
+            reply = f"{type(exc).__name__}: {exc}"
+        pickle.dump(reply, answers)
         answers.flush()
 
 

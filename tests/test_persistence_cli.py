@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -600,6 +601,52 @@ def test_cli_compute_exits_6_when_a_worker_dies_and_resumes_on_rerun(
     assert out.read_bytes() == straight_out.read_bytes()
 
 
+def test_cli_compute_exits_6_when_a_worker_raises(capsys, monkeypatch, fresh_workers):
+    # Only a segment reaching 4099^2 ~ 1.68e7 scatters: the ninth, which a
+    # worker sieves. The first segment and a worker's table never scatter.
+    real = prime_stream._strike_large
+
+    def strike(mask, P, i0):
+        if len(P):
+            raise ValueError("bad scatter")
+        real(mask, P, i0)
+
+    monkeypatch.setattr(prime_stream, "_strike_large", strike)
+    assert cli.main(["compute", "--limit", "2*10^7"]) == cli.EXIT_WORKER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    pid = re.fullmatch(r"error: sieve worker (\d+) failed: ValueError: bad scatter\n", captured.err)
+    assert int(pid.group(1)) in prime_stream._workers.pids
+
+
+def test_cli_compute_exits_6_when_a_worker_cannot_be_forked(capsys, monkeypatch, fresh_workers):
+    # Two workers: the first is forked, the second is refused, so the first
+    # must be killed and reaped and every pipe closed.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    monkeypatch.setattr(prime_stream.os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = []
+    real = os.fork
+
+    def fork():
+        if forked:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+    assert cli.main(["compute", "--limit", "10^6"]) == cli.EXIT_WORKER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: could not fork sieve workers: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
+    if fds:
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
 def test_cli_compute_until_k_stops_after_the_chunk_that_confirms_it(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "CHUNK", 10**5)
     monkeypatch.setattr(cli, "PI_ANCHORS", {10**6: 78498})
@@ -748,21 +795,36 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
         ["compute", "--limit", "10^5", "--checkpoint", "{missing}/run.ck"],
         ["mvariant", "--limit", "10^5", "--out", "{missing}/m.csv"],
         ["lensbounds", "--x-grid", "1e8,1e12", "--out", "{missing}/lens.csv"],
+        ["compute", "--limit", "10^5", "--out", "{directory}"],
+        ["compute", "--limit", "10^5", "--checkpoint", "{directory}"],
+        ["mvariant", "--limit", "10^5", "--out", "{directory}"],
+        ["lensbounds", "--x-grid", "1e8,1e12", "--out", "{directory}"],
     ],
-    ids=["compute-out", "compute-checkpoint", "mvariant-out", "lensbounds-out"],
+    ids=[
+        "compute-out", "compute-checkpoint", "mvariant-out", "lensbounds-out",
+        "compute-out-directory", "compute-checkpoint-directory", "mvariant-out-directory",
+        "lensbounds-out-directory",
+    ],
 )
 def test_cli_refuses_a_path_in_a_missing_directory_before_sieving(tmp_path, capsys, monkeypatch, argv):
     def computed(*args):
         raise AssertionError("computed before checking the output path")
 
     monkeypatch.setattr(HullState, "extend", computed)
+    monkeypatch.setattr(cli, "compute_m_extremal", computed)
     monkeypatch.setattr(lens_bounds, "solve_theta", computed)
-    missing = tmp_path / "missing"
-    assert cli.main([arg.format(missing=missing) for arg in argv]) == 2
+    missing, directory = tmp_path / "missing", tmp_path / "directory"
+    directory.mkdir()
+    path = argv[-1].format(missing=missing, directory=directory)
+    assert cli.main([*argv[:-1], path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: no directory for {argv[-1].format(missing=missing)}\n"
-    assert not missing.exists()
+    if path == str(directory):
+        assert captured.err == f"error: {path} is a directory\n"
+        assert list(directory.iterdir()) == []
+    else:
+        assert captured.err == f"error: no directory for {path}\n"
+        assert not missing.exists()
 
 
 def test_cli_analyze_missing_file(capsys):

@@ -322,15 +322,16 @@ def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch, fresh_wor
 
     monkeypatch.setattr(prime_stream, "_strike_large", strike)
     got = []
-    with pytest.raises(RuntimeError, match="^scatter failed$") as raised:
+    with pytest.raises(prime_stream.SieveWorkerError) as raised:
         for block in iter_prime_blocks(SieveConfig(limit=lo + 20 * span, start=lo, start_pi=1)):
             got.append(block)
-    assert raised.type is RuntimeError
     assert [high for _, _, high in got] == [lo + j * span - 1 for j in range(1, 6)]
     primes = np.concatenate([p for p, _, _ in got])
     assert np.array_equal(primes, window_primes(lo, lo + 5 * span - 1))
     assert np.array_equal(np.concatenate([q for _, q, _ in got]), np.arange(2, len(primes) + 2))
     workers = prime_stream._workers
+    w, _ = workers.tickets[(5 - 1) % len(workers.tickets)]
+    assert str(raised.value) == f"sieve worker {workers.pids[w]} failed: RuntimeError: scatter failed"
     assert not workers.alive
     assert all(reaped(pid) for pid in workers.pids)
 
@@ -366,6 +367,55 @@ def test_a_killed_worker_ends_the_stream_after_the_blocks_before_it(monkeypatch,
     primes, _, _ = collect(SieveConfig(limit=10**6))
     assert primes == sieve_primes(10**6)
     assert prime_stream._workers.alive and not prime_stream._workers.busy
+
+
+def test_a_stopped_worker_ends_the_stream_at_the_deadline(monkeypatch, fresh_workers):
+    # The worker holding segment 5 stops itself with SIGSTOP before it
+    # answers, so its answer never comes.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    monkeypatch.setattr(prime_stream, "WORKER_DEADLINE_S", 0.5)
+    span = 2 << 12
+    stalled = [1 + 5 * span]
+    real = prime_stream._sieve_segment
+
+    def sieve(lo, hi, buf, odd_basis):
+        if lo in stalled:
+            os.kill(os.getpid(), signal.SIGSTOP)
+        return real(lo, hi, buf, odd_basis)
+
+    monkeypatch.setattr(prime_stream, "_sieve_segment", sieve)
+    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
+    got = [next(blocks) for _ in range(5)]
+    workers = prime_stream._workers
+    w, _ = workers.tickets[(5 - 1) % len(workers.tickets)]
+    t0 = time.monotonic()
+    with pytest.raises(prime_stream.SieveWorkerError, match=f"^sieve worker {workers.pids[w]} gave no answer in 0.5 s$"):
+        next(blocks)
+    assert time.monotonic() - t0 < 2
+    assert np.concatenate([p for p, _, _ in got]).tolist() == sieve_primes(5 * span)
+    # No worker is left, stopped or running.
+    assert not workers.alive
+    assert all(reaped(pid) for pid in workers.pids)
+    stalled.clear()
+    primes, _, _ = collect(SieveConfig(limit=10**6))
+    assert primes == sieve_primes(10**6)
+
+
+def test_answers_queued_in_a_workers_pipe_are_all_read(monkeypatch, fresh_workers):
+    # One segment for the generator and two per worker, all dealt by the
+    # first next(): by the end of the sleep, both answers of every worker
+    # sit in its pipe, and no later answer comes. A buffered reader would
+    # take both at the first load, and the wait for the second would then
+    # see an empty pipe until the deadline.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    monkeypatch.setattr(prime_stream, "WORKER_DEADLINE_S", 0.5)
+    limit = (2 * len(os.sched_getaffinity(0)) + 1) * (2 << 12)
+    blocks = iter_prime_blocks(SieveConfig(limit=limit))
+    got = [next(blocks)]
+    time.sleep(0.5)
+    got.extend(blocks)
+    assert len(got) == 2 * len(prime_stream._workers.pids) + 1
+    assert np.concatenate([p for p, _, _ in got]).tolist() == sieve_primes(limit)
 
 
 def test_sieves_in_flight_bounded_by_usable_cpus(monkeypatch):
