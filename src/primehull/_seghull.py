@@ -3,9 +3,9 @@
 Computes the upper convex hull of the points (P[i], R[i]) within a single
 segment, with the points lying exactly on a hull edge kept as tie
 annotations.  Extreme points of a union are extreme points of the parts,
-so feeding only each segment's hull vertices (plus their tie lists) into
-the global stack reproduces the full streaming hull exactly; the module
-tests pin that equivalence against the batch oracle.
+so pushing only each segment's hull vertices and ties onto the global
+stack (``HullState._on_hull``) reproduces the full streaming hull exactly;
+the module tests pin that equivalence against the batch oracle.
 
 The kernel drops points from a chain until only the hull is left.  The
 chain starts as ``_candidates``' output (below) plus both ends.  Each pass
@@ -57,7 +57,7 @@ whose maximum is below max(0, every earlier block) and below max(0, every
 later block) holds no candidate, and only the kept blocks are scanned
 point by point.  Of BLOCK = 32, 64, 128 and 256, 32 was the slowest and
 the other three tied on the primes to 1e8; 64 keeps the scan of a kept
-block short.  The M-variant's filter (``MHullState.merge_segment``) uses
+block short.  The M-variant's filter (``MHullState._on_hull``) uses
 the same blocks, and hands the kernel only their maxima and both ends.
 
 Vertices are the strictly convex points.  The ties of a vertex b with hull
@@ -112,9 +112,11 @@ def segment_hull(P: np.ndarray, R: np.ndarray):
     P is an int64 array.  Returns ``(idx, tie_lo, tie_hi, tie_buf)``: the
     indices of the hull vertices in increasing order, and for vertex j the
     indices of its ties, ``tie_buf[tie_lo[j]:tie_hi[j]]``, in increasing
-    order.  With R int64 the hull and its ties are exact.  R may also be
-    float64 (the M-variant's filter): the passes still only drop points, so
-    idx still increases from 0 to n - 1, but nothing else is exact.
+    order.  The library reads only idx and tie_buf; the per-vertex bounds
+    serve the benchmark's traced copy of the E merge.  With R int64 the
+    hull and its ties are exact.  R may also be float64 (the M-variant's
+    filter): the passes still only drop points, so idx still increases
+    from 0 to n - 1, but nothing else is exact.
     """
     n = len(P)
     if n == 1:

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from ._seghull import segment_hull
 from .analysis import ExtremalRecord, records_from_state
 from .prime_stream import SieveConfig, iter_prime_blocks
@@ -78,9 +80,9 @@ class HullState:
 
     The hull is over the points (p, y(p)) for the stored (p, pi) pairs; this
     class has y = pi.  A sequence over another height differs only in its
-    two static hooks, ``_cross`` (the orientation test) and ``_final`` (the
-    finality rule), and in ``merge_segment``, whose exact segment kernel is
-    for y = pi; a subclass overrides those three (see ``m_variant``).
+    three static hooks, ``_cross`` (the orientation test), ``_final`` (the
+    finality rule) and ``_on_hull`` (which points of a segment
+    ``merge_segment`` pushes); a subclass overrides those (see ``m_variant``).
 
     Invariants (checked by the test suite, not at runtime):
     * stack slopes strictly decrease left to right;
@@ -133,6 +135,8 @@ class HullState:
         ``pre_ties`` carries ties already collected for this point by a
         segment-level hull; they are anchored to the current stack top and
         are dropped if that anchor is popped strictly below the new chord.
+        Only the benchmark's traced copy of the E merge passes them, until
+        the benchmark traces ``merge_segment`` itself.
         """
         if p <= self.last_processed:
             raise ValueError(f"point {p} arrives at or before frontier {self.last_processed}")
@@ -188,19 +192,25 @@ class HullState:
         return newly
 
     def merge_segment(self, primes, pis) -> None:
-        """Push one non-empty segment (aligned int64 arrays) through its hull.
+        """Push the points ``_on_hull`` picks from one non-empty segment, in order.
 
-        Only the segment-hull vertices are pushed, each with its ties as
-        pre-ties; the last point is always one of them.  No confirmation is
-        attempted.  The kernel's exact int64 path needs heights pi; the M
-        hull overrides this method with a float filter over the same kernel.
+        An equal-slope pop moves a point into its vertex's tie list, so a
+        hook that keeps every vertex and tie of the segment's hull leaves
+        the stack that pushing every point would: the rest lie strictly
+        below that hull.  The last point is a vertex, so the frontier and
+        pi_at_last match too.  No confirmation is attempted.
         """
-        idx, tie_lo, tie_hi, tie_buf = segment_hull(primes, pis)
-        tie_ps = primes[tie_buf].tolist()
-        for p, pi, lo, hi in zip(
-            primes[idx].tolist(), pis[idx].tolist(), tie_lo.tolist(), tie_hi.tolist()
-        ):
-            self.push(p, pi, tie_ps[lo:hi])
+        q = self._on_hull(primes, pis)
+        for p, pi in zip(primes[q].tolist(), pis[q].tolist()):
+            self.push(p, pi)
+
+    @staticmethod
+    def _on_hull(primes, pis):
+        """Increasing indices of the vertices and ties of the segment's exact hull."""
+        # Two disjoint sets, so a sort merges them; np.union1d would import
+        # numpy.ma, about 2 MB of resident memory.
+        idx, _, _, tie_buf = segment_hull(primes, pis)
+        return np.sort(np.concatenate((idx, tie_buf)))
 
     def extend(self, limit: int) -> None:
         """Sieve from the frontier to ``limit``, merging and confirming per segment.
@@ -211,11 +221,7 @@ class HullState:
         """
         if limit == self.last_processed and self.stack:
             return
-        cfg = SieveConfig(
-            limit=limit,
-            start=self.last_processed + 1,
-            start_pi=self.pi_at_last,
-        )
+        cfg = SieveConfig(limit=limit, start=self.last_processed + 1, start_pi=self.pi_at_last)
         for primes, pis, high in iter_prime_blocks(cfg):
             if len(primes):
                 self.merge_segment(primes, pis)

@@ -21,10 +21,10 @@ so no future point can reach the extended edge and v can never be popped.
 All three conditions are monotone in x, so confirmations never depend on
 where segment boundaries fall.
 
-A segment is merged through a float filter, which drops whole blocks of
-points and then single points, stated and proved in
-``MHullState.merge_segment``.  Every decision the stack takes is still
-the exact ``_cross``; the floats only rule points out.
+A segment is merged through a float filter, the hook ``MHullState._on_hull``,
+which drops whole blocks of points and then single points; its docstring
+states and proves it.  Every decision the stack takes is still the exact
+``_cross``; the floats only rule points out.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .prime_stream import LimitTooLargeError
 
 M_MAX_LIMIT = 10**9
 
-# delta / Y in MHullState.merge_segment: 8u with u = 2^-53, which covers the
+# delta / Y in MHullState._on_hull: 8u with u = 2^-53, which covers the
 # 7.004u its docstring derives and keeps delta = Y * 2^-50 exact.
 FILTER_MARGIN = 2.0**-50
 
@@ -72,8 +72,9 @@ class MHullState(HullState):
         lhs = v.p * s_den * pi_x + s_num * (x - v.p) * v.pi * pi_x
         return lhs > x * v.pi * s_den
 
-    def merge_segment(self, primes, pis) -> None:
-        """Push, in order, the points of one segment that can be on its hull.
+    @staticmethod
+    def _on_hull(primes, pis):
+        """Increasing indices of the points of one segment that can be on its hull.
 
         The heights are y_i = fl(p_i/pi_i) in float64.  ``segment_hull``
         runs on the highest point of each block of ``BLOCK`` consecutive
@@ -85,8 +86,8 @@ class MHullState(HullState):
         delta = FILTER_MARGIN * Y and Y = max y over the segment, which is
         the largest block top.  A block is kept when it holds a vertex of
         C, or when its top passes this test at its first or its last
-        point; the points of the kept blocks that pass are pushed through
-        the exact ``push``.
+        point; the points of the kept blocks that pass are returned, for
+        ``merge_segment`` to push through the exact ``push``.
 
         Soundness, with u = 2^-53, u' = u/(1 - u), h_i = p_i/pi_i and H the
         exact upper hull of the segment's points (p_i, h_i), a concave
@@ -125,45 +126,39 @@ class MHullState(HullState):
         dropped its top, and so y_i, is below fl(c_e - delta)
         <= C(p_e) + 5.003uY - delta: the margin above rules this out.
 
-        So every vertex and tie of H is pushed, the two ends among them,
-        and a point that is not lies strictly below H, so strictly below
-        the hull of everything pushed so far.  The stack after a push
-        sequence holds the vertices of the pushed points' hull, each with
-        the points exactly on its incoming edge as ties, so pushing the
-        kept points leaves the same stack as pushing all of them.  The last
-        point is kept, so the frontier and pi_at_last are the same too.
+        So every vertex and tie of H is kept, the two ends among them, and
+        a point that is not lies strictly below H, as ``merge_segment``
+        asks of its hook.
         """
         y = primes / pis
         n = len(y)
-        if n > 1:
-            # The chain's points: the highest of each block (the last one
-            # may be partial) and both ends.
-            full = n - n % BLOCK
-            tops = y[:full].reshape(-1, BLOCK).argmax(1) + np.arange(0, full, BLOCK)
-            if full < n:
-                tops = np.append(tops, full + y[full:].argmax())
-            top = y[tops]
-            delta = FILTER_MARGIN * top.max()
-            # tops increases and may already start at 0 or end at n - 1.
-            sub = np.concatenate(([0], tops, [n - 1]))
-            sub = sub[int(tops[0] == 0) : len(sub) - int(tops[-1] == n - 1)]
-            idx = sub[segment_hull(primes[sub], y[sub])[0]]
-            # A block is kept when it holds a chain vertex or its top passes
-            # the test at its first or last point; only its points are tested.
-            ends = np.minimum(np.arange(0, n, BLOCK)[:, None] + [0, BLOCK - 1], n - 1)
-            c = _chain(primes, y, idx, ends.ravel()).reshape(-1, 2)
-            kept = (top[:, None] >= c - delta).any(1)
-            kept[idx // BLOCK] = True
-            q = (np.flatnonzero(kept)[:, None] * BLOCK + np.arange(BLOCK)).ravel()
-            q = q[q < n]
-            q = q[y[q] >= _chain(primes, y, idx, q) - delta]
-            primes, pis = primes[q], pis[q]
-        for p, pi in zip(primes.tolist(), pis.tolist()):
-            self.push(p, pi)
+        if n == 1:
+            return np.zeros(1, dtype=np.int64)
+        # The chain's points: the highest of each block (the last one
+        # may be partial) and both ends.
+        full = n - n % BLOCK
+        tops = y[:full].reshape(-1, BLOCK).argmax(1) + np.arange(0, full, BLOCK)
+        if full < n:
+            tops = np.append(tops, full + y[full:].argmax())
+        top = y[tops]
+        delta = FILTER_MARGIN * top.max()
+        # tops increases and may already start at 0 or end at n - 1.
+        sub = np.concatenate(([0], tops, [n - 1]))
+        sub = sub[int(tops[0] == 0) : len(sub) - int(tops[-1] == n - 1)]
+        idx = sub[segment_hull(primes[sub], y[sub])[0]]
+        # A block is kept when it holds a chain vertex or its top passes
+        # the test at its first or last point; only its points are tested.
+        ends = np.minimum(np.arange(0, n, BLOCK)[:, None] + [0, BLOCK - 1], n - 1)
+        c = _chain(primes, y, idx, ends.ravel()).reshape(-1, 2)
+        kept = (top[:, None] >= c - delta).any(1)
+        kept[idx // BLOCK] = True
+        q = (np.flatnonzero(kept)[:, None] * BLOCK + np.arange(BLOCK)).ravel()
+        q = q[q < n]
+        return q[y[q] >= _chain(primes, y, idx, q) - delta]
 
 
 def _chain(primes, y, idx, q):
-    """c_i of ``MHullState.merge_segment`` at the indices q, nondecreasing.
+    """c_i of ``MHullState._on_hull`` at the indices q, nondecreasing.
 
     Point i lies on the edge (a, b) of the float hull ``idx`` with a the
     last vertex at or before i; the last point closes the last edge.  The
@@ -195,19 +190,17 @@ class MComputeResult:
 
 
 def records_from_m_state(state: MHullState) -> list[MRecord]:
-    out = []
-    for i, v in enumerate(state.stack):
-        out.append(
-            MRecord(
-                k=i + 1,
-                p=v.p,
-                pi=v.pi,
-                value=Fraction(v.p, v.pi),
-                status=CONFIRMED if i < state.confirmed_len else PROVISIONAL,
-                ties=tuple(v.ties),
-            )
+    return [
+        MRecord(
+            k=i + 1,
+            p=v.p,
+            pi=v.pi,
+            value=Fraction(v.p, v.pi),
+            status=CONFIRMED if i < state.confirmed_len else PROVISIONAL,
+            ties=tuple(v.ties),
         )
-    return out
+        for i, v in enumerate(state.stack)
+    ]
 
 
 def compute_m_extremal(limit: int) -> MComputeResult:

@@ -233,12 +233,12 @@ class _Workers:
 
     Slot (w, s) of worker w is a row of ``size`` int64 in one shared
     anonymous mmap, which takes memory only where it is written. Each
-    worker builds its table of base primes once, then reads pickled
-    commands ``(s, lo, hi)`` from its own pipe, each of which makes it
-    sieve the odd integers lo..hi into its mask and write their primes to
-    the start of slot (w, s). It answers on a second pipe, in command
-    order, with the count of primes or with the type and message of the
-    segment's exception. A worker exits at its command pipe's end of file,
+    worker reads pickled commands ``(s, lo, hi)`` from its own pipe, each
+    of which makes it sieve the odd integers lo..hi into its mask and write
+    their primes to the start of slot (w, s). It answers on a second pipe,
+    in command order, with the count of primes or with the type and
+    message of the exception, also one from building its base-prime table
+    at the first command. A worker exits at its command pipe's end of file,
     as when this process dies; ``close`` kills and reaps the workers, and
     runs when a stream stops early, at exit and when the set is collected.
     """
@@ -335,10 +335,12 @@ def _stop(owner: int, pids: list[int], files: list) -> None:
 def _serve(commands, answers, slots: np.ndarray) -> None:
     """A worker's loop: answer each command with a count or an error's text, until EOFError."""
     buf = _mask_buffer(slots.shape[-1])
-    odd_basis = base_primes(math.isqrt(MAX_LIMIT))[1:]
+    odd_basis = None
     while True:
         s, lo, hi = pickle.load(commands)
         try:
+            if odd_basis is None:  # built here, so its error is answered too
+                odd_basis = base_primes(math.isqrt(MAX_LIMIT))[1:]
             reply = len(_segment_primes(lo, hi, buf, odd_basis, slots[s]))
         except Exception as exc:
             reply = f"{type(exc).__name__}: {exc}"

@@ -308,6 +308,29 @@ def test_segment_hull_matches_oracle_on_random_tie_heavy_clouds():
         assert kernel_hull(pts) == oracle_hull(pts)
 
 
+def test_merge_equals_pushing_segment_vertices_with_their_ties():
+    # merge_segment pushes vertices and ties alike and lets push re-derive
+    # the ties; the benchmark's traced E merge pushes only the vertices,
+    # each with its kernel ties as pre_ties.  Both must leave one stack.
+    rng = random.Random(20261022)
+    for pts in [*BLOCK_CLOUDS, *tie_heavy_clouds(20261023, 100, 3000)]:
+        # Shift to x >= 2 so that every point lies past a fresh frontier.
+        P = np.array([p + 2 for p, _ in pts], dtype=np.int64)
+        R = np.array([r for _, r in pts], dtype=np.int64)
+        cuts = sorted(rng.sample(range(1, len(pts)), min(len(pts) - 1, rng.randint(0, 8))))
+        merged, pre_tied = HullState(), HullState()
+        for lo, hi in zip([0, *cuts], [*cuts, len(pts)]):
+            merged.merge_segment(P[lo:hi], R[lo:hi])
+            p, r = P[lo:hi].tolist(), R[lo:hi].tolist()
+            idx, tie_lo, tie_hi, tie_buf = segment_hull(P[lo:hi], R[lo:hi])
+            for i, a, b in zip(idx.tolist(), tie_lo.tolist(), tie_hi.tolist()):
+                pre_tied.push(p[i], r[i], [p[t] for t in tie_buf[a:b].tolist()])
+        want = [(v.p, v.pi, v.ties) for v in pre_tied.stack]
+        assert want == oracle_hull([(p + 2, r) for p, r in pts])
+        assert [(v.p, v.pi, v.ties) for v in merged.stack] == want
+        assert merged.pi_at_last == pre_tied.pi_at_last == pts[-1][1]
+
+
 FAN_END = 1 << 21
 
 
@@ -520,8 +543,8 @@ def test_m_merge_matches_fraction_oracle_across_blocks():
 
 
 def test_m_filter_stage_one_keeps_the_fraction_hull(monkeypatch):
-    # MHullState.merge_segment filters every point against the float hull
-    # of the block maxima.  What it keeps is what it pushes, and that must
+    # MHullState._on_hull filters every point against the float hull of the
+    # block maxima.  What it keeps is what the merge pushes, and that must
     # hold both ends and every vertex and tie of the exact hull, also with
     # one block, a full last block and a partial one.  The ties of pi = 3, 7
     # and 21 round either way of a float chain, so only the margin keeps

@@ -336,6 +336,31 @@ def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch, fresh_wor
     assert all(reaped(pid) for pid in workers.pids)
 
 
+def test_a_worker_whose_table_fails_answers_with_the_error(monkeypatch, fresh_workers):
+    # A worker builds its base-prime table at its first command, inside the
+    # answer's try, so the table's error reaches the stream with its type
+    # and text. The generator's own table, for segment 0, is smaller.
+    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
+    real = prime_stream.base_primes
+
+    def table(limit):
+        if limit == math.isqrt(MAX_LIMIT):
+            raise RuntimeError("table failed")
+        return real(limit)
+
+    monkeypatch.setattr(prime_stream, "base_primes", table)
+    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
+    primes, _, high = next(blocks)
+    assert high == 2 << 12 and primes.tolist() == sieve_primes(high)
+    workers = prime_stream._workers
+    w, _ = workers.tickets[0]
+    with pytest.raises(prime_stream.SieveWorkerError) as raised:
+        next(blocks)
+    assert str(raised.value) == f"sieve worker {workers.pids[w]} failed: RuntimeError: table failed"
+    assert not workers.alive
+    assert all(reaped(pid) for pid in workers.pids)
+
+
 def test_a_killed_worker_ends_the_stream_after_the_blocks_before_it(monkeypatch, fresh_workers):
     # The worker holding segment 5 stalls on it until it is killed, so every
     # earlier answer has been read when the signal lands.
