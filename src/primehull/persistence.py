@@ -135,7 +135,7 @@ def load_checkpoint(path: Union[str, os.PathLike]) -> tuple[HullState, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"checkpoint corrupt: {exc}") from exc
     if not isinstance(payload, dict) or "integrity" not in payload:
         raise CheckpointError("checkpoint corrupt: missing integrity field")

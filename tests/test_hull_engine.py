@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_upper_hull, hull_of_primes, m_filter_chain, prime_points
+from oracles import batch_upper_hull, m_filter_chain, prime_points, sieve_primes
 from primehull.hull_engine import (
+    DUSART_CUTOFF,
     HullState,
     HullVertex as P,
     compute_extremal,
+    pi_bound,
     segment_hull,
 )
 from primehull.analysis import ExactSlope
@@ -20,20 +22,60 @@ from primehull.m_variant import MHullState
 from primehull import m_variant, prime_stream
 from primehull._seghull import BLOCK, _candidates
 
+# The two sequences run on one engine, so a test of an engine behaviour
+# runs once per state class, under an id that names the sequence.
+SEQUENCES = [pytest.param(HullState, id="E"), pytest.param(MHullState, id="M")]
 
-def _slope_order(a, b, c):
-    """Sign of lhs - rhs from ``HullState._cross``: slope(a, b) vs slope(b, c)."""
-    lhs, rhs = HullState._cross(a, b, c.p, c.pi)
+# The exact height of the point (p, pi) on each class's hull.
+HEIGHT = {HullState: lambda p, pi: Fraction(pi), MHullState: Fraction}
+
+
+def slope_order(cls, a, b, c):
+    """Sign of lhs - rhs from ``cls._cross``: slope(a, b) vs slope(b, c) of its heights."""
+    lhs, rhs = cls._cross(a, b, c.p, c.pi)
     return (lhs > rhs) - (lhs < rhs)
 
 
-def test_slope_compare_examples():
-    assert _slope_order(P(2, 1), P(3, 2), P(7, 4)) == 1  # 1 vs 1/2
-    assert _slope_order(P(19, 8), P(23, 9), P(47, 15)) == 0  # both 1/4
-    assert _slope_order(P(2, 1), P(5, 3), P(7, 4)) == 1  # 2/3 vs 1/2
-    assert _slope_order(P(2, 1), P(3, 2), P(5, 3)) == 1  # 1 vs 1/2
-    assert _slope_order(P(3, 2), P(5, 3), P(7, 4)) == 0  # 1/2 = 1/2
-    assert _slope_order(P(7, 4), P(11, 5), P(13, 6)) == -1  # 1/4 < 1/2
+def arrays(pts):
+    """The p and the pi of a cloud's points, as two int64 arrays."""
+    return np.array(pts, dtype=np.int64).T.copy()
+
+
+def oracle_hull(pts, cls=HullState):
+    """(p, y, ties) of every vertex of the batch Fraction oracle over cls's heights y."""
+    return [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, HEIGHT[cls](p, r)) for p, r in pts])]
+
+
+def stack_hull(state):
+    """(p, y, ties) of every vertex on a state's stack, y its exact height."""
+    return [(v.p, HEIGHT[type(state)](v.p, v.pi), v.ties) for v in state.stack]
+
+
+# (a, b, c, sign of slope(a, b) - slope(b, c)) over each class's heights.
+SLOPE_CASES = {
+    HullState: [
+        ((2, 1), (3, 2), (7, 4), 1),  # 1 vs 1/2
+        ((19, 8), (23, 9), (47, 15), 0),  # both 1/4
+        ((2, 1), (5, 3), (7, 4), 1),  # 2/3 vs 1/2
+        ((2, 1), (3, 2), (5, 3), 1),  # 1 vs 1/2
+        ((3, 2), (5, 3), (7, 4), 0),  # 1/2 = 1/2
+        ((7, 4), (11, 5), (13, 6), -1),  # 1/4 < 1/2
+    ],
+    MHullState: [
+        ((2, 1), (3, 2), (5, 3), -1),  # -1/2 vs 1/12
+        ((2, 1), (13, 6), (29, 10), -1),  # 1/66 vs 11/240
+        ((2, 1), (12, 4), (30, 6), -1),  # 1/10 vs 1/9
+        ((2, 1), (29, 10), (37, 12), 1),
+        ((4, 2), (8, 4), (12, 6), 0),  # values 2, 2, 2 at x = 4, 8, 12: both slopes exactly 0
+        ((4, 2), (6, 2), (10, 2), 0),  # values 2, 3, 5 at x = 4, 6, 10 (denominator fixed): slopes 1/2, 1/2
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", SEQUENCES)
+def test_slope_order_examples(cls):
+    for a, b, c, sign in SLOPE_CASES[cls]:
+        assert slope_order(cls, P(*a), P(*b), P(*c)) == sign
 
 
 def test_exact_slope():
@@ -122,34 +164,44 @@ def test_confirm_at_100():
     assert [v.p for v in r.state.stack[r.state.confirmed_len :]] == [73, 83, 89, 97]
 
 
-@pytest.mark.parametrize("limit", [10**3, 10**4, 10**5])
-def test_streaming_equals_batch_oracle_small(limit):
-    stack = compute_extremal(limit).state.stack
-    oracle = hull_of_primes(limit)
-    assert [v.p for v in stack] == [v.p for v in oracle]
-    assert [v.ties for v in stack] == [v.ties for v in oracle]
+@pytest.mark.parametrize(
+    "cls, limit",
+    [pytest.param(HullState, n, id=f"E-{n}") for n in (10**3, 10**4, 10**5)]
+    + [pytest.param(MHullState, n, id=f"M-{n}") for n in (10**4, 10**5, 10**6)],
+)
+def test_streaming_equals_batch_oracle(cls, limit):
+    # Vertices, ties and heights: for M the height is each record's value
+    # p/pi.  E at 1e6 is criterion 5's.
+    state = cls()
+    state.extend(limit)
+    assert stack_hull(state) == oracle_hull(prime_points(limit), cls)
 
 
 @pytest.mark.parametrize("segment_size", [1024, 8192, 1 << 17])
 def test_segment_size_does_not_change_hull(monkeypatch, segment_size, run_1e5):
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
     r = compute_extremal(10**5)
-    assert [(v.p, v.pi, v.ties) for v in r.state.stack] == [
-        (v.p, v.pi, v.ties) for v in run_1e5.state.stack
-    ]
+    assert stack_hull(r.state) == stack_hull(run_1e5.state)
     assert r.state.confirmed_len == run_1e5.state.confirmed_len
 
 
-def test_randomized_extension_prefix_stability(monkeypatch):
+@pytest.mark.parametrize("cls", SEQUENCES)
+def test_confirmed_prefix_stability(monkeypatch, cls):
+    # Runs to 1e4, 1e5 and 1e6 at the default segment size, and to 20
+    # random limits, each at a random segment size.  In limit order, each
+    # run's confirmed vertices begin the next run's stack and the next
+    # run's confirmed vertices.
     rng = random.Random(20260814)
-    base = compute_extremal(10**6)
-    base_confirmed = [rec.e for rec in base.confirmed]
-    for _ in range(20):
-        limit = rng.randrange(10**4, 10**6)
-        monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", rng.choice([1024, 4096, 1 << 16, 1 << 20]))
-        r = compute_extremal(limit)
-        got = [rec.e for rec in r.confirmed]
-        assert got == base_confirmed[: len(got)]
+    runs = [(10**k, prime_stream.SEGMENT_SIZE) for k in (4, 5, 6)]
+    runs += [(rng.randrange(10**4, 10**6), rng.choice([1024, 4096, 1 << 16, 1 << 20])) for _ in range(20)]
+    got = []
+    for limit, segment_size in sorted(runs):
+        monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", segment_size)
+        state = cls()
+        state.extend(limit)
+        got.append(([v.p for v in state.stack], state.confirmed_len))
+    for (lo, k), (hi, j) in zip(got, got[1:]):
+        assert k <= j and hi[:k] == lo[:k]
 
 
 def test_push_and_frontier_guard():
@@ -212,15 +264,9 @@ def m_tie_clouds(draw):
     return pts
 
 
-def oracle_hull(pts):
-    """(p, pi, ties) of every vertex of the batch Fraction oracle."""
-    return [(v.p, int(v.y), v.ties) for v in batch_upper_hull([(p, Fraction(r)) for p, r in pts])]
-
-
 def kernel_hull(pts):
     """(p, pi, ties) of every vertex segment_hull returns for one segment."""
-    P = np.array([p for p, _ in pts], dtype=np.int64)
-    R = np.array([r for _, r in pts], dtype=np.int64)
+    P, R = arrays(pts)
     idx, tie_lo, tie_hi, tie_buf = segment_hull(P, R)
     return [
         (int(P[i]), int(R[i]), [int(P[t]) for t in tie_buf[lo:hi]])
@@ -315,8 +361,8 @@ def test_merge_equals_pushing_segment_vertices_with_their_ties():
     rng = random.Random(20261022)
     for pts in [*BLOCK_CLOUDS, *tie_heavy_clouds(20261023, 100, 3000)]:
         # Shift to x >= 2 so that every point lies past a fresh frontier.
-        P = np.array([p + 2 for p, _ in pts], dtype=np.int64)
-        R = np.array([r for _, r in pts], dtype=np.int64)
+        pts = [(p + 2, r) for p, r in pts]
+        P, R = arrays(pts)
         cuts = sorted(rng.sample(range(1, len(pts)), min(len(pts) - 1, rng.randint(0, 8))))
         merged, pre_tied = HullState(), HullState()
         for lo, hi in zip([0, *cuts], [*cuts, len(pts)]):
@@ -325,9 +371,9 @@ def test_merge_equals_pushing_segment_vertices_with_their_ties():
             idx, tie_lo, tie_hi, tie_buf = segment_hull(P[lo:hi], R[lo:hi])
             for i, a, b in zip(idx.tolist(), tie_lo.tolist(), tie_hi.tolist()):
                 pre_tied.push(p[i], r[i], [p[t] for t in tie_buf[a:b].tolist()])
-        want = [(v.p, v.pi, v.ties) for v in pre_tied.stack]
-        assert want == oracle_hull([(p + 2, r) for p, r in pts])
-        assert [(v.p, v.pi, v.ties) for v in merged.stack] == want
+        want = stack_hull(pre_tied)
+        assert want == oracle_hull(pts)
+        assert stack_hull(merged) == want
         assert merged.pi_at_last == pre_tied.pi_at_last == pts[-1][1]
 
 
@@ -364,8 +410,7 @@ def test_segment_hull_matches_oracle_on_a_fan(mirror):
     pts = fan(1500)
     if mirror:
         pts = [(FAN_END - p, r) for p, r in reversed(pts)]
-    P = np.array([p for p, _ in pts], dtype=np.int64)
-    R = np.array([r for _, r in pts], dtype=np.int64)
+    P, R = arrays(pts)
     assert len(_candidates(P, R)) == len(pts) - 2
     want = oracle_hull(pts)
     assert len(want) == 3 and sum(len(t) for _, _, t in want) == 1
@@ -401,8 +446,7 @@ def test_candidates_are_the_running_maxima():
                 if c[i] >= best:
                     want.add(i)
                     best = c[i]
-        P = np.array([p for p, _ in pts], dtype=np.int64)
-        R = np.array([r for _, r in pts], dtype=np.int64)
+        P, R = arrays(pts)
         assert _candidates(P, R).tolist() == sorted(want)
 
 
@@ -467,35 +511,20 @@ def test_segment_hull_int64_exact_at_full_span():
 @given(st.one_of(synthetic_points(), m_tie_clouds()), st.data())
 @settings(max_examples=300, deadline=None)
 def test_streaming_hull_matches_fraction_oracle(pts, data):
-    oracle = oracle_hull(pts)
-    s = HullState()
-    for p, pi in pts:
-        s.push(p, pi)
-    assert [(v.p, v.pi, v.ties) for v in s.stack] == oracle
-    # The same cloud cut into segments, each merged through its segment hull
-    # as compute_extremal does, minus the confirmation sweep, whose analytic
-    # bounds hold for prime points only.
+    # Each state, fed the cloud point by point and merged from the cloud
+    # cut into segments through its own hook, as extend merges them, minus
+    # the confirmation sweep, whose analytic bounds hold for prime points
+    # only: E through the segment hull, M through its float filter.
     cuts = sorted(data.draw(st.sets(st.integers(1, len(pts) - 1))))
-    P = np.array([p for p, _ in pts], dtype=np.int64)
-    R = np.array([r for _, r in pts], dtype=np.int64)
-    pieces = list(zip([0] + cuts, cuts + [len(pts)]))
-    seg = HullState()
-    for lo, hi in pieces:
-        seg.merge_segment(P[lo:hi], R[lo:hi])
-    assert [(v.p, v.pi, v.ties) for v in seg.stack] == oracle
-    assert seg.pi_at_last == pts[-1][1]
-    # The same engine over the heights p/pi, against Fraction heights, both
-    # point by point and through the M state's own merge of the same pieces.
-    m_hull = batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])
-    m_oracle = [(v.p, v.y, v.ties) for v in m_hull]
-    m = MHullState()
-    for p, pi in pts:
-        m.push(p, pi)
-    assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == m_oracle
-    m_seg = MHullState()
-    for lo, hi in pieces:
-        m_seg.merge_segment(P[lo:hi], R[lo:hi])
-    assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m_seg.stack] == m_oracle
+    P, R = arrays(pts)
+    for cls in (HullState, MHullState):
+        pushed, merged = cls(), cls()
+        for p, pi in pts:
+            pushed.push(p, pi)
+        for lo, hi in zip([0] + cuts, cuts + [len(pts)]):
+            merged.merge_segment(P[lo:hi], R[lo:hi])
+        assert stack_hull(pushed) == stack_hull(merged) == oracle_hull(pts, cls)
+        assert merged.pi_at_last == pts[-1][1]
     # The M filter's chain, at every point and at any increasing choice of
     # points (repeats included), equals in every bit the per-point formula
     # its margin proof is stated for; the hulls above would not show a
@@ -508,209 +537,59 @@ def test_streaming_hull_matches_fraction_oracle(pts, data):
         assert m_variant._chain(P, y, idx, q).tobytes() == want[q].tobytes()
 
 
-def m_tie_cloud(rng, n):
-    """n points like those of m_tie_clouds: runs of one pi, a few of them tiny."""
-    p, pts = rng.randrange(10**9, 10**9 + 10**6), []
-    while len(pts) < n:
-        pi = rng.choice([3, 7, 21, rng.randrange(5 * 10**7, 5 * 10**7 + 4)])
-        for _ in range(rng.randint(2, 15)):
-            p += rng.randint(1, 40)
-            pts.append((p, pi))
-    return pts[:n]
+def rs_bound(x):
+    """The reference bound 1.25506 x / ln x (Rosser and Schoenfeld)."""
+    return 1.25506 * x / math.log(x)
 
 
-def test_m_merge_matches_fraction_oracle_across_blocks():
-    # m_tie_clouds stop near 90 points, about two candidate blocks; these
-    # clouds of the same kind span 8 to 47.
-    rng = random.Random(20261019)
-    for n in (500, 1200, 3000):
-        pts = m_tie_cloud(rng, n)
-        P = np.array([p for p, _ in pts], dtype=np.int64)
-        R = np.array([r for _, r in pts], dtype=np.int64)
-        y = P / R
-        idx = segment_hull(P, y)[0]
-        assert idx[0] == 0 and idx[-1] == n - 1 and (np.diff(idx) > 0).all()
-        ends = np.minimum(np.arange(0, n, BLOCK)[:, None] + [0, BLOCK - 1], n - 1).ravel()
-        for q in (np.arange(n), ends):
-            assert m_variant._chain(P, y, idx, q).tobytes() == m_filter_chain(P, y, idx)[q].tobytes()
-        want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
-        cuts = sorted(rng.sample(range(1, n), 6))
-        for bounds in ([0, n], [0, *cuts, n]):
-            m = MHullState()
-            for lo, hi in zip(bounds, bounds[1:]):
-                m.merge_segment(P[lo:hi], R[lo:hi])
-            assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == want
+def test_pi_upper_bound_formula():
+    # Rosser-Schoenfeld below the cutoff, Dusart from it on; the pinned
+    # values agree with a 30-digit mpmath evaluation of each formula
+    assert pi_bound(5e4)[0] == pytest.approx(rs_bound(5e4), rel=1e-12)
+    assert pi_bound(5e4)[0] == pytest.approx(5799.8415818, rel=1e-9)
+    y = math.log(1e6)
+    dusart = 1e6 / y * (1 + 1 / y + 2 / y**2 + 7.59 / y**3)
+    assert pi_bound(1e6)[0] == pytest.approx(dusart, rel=1e-12)
+    assert pi_bound(1e6)[0] == pytest.approx(78588.421991, rel=1e-9)
 
 
-def test_m_filter_stage_one_keeps_the_fraction_hull(monkeypatch):
-    # MHullState._on_hull filters every point against the float hull of the
-    # block maxima.  What it keeps is what the merge pushes, and that must
-    # hold both ends and every vertex and tie of the exact hull, also with
-    # one block, a full last block and a partial one.  The ties of pi = 3, 7
-    # and 21 round either way of a float chain, so only the margin keeps
-    # some of them.
-    calls, pushed = [], []
-    hull, push = m_variant.segment_hull, MHullState.push
+def test_bound_slope_formula():
+    # d/dx [1.25506 x / ln x] = 1.25506 (ln x - 1) / ln^2 x below the cutoff;
+    # the derivative of Dusart's bound is 1/ln x + 1.59/ln^4 x - 30.36/ln^5 x
+    y = math.log(5e4)
+    assert pi_bound(5e4)[1] == pytest.approx(1.25506 * (y - 1) / y**2, rel=1e-12)
+    y = math.log(1e9)
+    assert pi_bound(1e9)[1] == pytest.approx(1 / y + 1.59 / y**4 - 30.36 / y**5, rel=1e-12)
+    assert pi_bound(1e9)[1] == pytest.approx(0.0482556, rel=1e-5)
+    with pytest.raises(ValueError):
+        pi_bound(math.exp(2))  # needs x > e^2 for monotone decrease
 
-    def recorded(P, y):
-        calls.append(P.tolist())
-        return hull(P, y)
 
-    def recorded_push(self, p, pi, *rest):
-        pushed.append(p)
-        return push(self, p, pi, *rest)
-
-    monkeypatch.setattr(m_variant, "segment_hull", recorded)
-    monkeypatch.setattr(MHullState, "push", recorded_push)
-    rng = random.Random(20261020)
-    for n in (1, 2, 63, 64, 65, 500, 3000):
-        pts = m_tie_cloud(rng, n)
-        want = [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
-        assert n < 500 or sum(len(t) for _, _, t in want) > 10
-        calls.clear()
-        pushed.clear()
-        m = MHullState()
-        m.merge_segment(
-            np.array([p for p, _ in pts], dtype=np.int64),
-            np.array([r for _, r in pts], dtype=np.int64),
-        )
-        assert [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack] == want
-        if n == 1:
-            assert calls == []
+def test_bounds_dominate_actual_counts():
+    primes = sieve_primes(200_000)
+    for i in range(0, len(primes), 997):
+        p = primes[i]
+        if p <= math.exp(2):
             continue
-        assert len(calls) == 1 and len(calls[0]) <= 2 + -(-n // BLOCK)
-        on_hull = {pts[0][0], pts[-1][0]} | {q for p, _, t in want for q in (p, *t)}
-        assert on_hull <= set(pushed)
+        assert rs_bound(p) > i + 1
+        assert pi_bound(p)[0] > i + 1
 
 
-def _filtered(monkeypatch, pts, chain_hull=None):
-    """Merge the cloud as one segment; return the state, the filter's chain and kept points.
-
-    The chain's vertices and the kept points, those the merge pushes, are
-    indices into the cloud.  ``chain_hull(k)``, if given, picks the
-    chain's vertices among the filter's k block tops and ends in place of
-    the float hull.
-    """
-    P = np.array([p for p, _ in pts], dtype=np.int64)
-    R = np.array([r for _, r in pts], dtype=np.int64)
-    calls, pushed = [], []
-    hull, push = m_variant.segment_hull, MHullState.push
-
-    def recorded(Q, y):
-        out = (chain_hull(len(Q)),) if chain_hull else hull(Q, y)
-        calls.append((Q, out[0]))
-        return out
-
-    def recorded_push(self, p, pi, *rest):
-        pushed.append(p)
-        return push(self, p, pi, *rest)
-
-    monkeypatch.setattr(m_variant, "segment_hull", recorded)
-    monkeypatch.setattr(MHullState, "push", recorded_push)
-    m = MHullState()
-    m.merge_segment(P, R)
-    ((sub, verts),) = calls
-    return m, P.searchsorted(sub[verts]), P.searchsorted(pushed)
+def test_tight_bound_is_tighter_beyond_cutoff():
+    for x in (DUSART_CUTOFF, 1e6, 1e8, 1e10):
+        assert pi_bound(x)[0] < rs_bound(x)
+    # below the cutoff the bound is the classic one, bit for bit
+    assert pi_bound(1000.0)[0] == rs_bound(1000.0)
 
 
-def _end_tests(pts, verts):
-    """Whether each block's highest y passes the filter test at the block's first and last points."""
-    P = np.array([p for p, _ in pts], dtype=np.int64)
-    y = P / np.array([r for _, r in pts], dtype=np.int64)
-    starts = np.arange(0, len(P), BLOCK)
-    ends = np.minimum(starts[:, None] + [0, BLOCK - 1], len(P) - 1)
-    c = m_filter_chain(P, y, verts)
-    return np.maximum.reduceat(y, starts)[:, None] >= c[ends] - m_variant.FILTER_MARGIN * y.max()
-
-
-def _m_oracle(pts):
-    return [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, Fraction(p, r)) for p, r in pts])]
-
-
-def _m_stack(m):
-    return [(v.p, Fraction(v.p, v.pi), v.ties) for v in m.stack]
-
-
-def test_m_filter_keeps_every_block_that_holds_a_chain_vertex(monkeypatch):
-    # A block with no vertex of the filter's chain lies inside one edge,
-    # where the chain is affine, so its values at the block's ends bound it
-    # from below.  A block whose top is a vertex has no such bound, and the
-    # filter keeps it whatever its end tests say.  The float hull is concave
-    # up to rounding, so at its vertices one end test passes anyway; but the
-    # margin proof holds for any chain through the block tops and ends, and
-    # a chain through every block top dips at some of them below both ends.
-    # Every block then holds a vertex, and the filter pushes what the
-    # per-point test keeps.
-    rng = random.Random(20261021)
-    dips = 0
-    for n in (500, 3000):
-        pts = m_tie_cloud(rng, n)
-        want = _m_oracle(pts)
-        m, verts, kept = _filtered(monkeypatch, pts)
-        assert _m_stack(m) == want
-        assert any(0 < v % BLOCK < BLOCK - 1 for v in verts[1:-1])
-        assert set(verts) <= set(kept)
-        m, verts, kept = _filtered(monkeypatch, pts, np.arange)
-        assert _m_stack(m) == want
-        dips += (~_end_tests(pts, verts).any(1)).sum()
-        P = np.array([p for p, _ in pts], dtype=np.int64)
-        y = P / np.array([r for _, r in pts], dtype=np.int64)
-        per_point = np.flatnonzero(y >= m_filter_chain(P, y, verts) - m_variant.FILTER_MARGIN * y.max())
-        assert kept.tolist() == per_point.tolist()
-    assert dips >= 3
-
-
-def _falling_line():
-    """Points (N - d, N/d - 1) at height d, exactly on y = N - p and exact in float64.
-
-    d runs over the divisors of N = 8648640 up to N/2, in decreasing order.
-    """
-    N = 8648640
-    small = [d for d in range(1, math.isqrt(N) + 1) if N % d == 0]
-    ds = sorted({*small, *(N // d for d in small)} - {N}, reverse=True)
-    return [(N - d, N // d - 1) for d in ds]
-
-
-def _one_end_clouds():
-    """Clouds on an exact line, one point per block pushed below it.
-
-    On the falling line the first point of each block is lowered, so the
-    block's top is its second point and only its last end passes; on the
-    rising line y = p the last point is, and only the first end passes.
-    Every other point is a tie of the hull's one edge, and the float chain is
-    that edge, so no block in between holds a vertex.  On the line y = p/3
-    the first point of each block is a tie, the others lie far below, and
-    some of the ties round below the float chain: at both ends of their
-    block the test passes only by the margin.
-    """
-    fall = _falling_line()
-    fall = [(p, r + (0 < i < len(fall) - 1 and i % BLOCK == 0)) for i, (p, r) in enumerate(fall)]
-    rise = [(10**9 + 3 * i, 1 + (i % BLOCK == BLOCK - 1)) for i in range(20 * BLOCK + 5)]
-    rng = random.Random(20261022)
-    third, p = [], 10**9
-    for i in range(40 * BLOCK + 1):
-        p += rng.randint(1, 40)
-        third.append((p, 3 if i % BLOCK == 0 or i == 40 * BLOCK else 7))
-    return {"falling": (fall, [False, True]), "rising": (rise, [True, False]), "thirds": (third, None)}
-
-
-@pytest.mark.parametrize("name", ["falling", "rising", "thirds"])
-def test_m_filter_tests_both_block_ends_with_the_margin(monkeypatch, name):
-    pts, one_end = _one_end_clouds()[name]
-    want = _m_oracle(pts)
-    assert len(want) == 2 and len(want[1][2]) > 30
-    m, verts, _ = _filtered(monkeypatch, pts)
-    assert _m_stack(m) == want
-    inner = _end_tests(pts, verts)[1:-1]
-    if one_end:
-        assert verts.tolist() == [0, len(pts) - 1]
-        assert (inner == one_end).all()
-    else:
-        # Blocks that hold no chain vertex, and whose tie rounds below the
-        # chain at both of their ends.
-        P = np.array([p for p, _ in pts], dtype=np.int64)
-        y = P / 3
-        c = m_filter_chain(P, y, verts)
-        starts = np.setdiff1d(np.arange(BLOCK, len(pts) - 1, BLOCK), verts)
-        ends = starts + BLOCK - 1
-        assert ((y[starts] < c[starts]) & (y[starts] < c[ends])).sum() > 2
+def test_tight_slope_decreasing_and_dominates_density():
+    # The slope must decrease over the whole domain, the switch at the
+    # cutoff included, and stay above the bound's own finite differences.
+    xs = np.geomspace(math.exp(2) * 1.01, 1e11, 60)
+    slopes = [pi_bound(float(x))[1] for x in xs]
+    assert all(a > b for a, b in zip(slopes, slopes[1:]))
+    assert pi_bound(DUSART_CUTOFF - 1)[1] > pi_bound(DUSART_CUTOFF)[1]
+    for x in xs:
+        x = float(x)
+        fd = (pi_bound(x * 1.0001)[0] - pi_bound(x)[0]) / (x * 1e-4)
+        assert pi_bound(x)[1] >= fd * (1 - 1e-6)

@@ -13,8 +13,8 @@ import pytest
 import primehull
 from primehull import cli
 from primehull.analysis import records_from_state
-from primehull.m_variant import compute_m_extremal
 from primehull.persistence import export_csv
+from test_m_variant import M_VERTEX_DIGESTS
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
@@ -91,12 +91,13 @@ def test_benchmark_digests_match_the_program(tmp_path, run_1e8):
         for target in node.targets
         if isinstance(target, ast.Name) and target.id.endswith("_SHA256")
     }
-    sha = lambda lines: hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    m = compute_m_extremal(10**7).records
-    assert pins["M_VERTEX_SHA256"] == sha(f"{r.p},{r.pi},{';'.join(map(str, r.ties))}" for r in m)
+    # The M digest is the 1e7 pin that test_m_vertex_list_pinned checks.
+    limit, _, _, digest = M_VERTEX_DIGESTS[0]
+    assert (limit, pins["M_VERTEX_SHA256"]) == (10**7, digest)
     path = tmp_path / "table.csv"
     export_csv(records_from_state(run_1e8.state, include_provisional=True), path, include_provisional=True)
-    assert pins["E_CSV200_SHA256"] == sha(path.read_text().splitlines()[1:201])
+    lines = path.read_text().splitlines()[1:201]
+    assert pins["E_CSV200_SHA256"] == hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("workload", BENCH_WORKLOADS)

@@ -953,6 +953,13 @@ def test_cli_resume_errors(tmp_path, capsys):
     assert cli.main(["compute", "--limit", "1000", "--checkpoint", str(bad)]) == 3
     assert "corrupt" in capsys.readouterr().err
     assert bad.read_text() == "{not json"
+    # Bytes that are not UTF-8, an integer past Python's digit limit and
+    # arrays nested past its recursion limit are corrupt files too.
+    for data in (b"\xff\xfe{}", b"9" * 5000, b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(data)
+        assert cli.main(["compute", "--limit", "1000", "--checkpoint", str(bad)]) == 3
+        assert "corrupt" in capsys.readouterr().err
+        assert bad.read_bytes() == data
     ahead = tmp_path / "ahead.json"
     assert cli.main(["compute", "--limit", "2000", "--checkpoint", str(ahead)]) == 0
     saved = ahead.read_bytes()

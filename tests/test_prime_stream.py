@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from oracles import sieve_primes, window_primes
 from primehull import prime_stream
-from primehull.hull_engine import DUSART_CUTOFF, pi_bound
 from primehull.prime_stream import MAX_LIMIT, LimitTooLargeError, SieveConfig, iter_prime_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -502,22 +501,6 @@ def test_a_slot_is_never_dealt_twice(monkeypatch, fresh_workers):
     assert held == set()
 
 
-def test_slot_handoff_under_thread_switching(monkeypatch, fresh_workers):
-    # Eight workers on however many cores, the generator switching threads
-    # every microsecond: a slot handed to a new segment while its primes
-    # are still being copied out would lose or invent primes.
-    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 10)
-    monkeypatch.setattr(prime_stream.os, "sched_getaffinity", lambda pid: set(range(8)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        primes, _, _ = collect(SieveConfig(limit=300_000))
-    finally:
-        sys.setswitchinterval(interval)
-    assert primes == sieve_primes(300_000)
-    assert len(prime_stream._workers.pids) == 8
-
-
 def test_a_stream_starts_no_thread(monkeypatch):
     # Forking a process that runs threads can deadlock the child, and Python
     # 3.12 warns about it, so the stream must not add a thread of its own.
@@ -669,61 +652,3 @@ def test_a_fresh_stream_first_block_starts_at_2(monkeypatch, limit, segment_size
         want = prime_stream.base_primes(limit)
         assert primes.tolist() == want.tolist()
         assert pis.tolist() == list(range(1, len(want) + 1))
-
-
-def rs_bound(x):
-    """The reference bound 1.25506 x / ln x (Rosser and Schoenfeld)."""
-    return 1.25506 * x / math.log(x)
-
-
-def test_pi_upper_bound_formula():
-    # Rosser-Schoenfeld below the cutoff, Dusart from it on; the pinned
-    # values agree with a 30-digit mpmath evaluation of each formula
-    assert pi_bound(5e4)[0] == pytest.approx(rs_bound(5e4), rel=1e-12)
-    assert pi_bound(5e4)[0] == pytest.approx(5799.8415818, rel=1e-9)
-    y = math.log(1e6)
-    dusart = 1e6 / y * (1 + 1 / y + 2 / y**2 + 7.59 / y**3)
-    assert pi_bound(1e6)[0] == pytest.approx(dusart, rel=1e-12)
-    assert pi_bound(1e6)[0] == pytest.approx(78588.421991, rel=1e-9)
-
-
-def test_bound_slope_formula():
-    # d/dx [1.25506 x / ln x] = 1.25506 (ln x - 1) / ln^2 x below the cutoff;
-    # the derivative of Dusart's bound is 1/ln x + 1.59/ln^4 x - 30.36/ln^5 x
-    y = math.log(5e4)
-    assert pi_bound(5e4)[1] == pytest.approx(1.25506 * (y - 1) / y**2, rel=1e-12)
-    y = math.log(1e9)
-    assert pi_bound(1e9)[1] == pytest.approx(1 / y + 1.59 / y**4 - 30.36 / y**5, rel=1e-12)
-    assert pi_bound(1e9)[1] == pytest.approx(0.0482556, rel=1e-5)
-    with pytest.raises(ValueError):
-        pi_bound(math.exp(2))  # needs x > e^2 for monotone decrease
-
-
-def test_bounds_dominate_actual_counts():
-    primes = sieve_primes(200_000)
-    for i in range(0, len(primes), 997):
-        p = primes[i]
-        if p <= math.exp(2):
-            continue
-        assert rs_bound(p) > i + 1
-        assert pi_bound(p)[0] > i + 1
-
-
-def test_tight_bound_is_tighter_beyond_cutoff():
-    for x in (DUSART_CUTOFF, 1e6, 1e8, 1e10):
-        assert pi_bound(x)[0] < rs_bound(x)
-    # below the cutoff the bound is the classic one, bit for bit
-    assert pi_bound(1000.0)[0] == rs_bound(1000.0)
-
-
-def test_tight_slope_decreasing_and_dominates_density():
-    # The slope must decrease over the whole domain, the switch at the
-    # cutoff included, and stay above the bound's own finite differences.
-    xs = np.geomspace(math.exp(2) * 1.01, 1e11, 60)
-    slopes = [pi_bound(float(x))[1] for x in xs]
-    assert all(a > b for a, b in zip(slopes, slopes[1:]))
-    assert pi_bound(DUSART_CUTOFF - 1)[1] > pi_bound(DUSART_CUTOFF)[1]
-    for x in xs:
-        x = float(x)
-        fd = (pi_bound(x * 1.0001)[0] - pi_bound(x)[0]) / (x * 1e-4)
-        assert pi_bound(x)[1] >= fd * (1 - 1e-6)
