@@ -51,30 +51,33 @@ def stack_hull(state):
     return [(v.p, HEIGHT[type(state)](v.p, v.pi), v.ties) for v in state.stack]
 
 
-# (a, b, c, sign of slope(a, b) - slope(b, c)) over each class's heights.
-SLOPE_CASES = {
-    HullState: [
+# (a, b, c, sign of slope(a, b) - slope(b, c)) over each class's heights;
+# the M collinear cases run under an id of their own.
+SLOPE_CASES = [
+    pytest.param(HullState, [
         ((2, 1), (3, 2), (7, 4), 1),  # 1 vs 1/2
         ((19, 8), (23, 9), (47, 15), 0),  # both 1/4
         ((2, 1), (5, 3), (7, 4), 1),  # 2/3 vs 1/2
         ((2, 1), (3, 2), (5, 3), 1),  # 1 vs 1/2
         ((3, 2), (5, 3), (7, 4), 0),  # 1/2 = 1/2
         ((7, 4), (11, 5), (13, 6), -1),  # 1/4 < 1/2
-    ],
-    MHullState: [
+    ], id="E"),
+    pytest.param(MHullState, [
         ((2, 1), (3, 2), (5, 3), -1),  # -1/2 vs 1/12
         ((2, 1), (13, 6), (29, 10), -1),  # 1/66 vs 11/240
         ((2, 1), (12, 4), (30, 6), -1),  # 1/10 vs 1/9
         ((2, 1), (29, 10), (37, 12), 1),
+    ], id="M"),
+    pytest.param(MHullState, [
         ((4, 2), (8, 4), (12, 6), 0),  # values 2, 2, 2 at x = 4, 8, 12: both slopes exactly 0
         ((4, 2), (6, 2), (10, 2), 0),  # values 2, 3, 5 at x = 4, 6, 10 (denominator fixed): slopes 1/2, 1/2
-    ],
-}
+    ], id="M-collinear"),
+]
 
 
-@pytest.mark.parametrize("cls", SEQUENCES)
-def test_slope_order_examples(cls):
-    for a, b, c, sign in SLOPE_CASES[cls]:
+@pytest.mark.parametrize("cls, cases", SLOPE_CASES)
+def test_slope_order_examples(cls, cases):
+    for a, b, c, sign in cases:
         assert slope_order(cls, P(*a), P(*b), P(*c)) == sign
 
 
