@@ -1,14 +1,14 @@
 import copy
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_upper_hull, m_filter_chain, prime_points, sieve_primes
+from conftest import arrays, hull_tuples, oracle_hull, slope_order, stack_hull
+from oracles import hull_of_primes, m_filter_chain, m_hull_of_primes, prime_points, sieve_primes
 from primehull.hull_engine import (
     DUSART_CUTOFF,
     HullState,
@@ -25,31 +25,6 @@ from primehull._seghull import BLOCK, _candidates
 # The two sequences run on one engine, so a test of an engine behaviour
 # runs once per state class, under an id that names the sequence.
 SEQUENCES = [pytest.param(HullState, id="E"), pytest.param(MHullState, id="M")]
-
-# The exact height of the point (p, pi) on each class's hull.
-HEIGHT = {HullState: lambda p, pi: Fraction(pi), MHullState: Fraction}
-
-
-def slope_order(cls, a, b, c):
-    """Sign of lhs - rhs from ``cls._cross``: slope(a, b) vs slope(b, c) of its heights."""
-    lhs, rhs = cls._cross(a, b, c.p, c.pi)
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def arrays(pts):
-    """The p and the pi of a cloud's points, as two int64 arrays."""
-    return np.array(pts, dtype=np.int64).T.copy()
-
-
-def oracle_hull(pts, cls=HullState):
-    """(p, y, ties) of every vertex of the batch Fraction oracle over cls's heights y."""
-    return [(v.p, v.y, v.ties) for v in batch_upper_hull([(p, HEIGHT[cls](p, r)) for p, r in pts])]
-
-
-def stack_hull(state):
-    """(p, y, ties) of every vertex on a state's stack, y its exact height."""
-    return [(v.p, HEIGHT[type(state)](v.p, v.pi), v.ties) for v in state.stack]
-
 
 # (a, b, c, sign of slope(a, b) - slope(b, c)) over each class's heights;
 # the M collinear cases run under an id of their own.
@@ -168,16 +143,16 @@ def test_confirm_at_100():
 
 
 @pytest.mark.parametrize(
-    "cls, limit",
-    [pytest.param(HullState, n, id=f"E-{n}") for n in (10**3, 10**4, 10**5)]
-    + [pytest.param(MHullState, n, id=f"M-{n}") for n in (10**4, 10**5, 10**6)],
+    "cls, oracle, limit",
+    [pytest.param(HullState, hull_of_primes, n, id=f"E-{n}") for n in (10**3, 10**4, 10**5)]
+    + [pytest.param(MHullState, m_hull_of_primes, n, id=f"M-{n}") for n in (10**4, 10**5, 10**6)],
 )
-def test_streaming_equals_batch_oracle(cls, limit):
+def test_streaming_equals_batch_oracle(cls, oracle, limit):
     # Vertices, ties and heights: for M the height is each record's value
     # p/pi.  E at 1e6 is criterion 5's.
     state = cls()
     state.extend(limit)
-    assert stack_hull(state) == oracle_hull(prime_points(limit), cls)
+    assert stack_hull(state) == hull_tuples(oracle(limit))
 
 
 @pytest.mark.parametrize("segment_size", [1024, 8192, 1 << 17])

@@ -6,28 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import M_VERTEX_DIGESTS, arrays, oracle_hull, slope_order, stack_hull
 from oracles import chord_dominates, m_filter_chain, m_hull_of_primes, prime_points
 from primehull import m_variant
 from primehull._seghull import BLOCK, segment_hull
 from primehull.analysis import records_from_state
 from primehull.m_variant import MHullState, compute_m_extremal
 from primehull.prime_stream import LimitTooLargeError
-from test_hull_engine import arrays, oracle_hull, slope_order, stack_hull
 
 # Batch-oracle hull prefix over primes <= 1e6 (Fraction arithmetic).
 M_FIRST_10 = [2, 29, 37, 41, 59, 97, 149, 223, 347, 557]
-
-# sha256 of the "p,pi,ties" lines of every M vertex, joined by newlines:
-# (limit, vertices, confirmed, digest).  The digests are those of the exact
-# merge that pushed every point, which the filtered merge must reproduce.
-M_VERTEX_DIGESTS = [
-    (10**7, 130, 59, "201714e12af8cd17640b8accf707b56b49d5285fe5e5a677869579380b8f7fc2"),
-    (10**8, 234, 110, "ada47a7cad8bfc95bb41f56cce8012f25be9ec4b40703f017b41a128ac2313ab"),
-    pytest.param(
-        10**9, 429, 189, "98bf6b5fc008054db19b015be43e19dc6a6636a5b36b937e9c8bab9ca59a1e28",
-        marks=pytest.mark.extended,
-    ),
-]
 
 
 def test_m1_is_2_and_m2_is_29():
@@ -87,20 +75,19 @@ def test_m_vertex_list_pinned(limit, vertices, confirmed, digest):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
-# The M hook, taken before any test patches it: the recorder below calls
-# it, and segment_hull as imported above, under its patches.
-M_ON_HULL = MHullState._on_hull
+# The M hook and push, taken before any test patches them: the recorder
+# below calls them, and segment_hull as imported above, under its patches.
+M_ON_HULL, M_PUSH = MHullState._on_hull, MHullState.push
 
 
 def record_merges(monkeypatch, chain_hull=None):
-    """Record every M merge, as [primes, pis, calls, kept], in the list returned.
+    """Record every M merge, as [primes, pis, calls, pushed], in the list returned.
 
     ``calls`` holds (Q, verts) for each ``segment_hull`` call of the
     filter: Q the primes it is given, verts the indices into Q of the
-    chain's vertices.  ``kept`` holds the indices of the points the
-    ``_on_hull`` hook keeps, which the merge pushes.  ``chain_hull(k)``,
-    if given, picks the chain's vertices among the k block tops and ends
-    in place of the float hull.
+    chain's vertices.  ``pushed`` holds the primes the merge pushes.
+    ``chain_hull(k)``, if given, picks the chain's vertices among the k
+    block tops and ends in place of the float hull.
     """
     merges = []
 
@@ -110,13 +97,16 @@ def record_merges(monkeypatch, chain_hull=None):
         return out
 
     def recorded_on_hull(primes, pis):
-        merges.append([primes.copy(), pis.copy(), []])
-        kept = M_ON_HULL(primes, pis)
-        merges[-1].append(kept)
-        return kept
+        merges.append([primes.copy(), pis.copy(), [], []])
+        return M_ON_HULL(primes, pis)
+
+    def recorded_push(self, p, pi, *rest):
+        merges[-1][3].append(p)
+        return M_PUSH(self, p, pi, *rest)
 
     monkeypatch.setattr(m_variant, "segment_hull", recorded_hull)
     monkeypatch.setattr(MHullState, "_on_hull", staticmethod(recorded_on_hull))
+    monkeypatch.setattr(MHullState, "push", recorded_push)
     return merges
 
 
@@ -125,13 +115,13 @@ def merged(monkeypatch, pts, chain_hull=None):
 
     Returns the stack's (p, y, ties), the filter's ``segment_hull`` calls
     as (Q, the chain's vertices as indices into the cloud), and the
-    indices of the points it keeps.
+    indices of the points the merge pushes.
     """
     merges = record_merges(monkeypatch, chain_hull)
     m = MHullState()
     m.merge_segment(*arrays(pts))
-    ((primes, _, calls, kept),) = merges
-    return stack_hull(m), [(Q, primes.searchsorted(Q[verts])) for Q, verts in calls], kept
+    ((primes, _, calls, pushed),) = merges
+    return stack_hull(m), [(Q, primes.searchsorted(Q[verts])) for Q, verts in calls], primes.searchsorted(pushed)
 
 
 def m_tie_cloud(rng, n):
@@ -179,14 +169,14 @@ def test_m_filter_keeps_the_fraction_hull(monkeypatch):
         pts = m_tie_cloud(rng, n)
         want = oracle_hull(pts, MHullState)
         assert n < 500 or sum(len(t) for _, _, t in want) > 10
-        got, calls, kept = merged(monkeypatch, pts)
+        got, calls, pushed = merged(monkeypatch, pts)
         assert got == want
         if n == 1:
             assert calls == []
             continue
         assert len(calls) == 1 and len(calls[0][0]) <= 2 + -(-n // BLOCK)
         on_hull = {pts[0][0], pts[-1][0]} | {q for p, _, t in want for q in (p, *t)}
-        assert on_hull <= {pts[i][0] for i in kept}
+        assert on_hull <= {pts[i][0] for i in pushed}
 
 
 def _end_tests(pts, verts):
@@ -214,17 +204,17 @@ def test_m_filter_keeps_every_block_that_holds_a_chain_vertex(monkeypatch):
     for n in (500, 3000):
         pts = m_tie_cloud(rng, n)
         want = oracle_hull(pts, MHullState)
-        got, ((_, verts),), kept = merged(monkeypatch, pts)
+        got, ((_, verts),), pushed = merged(monkeypatch, pts)
         assert got == want
         assert any(0 < v % BLOCK < BLOCK - 1 for v in verts[1:-1])
-        assert set(verts) <= set(kept)
-        got, ((_, verts),), kept = merged(monkeypatch, pts, np.arange)
+        assert set(verts) <= set(pushed)
+        got, ((_, verts),), pushed = merged(monkeypatch, pts, np.arange)
         assert got == want
         dips += (~_end_tests(pts, verts).any(1)).sum()
         P, R = arrays(pts)
         y = P / R
         per_point = np.flatnonzero(y >= m_filter_chain(P, y, verts) - m_variant.FILTER_MARGIN * y.max())
-        assert kept.tolist() == per_point.tolist()
+        assert pushed.tolist() == per_point.tolist()
     assert dips >= 3
 
 
@@ -330,10 +320,10 @@ def test_chain_is_the_per_point_formula_to_1e7(monkeypatch):
 def test_filtered_merge_push_count_to_1e7(monkeypatch):
     # A work count: a filter that stops filtering keeps every hull right, so
     # only the number of exact pushes shows it.  Unfiltered, all 664,579
-    # primes to 1e7 are pushed; the filter keeps, and the merge pushes, 716.
+    # primes to 1e7 are pushed; the filter pushes 716.
     merges = record_merges(monkeypatch)
     compute_m_extremal(10**7)
-    assert sum(len(kept) for *_, kept in merges) == 716
+    assert sum(len(pushed) for *_, pushed in merges) == 716
 
 
 def test_filtered_merge_segment_hull_inputs_to_1e7(monkeypatch):
@@ -352,13 +342,14 @@ def test_filtered_merge_segment_hull_inputs_to_1e7(monkeypatch):
 @pytest.mark.parametrize("oracle", ["push", "fraction"])
 def test_filter_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
     # On every segment that compute_m_extremal(10**7) merges, the points
-    # the filter keeps hold both ends and every vertex and tie of the
+    # the filter pushes hold both ends and every vertex and tie of the
     # segment's exact hull, by the exact stack fed every point and by the
     # Fraction oracle, which takes about 3.5 s on these 664,579 points.
     merges = record_merges(monkeypatch)
     compute_m_extremal(10**7)
+    monkeypatch.undo()
     assert [len(p) for p, *_ in merges] == [155_611, 140_336, 135_555, 132_661, 100_416]
-    for primes, pis, _, kept in merges:
+    for primes, pis, _, pushed in merges:
         pts = list(zip(primes.tolist(), pis.tolist()))
         if oracle == "push":
             exact = MHullState()
@@ -368,4 +359,4 @@ def test_filter_keeps_each_segment_hull_to_1e7(monkeypatch, oracle):
         else:
             hull = oracle_hull(pts, MHullState)
         on_hull = {pts[0][0], pts[-1][0]} | {q for p, _, ties in hull for q in (p, *ties)}
-        assert on_hull <= set(primes[kept].tolist())
+        assert on_hull <= set(pushed)

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import primehull
+from conftest import M_VERTEX_DIGESTS
 from primehull import cli
 from primehull.analysis import records_from_state
 from primehull.persistence import export_csv
-from test_m_variant import M_VERTEX_DIGESTS
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
