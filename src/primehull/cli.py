@@ -113,6 +113,12 @@ def _require_dirs(*paths: Optional[str]) -> None:
 
 def _cmd_compute(args) -> int:
     _require_dirs(args.out, args.checkpoint)
+    # The export would replace the checkpoint it was computed from.
+    if args.out and args.checkpoint and (
+        os.path.realpath(args.out) == os.path.realpath(args.checkpoint)
+        or os.path.exists(args.out) and os.path.exists(args.checkpoint) and os.path.samefile(args.out, args.checkpoint)
+    ):
+        raise ValueError(f"--out {args.out} and --checkpoint {args.checkpoint} are the same file")
     limit = parse_limit(args.limit)
     SieveConfig(limit=limit)  # refuse a limit out of range before the first chunk
     until_k = math.inf if args.until_k is None else args.until_k

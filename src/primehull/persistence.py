@@ -82,8 +82,10 @@ def save_checkpoint(state: HullState, path: Union[str, os.PathLike]) -> None:
     }
     payload["integrity"] = hashlib.sha256(_canonical_json(payload)).hexdigest()
     # Renamed onto ``path`` only once whole and on disk: a kill or a power
-    # loss mid-save keeps the old file.
-    tmp = os.fspath(path) + ".tmp"
+    # loss mid-save keeps the old file.  A symlink is written through: the
+    # temporary file sits beside its target, so the rename stays atomic.
+    path = os.path.realpath(path)
+    tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)

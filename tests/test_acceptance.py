@@ -278,22 +278,42 @@ def test_criterion_08_tangent_window_numerics(capsys):
         if not all(a > b for a, b in zip(ratios, ratios[1:])):
             failures.append("H(x)/x not strictly decreasing")
 
-        # Every decade from 1e13 to 1e307: each lensbounds row is ok, its
-        # majorant roots bracket the crossings, and H(x)/x strictly
-        # decreases. The cells carry 12 digits, and from about 1e44 on the
-        # roots and crossings agree to float precision (their true gap is
-        # about (h/x)^2 / 12 relative), so the printed bracket is not strict.
-        grid = ",".join(f"1e{e}" for e in range(13, 308))
-        if cli.main(["lensbounds", "--x-grid", grid]) != 0:
+        # Every decade from 1e13 to 1e307: each lensbounds row is ok and
+        # prints the 12-digit cells of the floats computed here. In both the
+        # majorant roots bracket the crossings and H(x)/x strictly
+        # decreases. The roots lie beyond the crossings by W - F over |F'|
+        # at the crossing: with r = h/x that is about (h^4 / (12 x^3 y^2)) /
+        # (h / (x y^2)), a relative gap of r^2 / 12. Where that is far above
+        # float64's resolution it pins the gap and so the strict bracket;
+        # from about 1e44 on it is below one ulp, the roots agree to 1e-15,
+        # and the printed bracket is not strict.
+        exponents = range(13, 308)
+        if cli.main(["lensbounds", "--x-grid", ",".join(f"1e{e}" for e in exponents)]) != 0:
             failures.append("lensbounds failed on the decade grid")
         header, *lines = capsys.readouterr().out.splitlines()
-        widths = []
-        for line in lines:
-            *cells, status = line.split(",")
-            row = dict(zip(header.split(","), map(Decimal, cells)))
-            if status != "ok":
-                failures.append(f"lensbounds status {status} at x={row['x']}")
+        widths, prev = [], math.inf
+        for e, line in zip(exponents, lines):
+            x = float(10**e)
+            theta_minus, theta_plus = lb.solve_theta(x)
+            h_minus, h_plus = lb.solve_h_exact(x)
+            h_star_minus, h_star_plus = theta_minus * x, theta_plus * x
+            ratio = (h_plus - h_minus) / x
+            if not h_minus < 0 < h_plus:
+                failures.append(f"crossings not either side of 0 at 1e{e}")
+            for h, h_star in ((h_minus, h_star_minus), (h_plus, h_star_plus)):
+                predicted = (h / x) ** 2 / 12
+                if not abs((h_star - h) / h - predicted) <= 0.25 * predicted + 1e-15:
+                    failures.append(f"majorant root gap not (h/x)^2 / 12 at 1e{e}, h={h:.3g}")
+            if e <= 39 and not (h_star_minus < h_minus and h_plus < h_star_plus):
+                failures.append(f"majorant roots do not strictly bracket the crossings at 1e{e}")
+            if not ratio < prev:
+                failures.append(f"H(x)/x not strictly decreasing at 1e{e}")
+            prev = ratio
+            floats = (*lb.cubic_coeffs(x), theta_minus, theta_plus, h_star_minus, h_star_plus, h_minus, h_plus, ratio)
+            if line != ",".join([repr(x), *map(persistence.sci12, floats), "ok"]):
+                failures.append(f"lensbounds row at 1e{e} is not ok with the 12-digit cells of its floats")
                 continue
+            row = dict(zip(header.split(","), map(Decimal, line.split(",")[:-1])))
             if not row["h_star_minus"] <= row["h_minus"] < 0 < row["h_plus"] <= row["h_star_plus"]:
                 failures.append(f"lensbounds bracket violated at x={row['x']}")
             widths.append(row["h_width_over_x"])

@@ -141,29 +141,6 @@ def test_crossings_sign_certified_by_mpmath():
             assert (below > 0) != (above > 0), (x, h)
 
 
-def test_every_decade_to_1e307():
-    # The majorant's roots lie beyond the exact crossings by W - F over
-    # |F'| at the crossing: with r = h/x that is about (h^4 / (12 x^3 y^2))
-    # / (h / (x y^2)), a relative gap of r^2 / 12.  Where that is far above
-    # float64's resolution it pins the gap and so the strict bracket; from
-    # about 1e44 on it is below one ulp, and the roots agree to 1e-15.
-    prev = math.inf
-    for e in range(13, 308):
-        x = 10.0**e
-        theta_minus, theta_plus = lb.solve_theta(x)
-        h_star_minus, h_star_plus = theta_minus * x, theta_plus * x
-        h_minus, h_plus = lb.solve_h_exact(x)
-        assert h_minus < 0 < h_plus
-        for h, h_star in ((h_minus, h_star_minus), (h_plus, h_star_plus)):
-            predicted = (h / x) ** 2 / 12
-            assert abs((h_star - h) / h - predicted) <= 0.25 * predicted + 1e-15, (e, h)
-        if e <= 39:
-            assert h_star_minus < h_minus and h_plus < h_star_plus, e
-        ratio = (h_plus - h_minus) / x
-        assert ratio < prev, e
-        prev = ratio
-
-
 def test_solve_h_exact_rejects_small_x():
     # Below x = 8.03e5 the tangent gap is still positive at the domain edge
     # x + h = 2, so there is no negative-side crossing.

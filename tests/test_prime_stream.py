@@ -306,123 +306,66 @@ def test_closing_a_stream_early_closes_its_workers(monkeypatch):
     assert prime_stream._workers.alive and not prime_stream._workers.busy
 
 
-def test_worker_error_surfaces_after_the_blocks_before_it(monkeypatch, fresh_workers):
-    # Five segments below 4099^2 hold no scatter prime; from the sixth on,
-    # which starts at 4099^2, every segment's scatter raises.
-    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
-    span = 2 << 12
-    lo = 4099**2 - 5 * span
-    real = prime_stream._strike_large
-
-    def strike(mask, P, i0):
-        if len(P):
-            raise RuntimeError("scatter failed")
-        real(mask, P, i0)
-
-    monkeypatch.setattr(prime_stream, "_strike_large", strike)
-    got = []
-    with pytest.raises(prime_stream.SieveWorkerError) as raised:
-        for block in iter_prime_blocks(SieveConfig(limit=lo + 20 * span, start=lo, start_pi=1)):
-            got.append(block)
-    assert [high for _, _, high in got] == [lo + j * span - 1 for j in range(1, 6)]
-    primes = np.concatenate([p for p, _, _ in got])
-    assert np.array_equal(primes, window_primes(lo, lo + 5 * span - 1))
-    assert np.array_equal(np.concatenate([q for _, q, _ in got]), np.arange(2, len(primes) + 2))
-    workers = prime_stream._workers
-    w, _ = workers.tickets[(5 - 1) % len(workers.tickets)]
-    assert str(raised.value) == f"sieve worker {workers.pids[w]} failed: RuntimeError: scatter failed"
-    assert not workers.alive
-    assert all(reaped(pid) for pid in workers.pids)
-
-
-def test_a_worker_whose_table_fails_answers_with_the_error(monkeypatch, fresh_workers):
-    # A worker builds its base-prime table at its first command, inside the
-    # answer's try, so the table's error reaches the stream with its type
-    # and text. The generator's own table, for segment 0, is smaller.
-    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
-    real = prime_stream.base_primes
-
-    def table(limit):
-        if limit == math.isqrt(MAX_LIMIT):
-            raise RuntimeError("table failed")
-        return real(limit)
-
-    monkeypatch.setattr(prime_stream, "base_primes", table)
-    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
-    primes, _, high = next(blocks)
-    assert high == 2 << 12 and primes.tolist() == sieve_primes(high)
-    workers = prime_stream._workers
-    w, _ = workers.tickets[0]
-    with pytest.raises(prime_stream.SieveWorkerError) as raised:
-        next(blocks)
-    assert str(raised.value) == f"sieve worker {workers.pids[w]} failed: RuntimeError: table failed"
-    assert not workers.alive
-    assert all(reaped(pid) for pid in workers.pids)
-
-
-def test_a_killed_worker_ends_the_stream_after_the_blocks_before_it(monkeypatch, fresh_workers):
-    # The worker holding segment 5 stalls on it until it is killed, so every
-    # earlier answer has been read when the signal lands.
-    monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
-    span = 2 << 12
-    stalled = [1 + 5 * span]
-    real = prime_stream._sieve_segment
-
-    def sieve(lo, hi, buf, odd_basis):
-        if lo in stalled:
-            time.sleep(60)
-        return real(lo, hi, buf, odd_basis)
-
-    monkeypatch.setattr(prime_stream, "_sieve_segment", sieve)
-    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
-    got = [next(blocks) for _ in range(5)]
-    workers = prime_stream._workers
-    w, _ = workers.tickets[(5 - 1) % len(workers.tickets)]
-    os.kill(workers.pids[w], signal.SIGKILL)
-    with pytest.raises(prime_stream.SieveWorkerError, match=f"^sieve worker {workers.pids[w]} exited$"):
-        next(blocks)
-    assert [high for _, _, high in got] == [j * span for j in range(1, 6)]
-    primes = np.concatenate([p for p, _, _ in got])
-    assert primes.tolist() == sieve_primes(5 * span)
-    assert not workers.alive
-    assert all(reaped(pid) for pid in workers.pids)
-    # The next stream forks a new set, which sieves as if nothing happened.
-    stalled.clear()
-    primes, _, _ = collect(SieveConfig(limit=10**6))
-    assert primes == sieve_primes(10**6)
-    assert prime_stream._workers.alive and not prime_stream._workers.busy
-
-
-def test_a_stopped_worker_ends_the_stream_at_the_deadline(monkeypatch, fresh_workers):
-    # The worker holding segment 5 stops itself with SIGSTOP before it
-    # answers, so its answer never comes.
+@pytest.mark.parametrize(
+    "fault, F, message",
+    [
+        pytest.param("raises", 5, "failed: RuntimeError: sieve failed", id="raises"),
+        pytest.param("table-fails", 1, "failed: RuntimeError: table failed", id="table-fails"),
+        pytest.param("killed", 5, "exited", id="killed"),
+        pytest.param("stopped", 5, "gave no answer in 0.5 s", id="stopped"),
+    ],
+)
+def test_a_worker_fault_ends_the_stream_after_the_blocks_before_it(monkeypatch, fresh_workers, fault, F, message):
+    # The worker dealt segment F raises as it sieves it; fails to build its
+    # base-prime table, which it does at its first command inside the
+    # answer's try, so F = 1 (the generator's own table, for segment 0, is
+    # smaller); stalls on it until it is killed, after every earlier answer
+    # has been read; or stops itself with SIGSTOP, so its answer never comes.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
     monkeypatch.setattr(prime_stream, "WORKER_DEADLINE_S", 0.5)
     span = 2 << 12
-    stalled = [1 + 5 * span]
-    real = prime_stream._sieve_segment
+    faulty = [1 + F * span]
+    sieve, table = prime_stream._sieve_segment, prime_stream.base_primes
 
-    def sieve(lo, hi, buf, odd_basis):
-        if lo in stalled:
-            os.kill(os.getpid(), signal.SIGSTOP)
-        return real(lo, hi, buf, odd_basis)
+    def faulty_sieve(lo, hi, buf, odd_basis):
+        if lo in faulty:
+            if fault == "raises":
+                raise RuntimeError("sieve failed")
+            if fault == "killed":
+                time.sleep(60)
+            if fault == "stopped":
+                os.kill(os.getpid(), signal.SIGSTOP)
+        return sieve(lo, hi, buf, odd_basis)
 
-    monkeypatch.setattr(prime_stream, "_sieve_segment", sieve)
+    def faulty_table(limit):
+        if faulty and fault == "table-fails" and limit == math.isqrt(MAX_LIMIT):
+            raise RuntimeError("table failed")
+        return table(limit)
+
+    monkeypatch.setattr(prime_stream, "_sieve_segment", faulty_sieve)
+    monkeypatch.setattr(prime_stream, "base_primes", faulty_table)
     blocks = iter_prime_blocks(SieveConfig(limit=10**6))
-    got = [next(blocks) for _ in range(5)]
+    got = [next(blocks) for _ in range(F)]
     workers = prime_stream._workers
-    w, _ = workers.tickets[(5 - 1) % len(workers.tickets)]
+    w, _ = workers.tickets[(F - 1) % len(workers.tickets)]
+    if fault == "killed":
+        os.kill(workers.pids[w], signal.SIGKILL)
     t0 = time.monotonic()
-    with pytest.raises(prime_stream.SieveWorkerError, match=f"^sieve worker {workers.pids[w]} gave no answer in 0.5 s$"):
+    with pytest.raises(prime_stream.SieveWorkerError) as raised:
         next(blocks)
     assert time.monotonic() - t0 < 2
-    assert np.concatenate([p for p, _, _ in got]).tolist() == sieve_primes(5 * span)
+    assert str(raised.value) == f"sieve worker {workers.pids[w]} {message}"
+    assert [high for _, _, high in got] == [j * span for j in range(1, F + 1)]
+    primes = np.concatenate([p for p, _, _ in got])
+    assert primes.tolist() == sieve_primes(F * span)
+    assert np.concatenate([q for _, q, _ in got]).tolist() == list(range(1, len(primes) + 1))
     # No worker is left, stopped or running.
     assert not workers.alive
     assert all(reaped(pid) for pid in workers.pids)
-    stalled.clear()
-    primes, _, _ = collect(SieveConfig(limit=10**6))
-    assert primes == sieve_primes(10**6)
+    # The next stream forks a new set, which sieves as if nothing happened.
+    faulty.clear()
+    assert collect(SieveConfig(limit=10**6))[0] == sieve_primes(10**6)
+    assert prime_stream._workers.alive and not prime_stream._workers.busy
 
 
 def test_answers_queued_in_a_workers_pipe_are_all_read(monkeypatch, fresh_workers):
