@@ -4,8 +4,12 @@ Computes the upper convex hull of the points (P[i], R[i]) within a single
 segment, with the points lying exactly on a hull edge kept as tie
 annotations.  Extreme points of a union are extreme points of the parts,
 so pushing only each segment's hull vertices and ties onto the global
-stack (``HullState._on_hull``) reproduces the full streaming hull exactly;
-the module tests pin that equivalence against the batch oracle.
+stack (``hull_points``, the E hook ``HullState._on_hull``) reproduces the
+full streaming hull exactly; the module tests pin that equivalence
+against the batch oracle.  Adding a constant to every height keeps an
+upper hull and its ties, so the sieve workers run ``hull_points`` on a
+segment's local heights 1..c and send back only the points it picks
+(``prime_stream.iter_prime_blocks`` with ``hull=True``).
 
 The kernel drops points from a chain until only the hull is left.  The
 chain starts as ``_candidates``' output (below) plus both ends.  Each pass
@@ -139,3 +143,14 @@ def segment_hull(P: np.ndarray, R: np.ndarray):
     counts = np.bincount(j[on], minlength=len(idx))
     tie_hi = np.cumsum(counts)
     return idx, tie_hi - counts, tie_hi, cand[on]
+
+
+def hull_points(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Increasing indices of the vertices and ties of the exact upper hull, n >= 1.
+
+    P and R are int64 arrays as for ``segment_hull``.
+    """
+    # Two disjoint sets, so a sort merges them; np.union1d would import
+    # numpy.ma, about 2 MB of resident memory.
+    idx, _, _, tie_buf = segment_hull(P, R)
+    return np.sort(np.concatenate((idx, tie_buf)))

@@ -103,11 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _require_dirs(*paths: Optional[str]) -> None:
-    """Refuse an output path that is a directory or in a missing one, before any sieving."""
+    """Refuse an output path that is a directory or in a missing one, before any sieving.
+
+    A symlink is written through, so its target's directory is the one checked.
+    """
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
             raise FileNotFoundError(f"no directory for {path}")
 
 

@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from ._seghull import segment_hull
+from ._seghull import hull_points, segment_hull
 from .analysis import ExtremalRecord, records_from_state
 from .prime_stream import SieveConfig, iter_prime_blocks
+
+# segment_hull is here for the benchmark's traced copy of the E merge.
+__all__ = ["ComputeResult", "HullState", "HullVertex", "compute_extremal", "pi_bound", "segment_hull"]
 
 RS_CONSTANT = 1.25506
 DUSART_CUTOFF = 88789
@@ -191,26 +192,22 @@ class HullState:
         self.confirmed_len = n
         return newly
 
-    def merge_segment(self, primes, pis) -> None:
+    def merge_segment(self, primes, pis, picked: bool = False) -> None:
         """Push the points ``_on_hull`` picks from one non-empty segment, in order.
 
         An equal-slope pop moves a point into its vertex's tie list, so a
         hook that keeps every vertex and tie of the segment's hull leaves
         the stack that pushing every point would: the rest lie strictly
         below that hull.  The last point is a vertex, so the frontier and
-        pi_at_last match too.  No confirmation is attempted.
+        pi_at_last match too.  With ``picked`` the points are the hook's
+        picks already and are all pushed.  No confirmation is attempted.
         """
-        q = self._on_hull(primes, pis)
+        q = slice(None) if picked else self._on_hull(primes, pis)
         for p, pi in zip(primes[q].tolist(), pis[q].tolist()):
             self.push(p, pi)
 
-    @staticmethod
-    def _on_hull(primes, pis):
-        """Increasing indices of the vertices and ties of the segment's exact hull."""
-        # Two disjoint sets, so a sort merges them; np.union1d would import
-        # numpy.ma, about 2 MB of resident memory.
-        idx, _, _, tie_buf = segment_hull(primes, pis)
-        return np.sort(np.concatenate((idx, tie_buf)))
+    # Increasing indices of the vertices and ties of the segment's exact hull.
+    _on_hull = staticmethod(hull_points)
 
     def extend(self, limit: int) -> None:
         """Sieve from the frontier to ``limit``, merging and confirming per segment.
@@ -218,13 +215,17 @@ class HullState:
         A state extended in steps ends equal to one extended straight to the
         last limit, which is what makes checkpoint resume exact.  ``SieveConfig``
         refuses a limit below 2, past ``MAX_LIMIT`` or below the frontier.
+        The E hook is the kernel the stream runs where it sieves each
+        segment, so a state with it reads only the points the hook picks;
+        any other hook picks here from every prime.
         """
         if limit == self.last_processed and self.stack:
             return
         cfg = SieveConfig(limit=limit, start=self.last_processed + 1, start_pi=self.pi_at_last)
-        for primes, pis, high in iter_prime_blocks(cfg):
+        picked = self._on_hull is hull_points
+        for primes, pis, high in iter_prime_blocks(cfg, hull=picked):
             if len(primes):
-                self.merge_segment(primes, pis)
+                self.merge_segment(primes, pis, picked)
             self.confirm_through(high)
         self.confirm_through(limit)
 

@@ -18,13 +18,17 @@ stream that stops early closes the set, and the next one forks anew. Each
 worker builds one fixed table of the odd base primes up to
 isqrt(``MAX_LIMIT``) as it starts, as the bucket sieve assumes, sieves
 into its own mask and also extracts the primes, into one of its two slots
-of shared memory; the blocks are delivered strictly in segment order; see
-``iter_prime_blocks``. Each mask of ``SEGMENT_SIZE`` entries has up to
-``SEGMENT_SIZE // 9 + 64`` bytes of room after it, which lets a mask at
-most 10% set, as every mask above about 4.9e8 is, take numpy's fast dense
-path to its primes; see ``_nonzero``. Processes, not
-threads, because the interpreter lock held two sieve threads to 1.2-1.4x
-one thread's work.
+of shared memory. For the E hull a worker also runs the exact segment
+kernel (``_seghull.hull_points``) on the segment's local heights 1..c and
+leaves only the points on the segment's upper hull in its slot, so the
+parent never sees the other primes; the M hull, the envelope scan and the
+window read every prime. The blocks are delivered strictly in segment
+order; see ``iter_prime_blocks``. Each mask of ``SEGMENT_SIZE`` entries
+has up to ``SEGMENT_SIZE // 9 + 64`` bytes of room after it, which lets a
+mask at most 10% set, as every mask above about 4.9e8 is, take numpy's
+fast dense path to its primes; see ``_nonzero``. Processes, not threads,
+because the interpreter lock held two sieve threads to 1.2-1.4x one
+thread's work.
 This is the one module of the package that starts threads or processes,
 so every consumer of the stream (the E and M hulls, the envelope scan)
 shares them through one code path.
@@ -46,6 +50,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+from ._seghull import hull_points
 
 MAX_LIMIT = 10**12
 # Odd integers per segment. A segment spans 2^21 integers, so in-segment
@@ -118,14 +124,17 @@ def base_primes(limit: int) -> np.ndarray:
     return _segment_primes(1, top, _mask_buffer(top // 2 + 1), base_primes(math.isqrt(limit))[1:])
 
 
-def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+def iter_prime_blocks(cfg: SieveConfig, hull: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield (primes, pi_values, segment_high) per segment, in order.
 
     ``primes`` and ``pi_values`` are aligned int64 arrays that belong to the
     caller; ``segment_high`` is the largest integer fully sieved so far (the
-    confirmation frontier). Each segment holds ``SEGMENT_SIZE`` odd integers
-    lo..hi (the last one may hold fewer), and the constant is read when
-    iteration starts. A fresh stream's first segment starts at 1, which
+    confirmation frontier). With ``hull`` set, a block holds only the
+    segment's points on the upper hull of its points (p, pi(p)), vertices
+    and ties, as ``_seghull.hull_points`` picks them, still with their
+    absolute pi; a segment with no prime yields an empty block either way.
+    Each segment holds ``SEGMENT_SIZE`` odd integers lo..hi (the last one
+    may hold fewer), and the constant is read when iteration starts. A fresh stream's first segment starts at 1, which
     stands for 2 (see ``_segment_primes``), so its first block holds 2 and
     the odd primes after it; a resumed stream's first segment starts at the
     first odd integer at or after ``cfg.start``.
@@ -139,16 +148,18 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     another does, sieves every segment itself, as it does where ``os.fork``
     is missing. With W workers, segment i >= 1 goes to the worker slot
     ``tickets[(i - 1) % 2W]``, two slots per worker: worker w sieves into
-    its own mask, extracts the primes into the slot and answers with their
-    count. The generator takes the segments back strictly in order. It
-    copies segment i's primes out of its slot, deals segment i + 2W to that
-    slot at once, numbers the primes on from the running count and yields
-    them, so the caller's work on a block overlaps the sieving of the
-    segments after it. A worker that raises, exits (as one killed by a
-    signal does) or gives no answer within ``WORKER_DEADLINE_S`` seconds
-    raises ``SieveWorkerError`` from the ``next()`` that reaches its
-    segment, after every block before it, as a set that cannot be forked
-    does from the first. A stream that stops early, because it is closed or
+    its own mask, extracts the primes into the slot, with ``hull`` keeps
+    there only the hull points and their local heights, and answers with
+    the two counts. The generator takes the segments back strictly in
+    order. It copies segment i's points out of its slot, deals segment
+    i + 2W to that slot at once, numbers the points on from the running
+    count and yields them, so the caller's work on a block overlaps the
+    sieving of the segments after it. A segment the generator sieves
+    itself goes through the same kernel in this process. A worker that
+    raises, exits (as one killed by a signal does) or gives no answer
+    within ``WORKER_DEADLINE_S`` seconds raises ``SieveWorkerError`` from
+    the ``next()`` that reaches its segment, after every block before it,
+    as a set that cannot be forked does from the first. A stream that stops early, because it is closed or
     a worker or the caller raised, closes the set instead, killing and
     reaping the workers with their segments in flight; the next stream
     forks a new set.
@@ -160,9 +171,14 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
     The generator holds no mask between blocks; each segment it sieves
     itself borrows one for as long as it is sieved. Each worker holds its
     own mask, the 0.63 MB table of its 78,497 odd base primes up to 10^6,
-    and two slots of ``SEGMENT_SIZE`` int64 in shared memory, of which a
-    segment's primes touch 8 bytes each (about 0.66 MB near 1e11). The
-    generator releases its view of the slots when a stream is exhausted.
+    and two slots of two rows of ``SEGMENT_SIZE`` int64 in shared memory,
+    of which a segment's primes touch 8 bytes each (about 0.66 MB near
+    1e11). With ``hull`` the generator reads only the few pages of the
+    hull points, a median of 15 per segment to 1e8 (a full segment there
+    holds 114k primes), and each worker holds the kernel's temporaries
+    while it runs, which raised a worker's peak resident memory from 27.6
+    to 31.1 MB over ``compute_extremal(10**8)``. The generator releases
+    its view of the slots when a stream is exhausted.
     While its scatter runs, a segment in flight holds 24 bytes of scratch
     per base prime and about 256 KB per chunk of strikes; tracemalloc
     measures 0.91 MB near 1e11 and 2.14 MB near 1e12. The block held costs
@@ -180,7 +196,7 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
 
     def deal(i):
         if i < len(starts):
-            workers.submit(*tickets[(i - 1) % len(tickets)], starts[i], min(starts[i] + span - 2, top))
+            workers.submit(*tickets[(i - 1) % len(tickets)], starts[i], min(starts[i] + span - 2, top), hull)
 
     count = cfg.start_pi
     try:
@@ -190,13 +206,20 @@ def iter_prime_blocks(cfg: SieveConfig) -> Iterator[tuple[np.ndarray, np.ndarray
             hi = min(lo + span - 2, top)
             if i == 0 or workers is None:
                 primes = _segment_primes(lo, hi, _mask_buffer(size), odd_basis)
+                c, heights = len(primes), None
+                if hull:
+                    primes, heights = _hull_points(primes)
             else:
-                primes = workers.collect(*tickets[(i - 1) % len(tickets)])
+                c, primes, heights = workers.collect(*tickets[(i - 1) % len(tickets)], hull)
                 deal(i + len(tickets))
-            count += len(primes)
-            yield primes, np.arange(count - len(primes) + 1, count + 1, dtype=np.int64), min(hi + 1, limit)
+            if heights is None:
+                heights = np.arange(count + 1, count + c + 1, dtype=np.int64)
+            else:
+                heights += count
+            count += c
+            yield primes, heights, min(hi + 1, limit)
             # Hold no block while waiting for the next one.
-            del primes
+            del primes, heights
     except BaseException:
         if workers is not None:
             workers.close()
@@ -231,23 +254,30 @@ def _acquire(size: int) -> _Workers | None:
 class _Workers:
     """Forked sieve worker processes, each with a mask and two prime slots.
 
-    Slot (w, s) of worker w is a row of ``size`` int64 in one shared
+    Slot (w, s) of worker w is two rows of ``size`` int64 in one shared
     anonymous mmap, which takes memory only where it is written. Each
-    worker reads pickled commands ``(s, lo, hi)`` from its own pipe, each
-    of which makes it sieve the odd integers lo..hi into its mask and write
-    their primes to the start of slot (w, s). It answers on a second pipe,
-    in command order, with the count of primes or with the type and
+    worker reads pickled commands ``(s, lo, hi, hull)`` from its own pipe,
+    each of which makes it sieve the odd integers lo..hi into its mask and
+    write their c primes to the start of row 0 of slot (w, s). With
+    ``hull`` it then overwrites the start of row 0 with the k points of
+    ``_hull_points`` and writes their local heights to the start of row 1.
+    Both fit whatever the segment size: c is at most the mask's length,
+    which is at most ``size``, and k <= c. One row would need 2k <= size,
+    which small segments break: with ``size`` 4, all three primes of
+    17..23 are on the hull. It answers on a second pipe, in command order,
+    with the pair (c, k), k = c without ``hull``, or with the type and
     message of the exception, also one from building its base-prime table
-    at the first command. A worker exits at its command pipe's end of file,
-    as when this process dies; ``close`` kills and reaps the workers, and
-    runs when a stream stops early, at exit and when the set is collected.
+    at the first command. A worker exits at its command pipe's end of
+    file, as when this process dies; ``close`` kills and reaps the
+    workers, and runs when a stream stops early, at exit and when the set
+    is collected.
     """
 
     def __init__(self, count: int, size: int) -> None:
         self.size = size
         self.busy = False
-        self._map = mmap.mmap(-1, count * 2 * size * 8)
-        self._slots = np.frombuffer(self._map, dtype=np.int64).reshape(count, 2, size)
+        self._map = mmap.mmap(-1, count * 2 * 2 * size * 8)
+        self._slots = np.frombuffer(self._map, dtype=np.int64).reshape(count, 2, 2, size)
         # (worker, slot) in the order a stream's first segments are dealt.
         self.tickets = [(w, s) for s in (0, 1) for w in range(count)]
         self.pids: list[int] = []
@@ -286,15 +316,20 @@ class _Workers:
     def alive(self) -> bool:
         return self._stop.alive
 
-    def submit(self, w: int, s: int, lo: int, hi: int) -> None:
+    def submit(self, w: int, s: int, lo: int, hi: int, hull: bool) -> None:
         # A worker that exited refuses the command; ``collect`` reports it
         # when the stream reaches the segment the worker did not answer.
         with suppress(BrokenPipeError):
-            pickle.dump((s, lo, hi), self._commands[w])
+            pickle.dump((s, lo, hi, hull), self._commands[w])
             self._commands[w].flush()
 
-    def collect(self, w: int, s: int) -> np.ndarray:
-        """Worker w's oldest segment's primes, from slot s, as a new array, or ``SieveWorkerError``."""
+    def collect(self, w: int, s: int, hull: bool) -> tuple[int, np.ndarray, np.ndarray | None]:
+        """Worker w's oldest segment from slot s, or ``SieveWorkerError``.
+
+        Returns the segment's prime count c, its primes or with ``hull``
+        its hull points as a new array, and with ``hull`` their local
+        heights as a new array, else None.
+        """
         try:
             if not select.select([self._answers[w]], [], [], WORKER_DEADLINE_S)[0]:
                 raise SieveWorkerError(f"sieve worker {self.pids[w]} gave no answer in {WORKER_DEADLINE_S} s")
@@ -305,7 +340,9 @@ class _Workers:
             raise SieveWorkerError(f"sieve worker {self.pids[w]} exited") from None
         if isinstance(reply, str):
             raise SieveWorkerError(f"sieve worker {self.pids[w]} failed: {reply}")
-        return self._slots[w, s, :reply].copy()
+        c, k = reply
+        points, heights = self._slots[w, s, :, :k]
+        return c, points.copy(), heights.copy() if hull else None
 
     def release(self) -> None:
         """Return the slots' memory to the system and mark the set idle."""
@@ -333,19 +370,37 @@ def _stop(owner: int, pids: list[int], files: list) -> None:
 
 
 def _serve(commands, answers, slots: np.ndarray) -> None:
-    """A worker's loop: answer each command with a count or an error's text, until EOFError."""
+    """A worker's loop: answer each command with two counts or an error's text, until EOFError."""
     buf = _mask_buffer(slots.shape[-1])
     odd_basis = None
     while True:
-        s, lo, hi = pickle.load(commands)
+        s, lo, hi, hull = pickle.load(commands)
         try:
             if odd_basis is None:  # built here, so its error is answered too
                 odd_basis = base_primes(math.isqrt(MAX_LIMIT))[1:]
-            reply = len(_segment_primes(lo, hi, buf, odd_basis, slots[s]))
+            primes = _segment_primes(lo, hi, buf, odd_basis, slots[s, 0])
+            k = len(primes)
+            if hull:
+                points, heights = _hull_points(primes)
+                k = len(points)
+                slots[s, 0, :k], slots[s, 1, :k] = points, heights
+            reply = len(primes), k
         except Exception as exc:
             reply = f"{type(exc).__name__}: {exc}"
         pickle.dump(reply, answers)
         answers.flush()
+
+
+def _hull_points(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of one segment's primes on its upper hull, and their local heights.
+
+    The kernel runs on the heights 1..c of the segment's c primes, which
+    differ from their pi by one constant and so pick the same vertices and
+    ties. Both arrays are new.
+    """
+    c = len(primes)
+    q = hull_points(primes, np.arange(1, c + 1, dtype=np.int64)) if c else np.empty(0, dtype=np.int64)
+    return primes[q], q + 1
 
 
 def _mask_buffer(size: int) -> np.ndarray:

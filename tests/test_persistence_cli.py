@@ -623,7 +623,9 @@ def test_cli_compute_exits_6_when_a_worker_raises(capsys, monkeypatch, fresh_wor
     assert int(pid.group(1)) in prime_stream._workers.pids
 
 
-def test_cli_compute_exits_6_when_a_worker_cannot_be_forked(capsys, monkeypatch, fresh_workers):
+# compute reads the hull stream (the E command), mvariant every prime.
+@pytest.mark.parametrize("command", ["compute", "mvariant"])
+def test_cli_exits_6_when_a_worker_cannot_be_forked(capsys, monkeypatch, fresh_workers, command):
     # Two workers: the first is forked, the second is refused, so the first
     # must be killed and reaped and every pipe closed.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
@@ -641,7 +643,7 @@ def test_cli_compute_exits_6_when_a_worker_cannot_be_forked(capsys, monkeypatch,
 
     monkeypatch.setattr(os, "fork", fork)
     fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
-    assert cli.main(["compute", "--limit", "10^6"]) == cli.EXIT_WORKER
+    assert cli.main([command, "--limit", "10^6"]) == cli.EXIT_WORKER
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: could not fork sieve workers: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
@@ -776,6 +778,9 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
         (["compute", "--limit", "10^5", "--checkpoint", "{missing}/run.ck"], "no directory for {missing}/run.ck"),
         (["mvariant", "--limit", "10^5", "--out", "{missing}/m.csv"], "no directory for {missing}/m.csv"),
         (["lensbounds", "--x-grid", "1e8,1e12", "--out", "{missing}/lens.csv"], "no directory for {missing}/lens.csv"),
+        # A symlink into a missing directory: the writers write through it.
+        (["compute", "--limit", "10^5", "--out", "{tmp}/dangling.csv"], "no directory for {tmp}/dangling.csv"),
+        (["compute", "--limit", "10^5", "--checkpoint", "{tmp}/dangling.ck"], "no directory for {tmp}/dangling.ck"),
         (["compute", "--limit", "10^5", "--out", "{directory}"], "{directory} is a directory"),
         (["compute", "--limit", "10^5", "--checkpoint", "{directory}"], "{directory} is a directory"),
         (["mvariant", "--limit", "10^5", "--out", "{directory}"], "{directory} is a directory"),
@@ -797,6 +802,7 @@ def test_cli_compute_export_and_analyze(tmp_path, capsys):
     ],
     ids=[
         "compute-out", "compute-checkpoint", "mvariant-out", "lensbounds-out",
+        "compute-out-symlink-into-missing", "compute-checkpoint-symlink-into-missing",
         "compute-out-directory", "compute-checkpoint-directory", "mvariant-out-directory",
         "lensbounds-out-directory", "compute-out-is-checkpoint", "compute-out-links-checkpoint",
         "compute-out-hard-links-checkpoint",
@@ -816,12 +822,15 @@ def test_cli_refuses_a_path_in_a_missing_directory_before_sieving(
     (tmp_path / "link.ck").symlink_to(ck.name)
     os.link(ck, tmp_path / "hard.ck")
     (tmp_path / "directory").mkdir()
+    dangling = [tmp_path / "dangling.csv", tmp_path / "dangling.ck"]
+    for link, target in zip(dangling, ["missing/e.csv", "missing/run.ck"]):
+        link.symlink_to(target)
     files = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     paths = {"tmp": tmp_path, "missing": tmp_path / "missing", "directory": tmp_path / "directory"}
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
-    assert sorted(tmp_path.iterdir()) == sorted([*files, paths["directory"]])
+    assert sorted(tmp_path.iterdir()) == sorted([*files, *dangling, paths["directory"]])
     assert list(paths["directory"].iterdir()) == []
 
 

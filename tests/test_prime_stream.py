@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import sieve_primes, window_primes
 from primehull import prime_stream
+from primehull._seghull import segment_hull
 from primehull.prime_stream import MAX_LIMIT, LimitTooLargeError, SieveConfig, iter_prime_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,6 +30,26 @@ def collect(cfg):
         primes.extend(p.tolist())
         pis.extend(q.tolist())
     return primes, pis, high
+
+
+def as_lists(blocks):
+    """Each block of a stream as (primes, pis, high), the arrays as lists."""
+    return [(p.tolist(), q.tolist(), high) for p, q, high in blocks]
+
+
+def kernel_blocks(cfg):
+    """The primes stream's blocks cut down to each segment's hull points, by ``segment_hull``.
+
+    Its vertices and ties, in increasing order, with their absolute pi.
+    """
+    out = []
+    for primes, pis, high in iter_prime_blocks(cfg):
+        q = []
+        if len(primes):
+            idx, _, _, tie_buf = segment_hull(primes, pis)
+            q = sorted(idx.tolist() + tie_buf.tolist())
+        out.append((primes[q].tolist(), pis[q].tolist(), high))
+    return out
 
 
 def test_stream_matches_naive_sieve():
@@ -306,6 +327,7 @@ def test_closing_a_stream_early_closes_its_workers(monkeypatch):
     assert prime_stream._workers.alive and not prime_stream._workers.busy
 
 
+@pytest.mark.parametrize("hull", [False, True], ids=["primes", "hull"])
 @pytest.mark.parametrize(
     "fault, F, message",
     [
@@ -315,12 +337,13 @@ def test_closing_a_stream_early_closes_its_workers(monkeypatch):
         pytest.param("stopped", 5, "gave no answer in 0.5 s", id="stopped"),
     ],
 )
-def test_a_worker_fault_ends_the_stream_after_the_blocks_before_it(monkeypatch, fresh_workers, fault, F, message):
+def test_a_worker_fault_ends_the_stream_after_the_blocks_before_it(monkeypatch, fresh_workers, fault, F, message, hull):
     # The worker dealt segment F raises as it sieves it; fails to build its
     # base-prime table, which it does at its first command inside the
     # answer's try, so F = 1 (the generator's own table, for segment 0, is
     # smaller); stalls on it until it is killed, after every earlier answer
     # has been read; or stops itself with SIGSTOP, so its answer never comes.
+    # Each the same on a stream of every prime and on one of hull points.
     monkeypatch.setattr(prime_stream, "SEGMENT_SIZE", 1 << 12)
     monkeypatch.setattr(prime_stream, "WORKER_DEADLINE_S", 0.5)
     span = 2 << 12
@@ -344,7 +367,7 @@ def test_a_worker_fault_ends_the_stream_after_the_blocks_before_it(monkeypatch, 
 
     monkeypatch.setattr(prime_stream, "_sieve_segment", faulty_sieve)
     monkeypatch.setattr(prime_stream, "base_primes", faulty_table)
-    blocks = iter_prime_blocks(SieveConfig(limit=10**6))
+    blocks = iter_prime_blocks(SieveConfig(limit=10**6), hull)
     got = [next(blocks) for _ in range(F)]
     workers = prime_stream._workers
     w, _ = workers.tickets[(F - 1) % len(workers.tickets)]
@@ -356,14 +379,17 @@ def test_a_worker_fault_ends_the_stream_after_the_blocks_before_it(monkeypatch, 
     assert time.monotonic() - t0 < 2
     assert str(raised.value) == f"sieve worker {workers.pids[w]} {message}"
     assert [high for _, _, high in got] == [j * span for j in range(1, F + 1)]
-    primes = np.concatenate([p for p, _, _ in got])
-    assert primes.tolist() == sieve_primes(F * span)
-    assert np.concatenate([q for _, q, _ in got]).tolist() == list(range(1, len(primes) + 1))
+    if not hull:
+        primes = np.concatenate([p for p, _, _ in got])
+        assert primes.tolist() == sieve_primes(F * span)
+        assert np.concatenate([q for _, q, _ in got]).tolist() == list(range(1, len(primes) + 1))
     # No worker is left, stopped or running.
     assert not workers.alive
     assert all(reaped(pid) for pid in workers.pids)
     # The next stream forks a new set, which sieves as if nothing happened.
     faulty.clear()
+    if hull:
+        assert as_lists(got) == kernel_blocks(SieveConfig(limit=F * span))
     assert collect(SieveConfig(limit=10**6))[0] == sieve_primes(10**6)
     assert prime_stream._workers.alive and not prime_stream._workers.busy
 
@@ -393,14 +419,14 @@ def test_sieves_in_flight_bounded_by_usable_cpus(monkeypatch):
     peak = Counter()
     submit, collect_slot = prime_stream._Workers.submit, prime_stream._Workers.collect
 
-    def counted_submit(self, w, s, lo, hi):
+    def counted_submit(self, w, s, *command):
         in_flight[w] += 1
         peak[w] = max(peak[w], in_flight[w])
-        submit(self, w, s, lo, hi)
+        submit(self, w, s, *command)
 
-    def counted_collect(self, w, s):
+    def counted_collect(self, w, s, hull):
         in_flight[w] -= 1
-        return collect_slot(self, w, s)
+        return collect_slot(self, w, s, hull)
 
     monkeypatch.setattr(prime_stream._Workers, "submit", counted_submit)
     monkeypatch.setattr(prime_stream._Workers, "collect", counted_collect)
@@ -424,16 +450,16 @@ def test_a_slot_is_never_dealt_twice(monkeypatch, fresh_workers):
     used = set()
     submit, collect_slot = prime_stream._Workers.submit, prime_stream._Workers.collect
 
-    def checked_submit(self, w, s, lo, hi):
+    def checked_submit(self, w, s, *command):
         assert (w, s) not in held
         held.add((w, s))
         used.add((w, s))
-        submit(self, w, s, lo, hi)
+        submit(self, w, s, *command)
 
-    def checked_collect(self, w, s):
-        primes = collect_slot(self, w, s)
+    def checked_collect(self, w, s, hull):
+        segment = collect_slot(self, w, s, hull)
         held.remove((w, s))
-        return primes
+        return segment
 
     monkeypatch.setattr(prime_stream._Workers, "submit", checked_submit)
     monkeypatch.setattr(prime_stream._Workers, "collect", checked_collect)
@@ -504,6 +530,62 @@ def test_without_fork_the_stream_sieves_every_segment(monkeypatch, fresh_workers
     assert primes == sieve_primes(10**6)
     assert pis == list(range(1, len(primes) + 1))
     assert prime_stream._workers is None
+
+
+HULL_LIMIT = 10**7
+
+
+@pytest.fixture(scope="module")
+def primes_1e7():
+    # An array, which hypothesis prints short in a falsifying example.
+    return np.array(sieve_primes(HULL_LIMIT))
+
+
+@st.composite
+def hull_windows(draw):
+    """A segment size, and a frontier and a limit to 1e7 at most 64 segments apart.
+
+    Below 8 odd integers a segment's hull points often outnumber half of
+    them, as 17, 19 and 23 do of 17..23, which overflow a slot of one row.
+    """
+    size = draw(st.integers(1, 1 << 8))
+    width = 2 * size * draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        return size, 2, draw(st.integers(2, 2 + width))
+    limit = draw(st.integers(2, HULL_LIMIT))
+    return size, draw(st.integers(max(2, limit - width), limit)), limit
+
+
+@pytest.mark.parametrize("path", ["workers", "nested", "no-fork"])
+@given(hull_windows())
+@example((4, 2, 1000))
+@example((1, 2, 200))
+@example((7, HULL_LIMIT - 64 * 14, HULL_LIMIT))
+@example((1 << 8, HULL_LIMIT - 1, HULL_LIMIT))
+@settings(max_examples=25, deadline=None)
+def test_the_hull_stream_yields_each_segments_hull_points(primes_1e7, path, window):
+    # Whichever process runs the kernel: the workers, the generator of a
+    # stream nested in another, or the generator of a process without fork.
+    size, start, limit = window
+    cfg = SieveConfig(limit=limit, start=start, start_pi=int(np.searchsorted(primes_1e7, start)))
+    with mock.patch.object(prime_stream, "SEGMENT_SIZE", size):
+        want = kernel_blocks(cfg)
+        if path == "workers":
+            got = as_lists(iter_prime_blocks(cfg, hull=True))
+        elif path == "nested":
+            outer = iter_prime_blocks(SieveConfig(limit=6 * size))
+            next(outer)
+            assert prime_stream._workers.busy
+            got = as_lists(iter_prime_blocks(cfg, hull=True))
+            outer.close()
+        else:
+            fork = os.fork
+            del os.fork
+            try:
+                got = as_lists(iter_prime_blocks(cfg, hull=True))
+            finally:
+                os.fork = fork
+    assert got == want
 
 
 STREAM_LEFT_OPEN = """
